@@ -1,6 +1,6 @@
 """Benchmark the numba kernel path against the pure-numpy fallback.
 
-Times the four hot kernels on forward-pass-sized inputs and a full sampler
+Times the four hot kernels (attention has no jitted path) on forward-pass-sized inputs and a full sampler
 run on a mid-sized model. Run from the repository root:
 
     python benchmarks/bench_kernels.py [--rows 256] [--runs 20]
@@ -50,7 +50,7 @@ def bench_kernels(rows, runs):
     for name, fn in cases:
         kernels.set_backend("numpy")
         np_mean, np_std = timeit(fn, runs)
-        if kernels.HAS_NUMBA:
+        if kernels.HAS_NUMBA and name != "attention_rows":
             kernels.set_backend("numba")
             nb_mean, nb_std = timeit(fn, runs)
             print(f"{name:<18}{np_mean:>9.3f}+-{np_std:<4.2f}{nb_mean:>9.3f}+-{nb_std:<4.2f}"

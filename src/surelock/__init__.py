@@ -36,8 +36,7 @@ from .lockctl import (
 )
 from .model import (
     ForwardResult,
-    FrozenInputs,
-    LayerKVCache,
+    KVStore,
     ModelConfig,
     Weights,
     forward_partial,
@@ -73,7 +72,7 @@ __all__ = [
     "micro_active_ratio",
     "LockEvent", "LockPolicy", "apply_locks", "evaluate_locks", "probe_unlock",
     "threshold_for_deviation", "uncertainty",
-    "ForwardResult", "FrozenInputs", "LayerKVCache", "ModelConfig", "Weights",
+    "ForwardResult", "KVStore", "ModelConfig", "Weights",
     "forward_partial", "init_weights", "load_weights", "save_weights",
     "kl_from_logits", "log_softmax", "percentile_nearest_rank", "spectral_norm",
     "RunConfig", "RunResult", "SamplerState", "StepRecord", "run_sampler",

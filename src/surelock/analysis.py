@@ -427,8 +427,7 @@ def calibrate_input_radius(w: Weights, run: RunConfig, prompt: np.ndarray) -> fl
         state.t = t
         active = np.flatnonzero(~state.lock)
         result = forward_partial(
-            w, state.tokens, state.mask_flags, active, state.caches, state.frozen,
-            collect_stats=True,
+            w, state.tokens, state.mask_flags, active, state.kv, collect_stats=True,
         )
         radius = max(radius, result.post_ln_max_norm)
         lp = kernels.log_softmax_rows(result.logits)

@@ -132,7 +132,7 @@ def _build(args, overrides: dict | None = None):
     if "prompt_tokens" in doc:
         prompt = np.asarray(doc["prompt_tokens"], dtype=np.int64)
     elif getattr(args, "prompt", None):
-        prompt = np.asarray([int(x) for x in args.prompt.split(",")], dtype=np.int64)
+        prompt = np.asarray(_parse_list(args.prompt, int, "--prompt"), dtype=np.int64)
     else:
         prompt = random_prompt(cfg, run.n_prompt, run.seed)
 
@@ -264,25 +264,28 @@ def cmd_run(args) -> int:
     return EXIT_INVARIANT if problems else EXIT_OK
 
 
-def _parse_list(text: str, cast):
-    return [cast(tok) for tok in text.split(",") if tok != ""]
-
-
-def _sweep_axis(text: str | None, cast):
-    if text is None:
-        return [None]
-    values = _parse_list(text, cast)
+def _parse_list(text: str, cast, flag: str) -> list:
+    """Comma-separated values; an empty list or a value ``cast`` rejects is
+    a configuration error."""
+    try:
+        values = [cast(tok) for tok in text.split(",") if tok != ""]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from exc
     if not values:
-        raise ConfigError("a sweep list was given but is empty")
+        raise ConfigError(f"{flag} was given but is empty")
     return values
 
 
+def _sweep_axis(text: str | None, cast, flag: str):
+    return [None] if text is None else _parse_list(text, cast, flag)
+
+
 def cmd_sweep(args) -> int:
-    eps_list = _sweep_axis(args.eps_list, float)
-    m_list = _sweep_axis(args.m_list, float)
-    steps_list = _sweep_axis(args.steps_list, int)
-    ngen_list = _sweep_axis(args.ngen_list, int)
-    seeds = _sweep_axis(args.seeds, int)
+    eps_list = _sweep_axis(args.eps_list, float, "--eps-list")
+    m_list = _sweep_axis(args.m_list, float, "--m-list")
+    steps_list = _sweep_axis(args.steps_list, int, "--steps-list")
+    ngen_list = _sweep_axis(args.ngen_list, int, "--ngen-list")
+    seeds = _sweep_axis(args.seeds, int, "--seeds")
     grid = [(e, m, s, g, sd) for e in eps_list for m in m_list for s in steps_list
             for g in ngen_list for sd in seeds]
 
@@ -361,8 +364,8 @@ def cmd_verify_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    rho_targets = _parse_list(args.rho_targets, float)
-    vocab_sizes = _parse_list(args.vocab_sizes, int)
+    rho_targets = _parse_list(args.rho_targets, float, "--rho-targets")
+    vocab_sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
     cells = [(r, v) for r in rho_targets for v in vocab_sizes]
     reports = []
     for i in range(args.count):

@@ -1,18 +1,18 @@
 """Hot numeric kernels with a numba fast path and a pure-numpy fallback.
 
 The forward pass spends nearly all of its time in row-sliced attention,
-layer normalization, and per-row log-softmax / KL reductions, so those four
-kernels carry @njit implementations next to vectorized numpy ones. Backend
-selection via the environment:
+layer normalization, and per-row log-softmax / KL reductions. Layer norm,
+log-softmax and KL carry @njit implementations next to vectorized numpy
+ones; attention is numpy only, since its cost is BLAS products and
+vectorized exp. Backend selection via the environment:
 
-  SURELOCK_BACKEND=numba   force the jitted path for every kernel
+  SURELOCK_BACKEND=numba   force the jitted path for every jitted kernel
   SURELOCK_BACKEND=numpy   force the pure-numpy path for every kernel
   unset / auto             route each kernel to its measured winner on this
                            package's workload sizes: the jitted layer norm
-                           (loop fusion, ~15x), numpy everywhere the cost is
-                           vectorized exp or thin BLAS calls (attention,
-                           log-softmax, KL), where SIMD exp beats scalar
-                           libm loops on a single core
+                           (loop fusion, ~15x), numpy where the cost is
+                           vectorized exp (log-softmax, KL), since SIMD exp
+                           beats scalar libm loops on a single core
 
 All paths are deterministic for fixed inputs; the two implementations of a
 kernel agree to float64 round-off (summation orders differ).
@@ -124,40 +124,6 @@ def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 # attention for a subset of query rows against the full key/value tables
 
 
-def _attention_heads_np(q_h, k_h, v_h, scale):
-    scores = np.matmul(q_h, k_h) * scale  # (H, C, N)
-    scores -= scores.max(axis=2, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=2, keepdims=True)
-    return np.matmul(w, v_h)
-
-
-@njit(cache=True, fastmath=_FASTMATH)
-def _attention_heads_nb(q_h, k_h, v_h, scale):  # pragma: no cover - jitted
-    h, c, dh = q_h.shape
-    n = k_h.shape[2]
-    out = np.empty((h, c, dh), dtype=np.float64)
-    for hi in range(h):
-        scores = np.dot(q_h[hi], k_h[hi])  # (C, N) via BLAS
-        for ci in range(c):
-            smax = -1.0e300
-            for j in range(n):
-                s = scores[ci, j] * scale
-                scores[ci, j] = s
-                if s > smax:
-                    smax = s
-            total = 0.0
-            for j in range(n):
-                e = math.exp(scores[ci, j] - smax)
-                scores[ci, j] = e
-                total += e
-            inv = 1.0 / total
-            for j in range(n):
-                scores[ci, j] *= inv
-        out[hi] = np.dot(scores, v_h[hi])
-    return out
-
-
 def attention_rows(
     q: np.ndarray,
     k_all: np.ndarray,
@@ -165,21 +131,27 @@ def attention_rows(
     scale: float,
     group_size: int,
 ) -> np.ndarray:
-    """Softmax attention for C query rows over all N key/value rows.
+    """Softmax attention for C query rows (C, H, dh) over all N key/value
+    rows (N, H // group_size, dh); query head h reads group h // group_size.
 
-    ``group_size`` maps query head h to key/value group h // group_size.
-    Both backends consume the same head-major contiguous layout.
+    Each K/V group takes part once: its query heads are stacked as
+    (group_size, C, dh) and broadcast against one key and one value table,
+    with no per-head expansion. Keys are read as (dh, N) and values as
+    (N, dh) per group; views of a ``model.KVStore`` already have that
+    layout, so they are used without a copy. Numpy only: the cost is BLAS
+    products and vectorized exp, which a jitted loop does not beat.
     """
-    h = q.shape[1]
-    head_group = np.arange(h) // group_size
-    q_h = np.ascontiguousarray(q.astype(np.float64, copy=False).transpose(1, 0, 2))  # (H, C, dh)
-    k_h = np.ascontiguousarray(k_all[:, head_group, :].astype(np.float64, copy=False).transpose(1, 2, 0))
-    v_h = np.ascontiguousarray(v_all[:, head_group, :].astype(np.float64, copy=False).transpose(1, 0, 2))
-    if _use_numba(jit_wins=False):
-        out = _attention_heads_nb(q_h, k_h, v_h, scale)
-    else:
-        out = _attention_heads_np(q_h, k_h, v_h, scale)
-    return out.transpose(1, 0, 2)  # back to (C, H, dh)
+    c, h, dh = q.shape
+    hkv = h // group_size
+    q_g = q.transpose(1, 0, 2).reshape(hkv, group_size, c, dh)
+    k_t = np.ascontiguousarray(k_all.transpose(1, 2, 0))[:, None]  # (Hkv, 1, dh, N)
+    v_g = np.ascontiguousarray(v_all.transpose(1, 0, 2))[:, None]  # (Hkv, 1, N, dh)
+    scores = np.matmul(q_g, k_t)  # (Hkv, G, C, N)
+    scores *= scale
+    scores -= scores.max(axis=3, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=3, keepdims=True)
+    return np.matmul(scores, v_g).reshape(h, c, dh).transpose(1, 0, 2)
 
 
 def attention_row_weights(q: np.ndarray, k_all: np.ndarray, scale: float, group_size: int) -> np.ndarray:

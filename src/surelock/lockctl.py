@@ -2,10 +2,11 @@
 
 A position may lock once it is unmasked and its step-to-step posterior KL
 falls below the policy threshold; an optional gate additionally restricts
-candidates to the most confident fraction. Locking caches the position's
-current K/V rows and freezes its block input and log-posterior. The
-optional unlock protocol periodically probes locked rows with a fresh
-forward and releases those whose posterior has drifted.
+candidates to the most confident fraction. A locked position is skipped by
+later forwards, which read its K/V as of its last computation from the run's
+store, and its reported log-posterior stays frozen. The optional unlock
+protocol periodically probes locked rows with a fresh forward on a copy of
+the store and releases those whose posterior has drifted.
 """
 
 from __future__ import annotations
@@ -123,41 +124,31 @@ def evaluate_locks(
 def apply_locks(
     state: "SamplerState",
     to_lock: Iterable[int],
-    fresh_k: list[np.ndarray],
-    fresh_v: list[np.ndarray],
     computed: np.ndarray,
-    block_inputs: np.ndarray,
 ) -> None:
-    """Set lock bits and capture caches, block inputs, and posteriors.
+    """Set lock bits and record lock events.
 
-    ``fresh_k``/``fresh_v``/``block_inputs`` are this step's forward outputs
-    over the ``computed`` rows; every locked position must be among them.
+    Every position must be among this step's ``computed`` rows, so the
+    store already holds its lock-time K/V and ``log_post`` its posterior.
     """
     to_lock = sorted(to_lock)
     if not to_lock:
         return
-    row_of = {int(pos): r for r, pos in enumerate(computed)}
+    computed_rows = set(np.asarray(computed).tolist())
     for i in to_lock:
         if state.lock[i]:
             raise InvalidStateError(f"position {i} is already locked")
         if state.mask_flags[i]:
             raise InvalidStateError(f"position {i} is masked and cannot lock")
-        if i not in row_of:
+        if i not in computed_rows:
             raise InvalidStateError(f"position {i} was not computed this step")
         if not state.log_post_valid[i]:
             raise InvalidStateError(f"position {i} has no posterior to freeze")
 
     t = state.t
     for i in to_lock:
-        r = row_of[i]
         state.lock[i] = True
         state.lock_step[i] = t
-        for cache, k, v in zip(state.caches, fresh_k, fresh_v):
-            cache.k[i] = k[r]
-            cache.v[i] = v[r]
-            cache.valid[i] = True
-        state.frozen.x_hat[i] = block_inputs[r]
-        state.frozen.valid[i] = True
         kind = "relock" if i in state.ever_unlocked else "lock"
         state.events.append(
             LockEvent(position=i, step=t, kind=kind, step_kl=state.last_step_kl.get(i, float("inf")),
@@ -175,8 +166,9 @@ def probe_unlock(
 ) -> list[int]:
     """Locked rows whose probe shows drift past the unlock thresholds.
 
-    Runs a full-depth forward restricted to the locked query rows (all other
-    rows supply their latest stored K/V), compares the proxy posterior
+    Runs a full-depth forward restricted to the locked query rows on a copy
+    of the K/V store (all other rows supply their latest stored K/V, and the
+    probe's fresh K/V is discarded), compares the proxy posterior
     against the posterior frozen at lock time, and returns the rows where
     proxy uncertainty exceeds ``gate_threshold``, drift exceeds
     ``epsilon_unlock``, and the lock age strictly exceeds
@@ -193,11 +185,7 @@ def probe_unlock(
     if rows.size == 0:
         return []
 
-    cache_view, frozen_view = state.stale_view(rows)
-    result = forward_partial(
-        w, state.tokens, state.mask_flags, rows, cache_view, frozen_view,
-        counter=counter,
-    )
+    result = forward_partial(w, state.tokens, state.mask_flags, rows, state.stale_view(), counter=counter)
     proxy_lp = kernels.log_softmax_rows(result.logits)
     frozen_lp = state.log_post[rows]
     drift = kl_from_log_probs_rows(proxy_lp, frozen_lp)

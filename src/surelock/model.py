@@ -2,12 +2,12 @@
 
 The forward pass splits sequence positions into *computed* rows and
 *skipped* rows. Computed rows get the full pre-LN residual stack
-(x + Attn(LN(x)), then + FFN(LN(.))); skipped rows contribute only stored
-key/value vectors to attention and carry a frozen block input through the
-layers unchanged. Attention is fully bidirectional, positions come from an
-additive learned table, and the feed-forward is gated (up / gate / down
-with SiLU), so per-step GEMM cost is exactly proportional to the number of
-computed rows.
+(x + Attn(LN(x)), then + FFN(LN(.))) and write their key/value rows into the
+run's ``KVStore`` in place; skipped rows take part only through the K/V rows
+the store already holds for them. Attention is fully bidirectional,
+positions come from an additive learned table, and the feed-forward is gated
+(up / gate / down with SiLU), so per-step GEMM cost is exactly proportional
+to the number of computed rows.
 """
 
 from __future__ import annotations
@@ -216,49 +216,52 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
 
 
 # ---------------------------------------------------------------------------
-# key/value caches and frozen block inputs
+# the per-run key/value store and the row-partitioned forward
 
 
 @dataclass
-class LayerKVCache:
-    """Stored key/value rows for positions excluded from this step's compute.
+class KVStore:
+    """Each position's most recently computed key/value rows, per layer.
 
-    ``valid`` marks the rows a forward call may read; in pure lock-mode runs
-    the valid set is exactly the locked set and those rows stay immutable
-    until an unlock event.
+    ``forward_partial`` writes the computed rows in place, and attention
+    reads every row from here; ``valid`` marks the rows written at least
+    once. A locked row is never computed, so its entry stays at its
+    lock-time K/V until the row is computed again after an unlock. A
+    forward whose K/V must not persist (the unlock probe) runs on ``copy()``.
+
+    Rows are kept per K/V group in the layouts attention's products read
+    directly, keys as (head_dim, N) and values as (N, head_dim), so a forward
+    writes its C rows and copies none of the N. ``keys(l)`` and
+    ``values(l)`` view layer ``l`` as (N, n_kv_heads, head_dim) rows; writes
+    through them land in the store.
     """
 
-    k: np.ndarray  # (N, kv_dim)
-    v: np.ndarray  # (N, kv_dim)
+    k_t: np.ndarray  # (L, n_kv_heads, head_dim, N)
+    v: np.ndarray  # (L, n_kv_heads, N, head_dim)
     valid: np.ndarray  # (N,) bool
 
     @classmethod
-    def empty(cls, n: int, kv_dim: int) -> "LayerKVCache":
+    def empty(cls, cfg: ModelConfig, n: int) -> "KVStore":
+        groups = (cfg.n_layers, cfg.n_kv_heads)
         return cls(
-            k=np.zeros((n, kv_dim), dtype=np.float64),
-            v=np.zeros((n, kv_dim), dtype=np.float64),
+            k_t=np.zeros((*groups, cfg.head_dim, n)),
+            v=np.zeros((*groups, n, cfg.head_dim)),
             valid=np.zeros(n, dtype=bool),
         )
 
+    def keys(self, layer: int) -> np.ndarray:
+        return self.k_t[layer].transpose(2, 0, 1)
 
-@dataclass
-class FrozenInputs:
-    """Block-input rows captured once at lock time, one row per position."""
+    def values(self, layer: int) -> np.ndarray:
+        return self.v[layer].transpose(1, 0, 2)
 
-    x_hat: np.ndarray  # (N, d)
-    valid: np.ndarray  # (N,) bool
-
-    @classmethod
-    def empty(cls, n: int, d: int) -> "FrozenInputs":
-        return cls(x_hat=np.zeros((n, d), dtype=np.float64), valid=np.zeros(n, dtype=bool))
+    def copy(self) -> "KVStore":
+        return KVStore(k_t=self.k_t.copy(), v=self.v.copy(), valid=self.valid.copy())
 
 
 @dataclass
 class ForwardResult:
     logits: np.ndarray  # (C, V) for computed rows, in `active` order
-    fresh_k: list[np.ndarray]  # per layer, (C, kv_dim)
-    fresh_v: list[np.ndarray]
-    block_inputs: np.ndarray  # (C, d) embedding rows of computed positions
     head_flops: int  # output-head GEMM cost, reported separately
     attn_weight_sums: np.ndarray | None = None  # (n_layers, C, H) when collected
     post_ln_max_norm: float = 0.0  # max row 2-norm seen after either LN
@@ -269,19 +272,19 @@ def forward_partial(
     tokens: np.ndarray,
     mask_flags: np.ndarray,
     active: np.ndarray,
-    caches: list[LayerKVCache],
-    frozen: FrozenInputs,
+    kv: KVStore,
     scale: float = 1.0,
     counter=None,
     collect_stats: bool = False,
 ) -> ForwardResult:
     """Forward pass over the computed rows only.
 
-    ``active`` lists the positions to compute (sorted, unique). Every other
-    position must have a valid cache row at every layer; those rows supply
-    K/V to attention and are otherwise untouched, so changing a skipped
-    position's token id cannot change any output. ``scale`` multiplies every
-    weight tensor (scale=0 exercises the constant-logit degenerate case).
+    ``active`` lists the positions to compute (sorted, unique). Their K/V
+    rows are written into ``kv`` in place, layer by layer, and marked valid.
+    Every other position must already hold a valid row; it supplies K/V to
+    attention and is otherwise untouched, so changing a skipped position's
+    token id cannot change any output. ``scale`` multiplies every weight
+    tensor (scale=0 exercises the constant-logit degenerate case).
     ``counter`` receives one gemm(m, n, k) call per matrix multiply.
     """
     cfg = w.config
@@ -295,17 +298,13 @@ def forward_partial(
         raise InvalidInputError("computed row indices must be unique and in range")
     if np.any(tokens[mask_flags] != cfg.mask_id):
         raise InvalidInputError("masked positions must carry the mask token id")
-
-    skipped = np.setdiff1d(np.arange(n), active)
-    if len(caches) != cfg.n_layers:
-        raise StateCorruptionError(f"expected {cfg.n_layers} cache layers, got {len(caches)}")
-    for li, cache in enumerate(caches):
-        if skipped.size and not np.all(cache.valid[skipped]):
-            bad = skipped[~cache.valid[skipped]]
-            raise StateCorruptionError(f"layer {li}: no cached K/V for skipped rows {bad.tolist()}")
-    if skipped.size and not np.all(frozen.valid[skipped]):
-        bad = skipped[~frozen.valid[skipped]]
-        raise StateCorruptionError(f"no frozen block input for skipped rows {bad.tolist()}")
+    if kv.v.shape != (cfg.n_layers, cfg.n_kv_heads, n, cfg.head_dim):
+        raise StateCorruptionError(f"K/V store of shape {kv.v.shape} does not fit {n} rows of this model")
+    skipped = np.ones(n, dtype=bool)
+    skipped[active] = False
+    if not np.all(kv.valid[skipped]):
+        bad = np.flatnonzero(skipped & ~kv.valid)
+        raise StateCorruptionError(f"no stored K/V for skipped rows {bad.tolist()}")
 
     if scale != 1.0:
         w = w.scaled(scale)
@@ -314,15 +313,12 @@ def forward_partial(
     d, h, dh, kv_dim = cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.kv_dim
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-    emb_rows = w.embedding[tokens[active]] + w.positional[active]
-    x = emb_rows.copy()  # (C, d); skipped rows live only in caches/frozen
+    x = w.embedding[tokens[active]] + w.positional[active]  # (C, d); skipped rows live only in kv
 
-    fresh_k: list[np.ndarray] = []
-    fresh_v: list[np.ndarray] = []
     weight_sums = [] if collect_stats else None
     max_norm = 0.0
 
-    for cache, layer in zip(caches, w.layers):
+    for li, layer in enumerate(w.layers):
         hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias, LN_EPS)
         if collect_stats:
             max_norm = max(max_norm, float(np.linalg.norm(hid, axis=1).max()))
@@ -335,17 +331,11 @@ def forward_partial(
         if counter is not None:
             counter.gemm(c, kv_dim, d)
             counter.gemm(c, kv_dim, d)
-        fresh_k.append(k)
-        fresh_v.append(v)
 
-        k_all = cache.k.copy()
-        v_all = cache.v.copy()
-        k_all[active] = k
-        v_all[active] = v
-
-        q3 = np.ascontiguousarray(q.reshape(c, h, dh))
-        k3 = k_all.reshape(n, cfg.n_kv_heads, dh)
-        v3 = v_all.reshape(n, cfg.n_kv_heads, dh)
+        k3, v3 = kv.keys(li), kv.values(li)
+        k3[active] = k.reshape(c, cfg.n_kv_heads, dh)
+        v3[active] = v.reshape(c, cfg.n_kv_heads, dh)
+        q3 = q.reshape(c, h, dh)
         attn = kernels.attention_rows(q3, k3, v3, inv_sqrt_dh, cfg.group_size)
         if counter is not None:
             # per head: scores (C x N from dh) and weighted values (C x dh from N)
@@ -375,6 +365,7 @@ def forward_partial(
         if counter is not None:
             counter.gemm(c, d, cfg.d_ff)
         x = x + down
+    kv.valid[active] = True
 
     logits = x @ w.head
     head_flops = 2 * c * d * cfg.vocab_size
@@ -383,9 +374,6 @@ def forward_partial(
 
     return ForwardResult(
         logits=logits,
-        fresh_k=fresh_k,
-        fresh_v=fresh_v,
-        block_inputs=emb_rows,
         head_flops=head_flops,
         attn_weight_sums=np.stack(weight_sums) if collect_stats else None,
         post_ln_max_norm=max_norm,

@@ -3,16 +3,18 @@
 Four modes share one step routine:
 
   baseline   every non-locked position is computed, nothing ever locks
-  surelock   KL-gated permanent locking with per-layer K/V caching
+  surelock   KL-gated permanent locking; locked rows are skipped and serve
+             their stored K/V
   selection  only the most volatile fraction of active rows is computed
              each step; the rest reuse stale posteriors and K/V
   hybrid     selection restricted to non-locked rows, plus locking
 
 Each step embeds the current token sequence, runs the row-partitioned
-forward, commits the scheduled number of highest-confidence masked
-positions, evaluates the lock rule on freshly computed unmasked rows, and
-(optionally, every probe period) probes locked rows for unlocking. All
-randomness flows from one splitmix64 stream per run.
+forward (which refreshes the computed rows in the run's one K/V store),
+commits the scheduled number of highest-confidence masked positions,
+evaluates the lock rule on freshly computed unmasked rows, and (optionally,
+every probe period) probes locked rows for unlocking. All randomness flows
+from one splitmix64 stream per run.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import kernels
 from .errors import ConfigError, InvalidInputError, InvalidStateError
 from .flops import FlopsReport, GemmCounter, active_step_flops, baseline_step_flops
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock
-from .model import FrozenInputs, LayerKVCache, Weights, forward_partial
+from .model import KVStore, Weights, forward_partial
 from .numkit import kl_from_log_probs_rows, percentile_nearest_rank
 from .prng import SplitMix64
 
@@ -114,31 +116,32 @@ def update_mask(
     vocabulary, so it is never committed: confidence and draws range over the
     other ids. Does not mutate any input."""
     lo, hi = block
-    in_block = [i for i in range(lo, hi) if mask_flags[i]]
-    scorable = [i for i in in_block if log_post_valid[i]]
-    if k_t > len(in_block):
-        raise InvalidStateError(f"asked to unmask {k_t} of {len(in_block)} masked positions")
-    if k_t > len(scorable):
+    in_block = lo + np.flatnonzero(mask_flags[lo:hi])
+    scorable = in_block[log_post_valid[in_block]]
+    if k_t > in_block.size:
+        raise InvalidStateError(f"asked to unmask {k_t} of {in_block.size} masked positions")
+    if k_t > scorable.size:
         raise InvalidStateError(
-            f"only {len(scorable)} of {len(in_block)} masked positions have posteriors; need {k_t}"
+            f"only {scorable.size} of {in_block.size} masked positions have posteriors; need {k_t}"
         )
     ids = np.arange(log_post.shape[1])
     if mask_id is not None:
         ids = ids[ids != mask_id]
-    confidence = {i: float(np.exp(log_post[i, ids].max())) for i in scorable}
-    chosen = sorted(scorable, key=lambda i: (-confidence[i], i))[:k_t]
-    chosen.sort()
+    restricted = log_post[np.ix_(scorable, ids)]
+    confidence = np.exp(restricted.max(axis=1))
+    picked = np.sort(np.lexsort((scorable, -confidence))[:k_t])
+    chosen = scorable[picked].tolist()
 
-    committed: dict[int, int] = {}
-    for i in chosen:
-        restricted = log_post[i, ids]
-        if temperature == 0.0:
-            committed[i] = int(ids[np.argmax(restricted)])
-        else:
-            tempered = restricted / temperature
+    if temperature == 0.0:
+        tokens = ids[np.argmax(restricted[picked], axis=1)].tolist()
+    else:
+        tokens = []
+        for row in restricted[picked]:
+            tempered = row / temperature
             probs = np.exp(tempered - tempered.max())
             probs /= probs.sum()
-            committed[i] = int(ids[rng.categorical(probs)])
+            tokens.append(int(ids[rng.categorical(probs)]))
+    committed = dict(zip(chosen, tokens))
     return chosen, committed
 
 
@@ -150,11 +153,7 @@ class SamplerState:
     mask_flags: np.ndarray  # (N,) bool, True while masked
     lock: np.ndarray  # (N,) bool
     lock_step: np.ndarray  # (N,) int, -1 when not locked
-    caches: list[LayerKVCache]  # locked rows only
-    frozen: FrozenInputs
-    stale_k: list[np.ndarray]  # last computed K per layer, any row
-    stale_v: list[np.ndarray]
-    stale_step: np.ndarray  # (N,) int, -1 = never computed
+    kv: KVStore  # every row's last computed K/V; written in place by each step's forward
     log_post: np.ndarray  # (N, V) latest reported log-posteriors
     log_post_valid: np.ndarray  # (N,) bool
     last_step_kl: dict[int, float]
@@ -189,11 +188,7 @@ class SamplerState:
             mask_flags=mask_flags,
             lock=np.zeros(n, dtype=bool),
             lock_step=np.full(n, -1, dtype=np.int64),
-            caches=[LayerKVCache.empty(n, cfg.kv_dim) for _ in range(cfg.n_layers)],
-            frozen=FrozenInputs.empty(n, cfg.d_model),
-            stale_k=[np.zeros((n, cfg.kv_dim)) for _ in range(cfg.n_layers)],
-            stale_v=[np.zeros((n, cfg.kv_dim)) for _ in range(cfg.n_layers)],
-            stale_step=np.full(n, -1, dtype=np.int64),
+            kv=KVStore.empty(cfg, n),
             log_post=np.full((n, cfg.vocab_size), np.nan),
             log_post_valid=np.zeros(n, dtype=bool),
             last_step_kl={},
@@ -208,37 +203,22 @@ class SamplerState:
     def n(self) -> int:
         return len(self.tokens)
 
-    def stale_view(self, computed_rows: np.ndarray) -> tuple[list[LayerKVCache], FrozenInputs]:
-        """Cache view backing a forward that computes only ``computed_rows``:
-        every other row reads its most recent K/V (locked rows' entries are
-        their lock-time values, which never change while locked)."""
-        n = self.n
-        valid = self.stale_step >= 0
-        caches = []
-        for layer_k, layer_v, cache in zip(self.stale_k, self.stale_v, self.caches):
-            k = layer_k.copy()
-            v = layer_v.copy()
-            locked_rows = np.flatnonzero(cache.valid)
-            k[locked_rows] = cache.k[locked_rows]
-            v[locked_rows] = cache.v[locked_rows]
-            caches.append(LayerKVCache(k=k, v=v, valid=valid | cache.valid))
-        frozen = FrozenInputs(x_hat=np.zeros((n, self.frozen.x_hat.shape[1])), valid=np.ones(n, dtype=bool))
-        return caches, frozen
+    def stale_view(self) -> KVStore:
+        """A private copy of the K/V store, for a forward whose K/V must not
+        persist (the unlock probe): every row reads its most recent K/V, and
+        locked rows' entries are their lock-time values."""
+        return self.kv.copy()
 
     def release_locks(self, rows: list[int], policy: LockPolicy) -> None:
-        """Clear lock state for ``rows``: caches and frozen inputs are
-        invalidated, the cooldown timer starts, and future re-locks use the
-        tightened threshold. The reported log-posterior stays frozen until
-        the row is next computed."""
+        """Clear lock state for ``rows``: the cooldown timer starts and future
+        re-locks use the tightened threshold. The row's stored K/V and its
+        reported log-posterior stay as they are until it is next computed."""
         for i in rows:
             if not self.lock[i]:
                 raise InvalidStateError(f"cannot unlock position {i}: not locked")
             drift, proxy_u = self.probe_diagnostics.get(i, (float("nan"), float("nan")))
             self.lock[i] = False
             self.lock_step[i] = -1
-            for cache in self.caches:
-                cache.valid[i] = False
-            self.frozen.valid[i] = False
             self.cooldown_until[i] = self.t + policy.relock_cooldown
             self.ever_unlocked.add(i)
             self.last_step_kl.pop(i, None)  # rank as unscored if selection resumes
@@ -299,15 +279,13 @@ def step(
         selected = select_compute_rows(active, state.last_step_kl, policy.hybrid_fraction)
         # a row with no prior computation has nothing to reuse, so it is
         # always computed; after the first step the fraction rule is exact
-        never_computed = active[state.stale_step[active] < 0]
+        never_computed = active[~state.kv.valid[active]]
         computed = np.union1d(selected, never_computed)
-        caches, frozen = state.stale_view(computed)
     else:
         computed = active
-        caches, frozen = state.caches, state.frozen
 
     flops_before, head_before = counter.snapshot()
-    result = forward_partial(w, state.tokens, state.mask_flags, computed, caches, frozen, counter=counter)
+    result = forward_partial(w, state.tokens, state.mask_flags, computed, state.kv, counter=counter)
     lp = kernels.log_softmax_rows(result.logits)
 
     # step KL against each row's previous reported posterior; infinity when
@@ -321,10 +299,6 @@ def step(
 
     state.log_post[computed] = lp
     state.log_post_valid[computed] = True
-    for layer_i in range(cfg.n_layers):
-        state.stale_k[layer_i][computed] = result.fresh_k[layer_i]
-        state.stale_v[layer_i][computed] = result.fresh_v[layer_i]
-    state.stale_step[computed] = t
 
     step_kl = {int(i): float(v) for i, v in zip(computed, kl_vals)}
     uncert = {int(i): float(v) for i, v in zip(computed, u_vals)}
@@ -346,7 +320,7 @@ def step(
             candidates, step_kl, uncert, policy,
             t=t, cooldown_until=state.cooldown_until, ever_unlocked=state.ever_unlocked,
         )
-        apply_locks(state, newly_locked, result.fresh_k, result.fresh_v, computed, result.block_inputs)
+        apply_locks(state, newly_locked, computed)
 
     newly_unlocked: list[int] = []
     probe_before = probe_counter.flops

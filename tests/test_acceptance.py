@@ -31,7 +31,7 @@ from surelock.analysis import (
 from surelock.cli import random_prompt
 from surelock.errors import InvalidStateError
 from surelock.lockctl import evaluate_locks, probe_unlock
-from surelock.model import FrozenInputs, LayerKVCache
+from surelock.model import KVStore
 from surelock.sampler import SamplerState, step, unmask_schedule
 
 TOY = ModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2, d_ff=64, max_seq=64)
@@ -74,32 +74,26 @@ def test_criterion_01_baseline_equivalence(toy_weights):
 
 
 def test_criterion_02_locked_row_oracle(toy_weights):
-    """Cached rows reproduce the full forward on the computed rows, 50 cases."""
+    """Stored rows reproduce the full forward on the computed rows, 50 cases."""
     cfg = TOY
     rng = np.random.default_rng(4242)
     n = 32
-    caches_proto = lambda: [LayerKVCache.empty(n, cfg.kv_dim) for _ in range(cfg.n_layers)]
     worst = 0.0
     for case in range(50):
         tokens = rng.integers(0, cfg.vocab_size - 1, size=n)
         mask_flags = rng.random(n) < rng.uniform(0.1, 0.6)
         tokens[mask_flags] = cfg.mask_id
-        full = forward_partial(
-            toy_weights, tokens, mask_flags, np.arange(n), caches_proto(),
-            FrozenInputs.empty(n, cfg.d_model),
-        )
+        full_kv = KVStore.empty(cfg, n)
+        full = forward_partial(toy_weights, tokens, mask_flags, np.arange(n), full_kv)
         lock_count = int(rng.integers(1, n - 1))
         lock_set = np.sort(rng.choice(n, size=lock_count, replace=False))
         active = np.setdiff1d(np.arange(n), lock_set)
-        caches = caches_proto()
-        frozen = FrozenInputs.empty(n, cfg.d_model)
+        kv = KVStore.empty(cfg, n)  # only the locked rows' K/V, from the full pass
         for li in range(cfg.n_layers):
-            caches[li].k[lock_set] = full.fresh_k[li][lock_set]
-            caches[li].v[lock_set] = full.fresh_v[li][lock_set]
-            caches[li].valid[lock_set] = True
-        frozen.x_hat[lock_set] = full.block_inputs[lock_set]
-        frozen.valid[lock_set] = True
-        part = forward_partial(toy_weights, tokens, mask_flags, active, caches, frozen)
+            kv.keys(li)[lock_set] = full_kv.keys(li)[lock_set]
+            kv.values(li)[lock_set] = full_kv.values(li)[lock_set]
+        kv.valid[lock_set] = True
+        part = forward_partial(toy_weights, tokens, mask_flags, active, kv)
         gap = np.abs(part.logits - full.logits[active]).max()
         worst = max(worst, gap)
         assert gap <= 1e-9, f"case {case}: logits differ by {gap}"
@@ -309,8 +303,7 @@ def test_criterion_09_unlock_protocol():
     snapshot = copy.deepcopy(state)
     step(state, run, w, 1, (4, 12))
     active = np.flatnonzero(~snapshot.lock)
-    ref = forward_partial(w, snapshot.tokens, snapshot.mask_flags, active,
-                          snapshot.caches, snapshot.frozen)
+    ref = forward_partial(w, snapshot.tokens, snapshot.mask_flags, active, snapshot.kv)
     from surelock.kernels import log_softmax_rows
 
     want = log_softmax_rows(ref.logits)[list(active).index(pos)]

@@ -79,6 +79,11 @@ class TestRunCommand:
         assert main(["run", "--config", config_file, "--mode", "selection",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_integer_prompt_is_config_error(self, tmp_path, config_file, capsys):
+        assert main(["run", "--config", config_file, "--prompt", "a,b",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_epsilon_ordering(self, tmp_path, config_file):
@@ -120,6 +125,11 @@ class TestVerifyAndSimulate:
         assert main(["simulate", "--count", "200"]) == 0
         out = capsys.readouterr().out
         assert "200/200 bound holds" in out
+
+    @pytest.mark.parametrize("flag", ["--rho-targets", "--vocab-sizes"])
+    def test_empty_simulate_list_is_config_error(self, flag, capsys):
+        assert main(["simulate", "--count", "3", flag, ""]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_verify_bound_fresh_run(self, config_file, capsys):
         assert main(["verify-bound", "--config", config_file]) == 0

@@ -145,7 +145,7 @@ class TestApplyLocks:
         policy = LockPolicy(epsilon=-1.0)
         state, _ = drive(surelock_run(policy), n_steps=3)
         before = copy.deepcopy(state.lock)
-        apply_locks(state, [], [], [], np.array([], dtype=int), np.zeros((0, CFG.d_model)))
+        apply_locks(state, [], np.array([], dtype=int))
         assert np.array_equal(state.lock, before)
 
     def test_double_lock_raises(self):
@@ -155,34 +155,39 @@ class TestApplyLocks:
         assert locked.size > 0
         pos = int(locked[0])
         with pytest.raises(InvalidStateError):
-            apply_locks(
-                state, [pos],
-                [c.k[[pos]] for c in state.caches], [c.v[[pos]] for c in state.caches],
-                np.array([pos]), state.frozen.x_hat[[pos]],
-            )
+            apply_locks(state, [pos], np.array([pos]))
 
     def test_masked_lock_raises(self):
         policy = LockPolicy(epsilon=-1.0)
         state, _ = drive(surelock_run(policy), n_steps=2)
         masked_pos = int(np.flatnonzero(state.mask_flags)[0])
         with pytest.raises(InvalidStateError):
-            apply_locks(
-                state, [masked_pos],
-                [np.zeros((1, CFG.kv_dim))] * 2, [np.zeros((1, CFG.kv_dim))] * 2,
-                np.array([masked_pos]), np.zeros((1, CFG.d_model)),
-            )
+            apply_locks(state, [masked_pos], np.array([masked_pos]))
 
     def test_locked_rows_serve_cached_kv(self):
-        """After a lock, later forwards read that position from cache."""
+        """After a lock, later forwards read that position from the store."""
         policy = LockPolicy(epsilon=1e9, gate_enabled=False)
         state, _ = drive(surelock_run(policy), n_steps=4)
         locked = np.flatnonzero(state.lock)
         assert locked.size > 0
-        cached_before = [c.k[locked].copy() for c in state.caches]
+        cached_before = state.kv.copy()
         run = surelock_run(policy)
         step(state, run, W, 1, (4, 12))
-        for c, before in zip(state.caches, cached_before):
-            np.testing.assert_array_equal(c.k[locked], before)
+        for li in range(CFG.n_layers):
+            np.testing.assert_array_equal(state.kv.keys(li)[locked], cached_before.keys(li)[locked])
+            np.testing.assert_array_equal(state.kv.values(li)[locked], cached_before.values(li)[locked])
+
+    def test_unlock_probe_leaves_the_store_untouched(self):
+        """The probe computes locked rows on a copy; their K/V must not persist."""
+        policy = LockPolicy(epsilon=1e9, gate_enabled=False)
+        state, _ = drive(surelock_run(policy), n_steps=6)
+        before = state.kv.copy()
+        open_policy = LockPolicy(epsilon=1e9, gate_enabled=False, unlock_enabled=True,
+                                 epsilon_unlock=1e-15, min_locked_duration=1)
+        assert probe_unlock(state, W, open_policy, gate_threshold=-1.0)
+        np.testing.assert_array_equal(state.kv.k_t, before.k_t)
+        np.testing.assert_array_equal(state.kv.v, before.v)
+        np.testing.assert_array_equal(state.kv.valid, before.valid)
 
 
 class TestProbeUnlock:
@@ -263,11 +268,15 @@ class TestProbeUnlock:
         first_lock = min(e.step for e in state.events if e.kind == "lock")
         rows = [e.position for e in state.events if e.kind == "lock" and e.step == first_lock]
         released = probe_unlock(state, W, policy, gate_threshold=-1.0, rows=rows)
+        kv_before = state.kv.copy()
         state.release_locks(released, policy)
         pos = released[0]
         assert not state.lock[pos]
-        assert not state.frozen.valid[pos]
-        assert all(not c.valid[pos] for c in state.caches)
+        assert state.lock_step[pos] == -1
+        # the row keeps its last computed K/V until it is next computed
+        np.testing.assert_array_equal(state.kv.k_t, kv_before.k_t)
+        np.testing.assert_array_equal(state.kv.v, kv_before.v)
+        assert state.kv.valid[pos]
         assert state.cooldown_until[pos] == state.t + 4
         assert pos in state.ever_unlocked
         # cooldown refusal: the lock test rejects the row until the timer runs out
@@ -301,7 +310,7 @@ class TestProbeUnlock:
 
         active = np.flatnonzero(~snapshot.lock)
         ref = forward_partial(
-            W, snapshot.tokens, snapshot.mask_flags, active, snapshot.caches, snapshot.frozen
+            W, snapshot.tokens, snapshot.mask_flags, active, snapshot.kv
         )
         from surelock.kernels import log_softmax_rows
 

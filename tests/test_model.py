@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surelock.errors import ConfigError, InvalidInputError, NoWorkError, StateCorruptionError
 from surelock.flops import GemmCounter, active_step_flops
 from surelock.model import (
-    FrozenInputs,
-    LayerKVCache,
+    KVStore,
     ModelConfig,
     forward_partial,
     init_weights,
@@ -92,14 +93,25 @@ class TestInitWeights:
         np.testing.assert_array_equal(w.layers[0].wq.ravel(), stream[offset : offset + 16])
 
 
-def full_forward(w, tokens, mask_flags, counter=None, collect_stats=False):
+def full_forward(w, tokens, mask_flags, counter=None, collect_stats=False, kv=None):
     n = len(tokens)
-    caches = [LayerKVCache.empty(n, w.config.kv_dim) for _ in range(w.config.n_layers)]
-    frozen = FrozenInputs.empty(n, w.config.d_model)
+    kv = KVStore.empty(w.config, n) if kv is None else kv
     return forward_partial(
-        w, tokens, mask_flags, np.arange(n), caches, frozen,
+        w, tokens, mask_flags, np.arange(n), kv,
         counter=counter, collect_stats=collect_stats,
     )
+
+
+def store_with_rows(w, tokens, mask_flags, rows):
+    """The full forward, and a fresh store holding its K/V for ``rows`` only."""
+    full = KVStore.empty(w.config, len(tokens))
+    ref = full_forward(w, tokens, mask_flags, kv=full)
+    kv = KVStore.empty(w.config, len(tokens))
+    for li in range(w.config.n_layers):
+        kv.keys(li)[rows] = full.keys(li)[rows]
+        kv.values(li)[rows] = full.values(li)[rows]
+    kv.valid[rows] = True
+    return ref, kv
 
 
 def make_tokens(cfg, n, seed=0):
@@ -118,53 +130,54 @@ class TestForwardPartial:
         assert np.array_equal(a.logits, b.logits)  # pure function
 
     def test_locked_rows_reproduce_full_forward(self, toy_weights):
-        """Populate caches from a full pass, then recompute only a subset."""
+        """Populate the store from a full pass, then recompute only a subset."""
         cfg = toy_weights.config
         n = 24
         rng = np.random.default_rng(7)
         for case in range(10):
             tokens, mask_flags = make_tokens(cfg, n, seed=case)
-            ref = full_forward(toy_weights, tokens, mask_flags)
             lock_set = rng.choice(n, size=rng.integers(1, n - 1), replace=False)
             lock_set = np.sort(lock_set)
             active = np.setdiff1d(np.arange(n), lock_set)
 
-            caches = [LayerKVCache.empty(n, cfg.kv_dim) for _ in range(cfg.n_layers)]
-            frozen = FrozenInputs.empty(n, cfg.d_model)
-            for li in range(cfg.n_layers):
-                caches[li].k[lock_set] = ref.fresh_k[li][lock_set]
-                caches[li].v[lock_set] = ref.fresh_v[li][lock_set]
-                caches[li].valid[lock_set] = True
-            frozen.x_hat[lock_set] = ref.block_inputs[lock_set]
-            frozen.valid[lock_set] = True
-
-            part = forward_partial(toy_weights, tokens, mask_flags, active, caches, frozen)
+            ref, kv = store_with_rows(toy_weights, tokens, mask_flags, lock_set)
+            part = forward_partial(toy_weights, tokens, mask_flags, active, kv)
             np.testing.assert_allclose(part.logits, ref.logits[active], atol=1e-9, rtol=0)
 
     def test_locked_token_id_is_irrelevant(self, toy_weights):
-        """Only the cache speaks for a locked row, not its current token."""
+        """Only the store speaks for a locked row, not its current token."""
         cfg = toy_weights.config
         n = 12
         tokens, mask_flags = make_tokens(cfg, n, seed=3)
         mask_flags[4] = False
         tokens[4] = 1
-        ref = full_forward(toy_weights, tokens, mask_flags)
-
-        caches = [LayerKVCache.empty(n, cfg.kv_dim) for _ in range(cfg.n_layers)]
-        frozen = FrozenInputs.empty(n, cfg.d_model)
-        for li in range(cfg.n_layers):
-            caches[li].k[4] = ref.fresh_k[li][4]
-            caches[li].v[4] = ref.fresh_v[li][4]
-            caches[li].valid[4] = True
-        frozen.x_hat[4] = ref.block_inputs[4]
-        frozen.valid[4] = True
+        _, kv = store_with_rows(toy_weights, tokens, mask_flags, [4])
         active = np.setdiff1d(np.arange(n), [4])
 
-        out1 = forward_partial(toy_weights, tokens, mask_flags, active, caches, frozen)
+        out1 = forward_partial(toy_weights, tokens, mask_flags, active, kv.copy())
         tokens2 = tokens.copy()
         tokens2[4] = 2  # change the locked row's token
-        out2 = forward_partial(toy_weights, tokens2, mask_flags, active, caches, frozen)
+        out2 = forward_partial(toy_weights, tokens2, mask_flags, active, kv.copy())
         np.testing.assert_array_equal(out1.logits, out2.logits)
+
+    def test_store_written_in_place_for_computed_rows_only(self, toy_weights):
+        """A forward refreshes the computed rows' K/V and leaves the rest."""
+        cfg = toy_weights.config
+        n = 12
+        tokens, mask_flags = make_tokens(cfg, n, seed=9)
+        lock_set = np.array([1, 6, 7])
+        active = np.setdiff1d(np.arange(n), lock_set)
+        full = KVStore.empty(cfg, n)
+        full_forward(toy_weights, tokens, mask_flags, kv=full)
+        _, kv = store_with_rows(toy_weights, tokens, mask_flags, lock_set)
+        locked_before = kv.copy()
+        forward_partial(toy_weights, tokens, mask_flags, active, kv)
+        assert kv.valid.all()
+        for li in range(cfg.n_layers):
+            np.testing.assert_allclose(kv.keys(li)[active], full.keys(li)[active], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(kv.values(li)[active], full.values(li)[active], atol=1e-12, rtol=0)
+            np.testing.assert_array_equal(kv.keys(li)[lock_set], locked_before.keys(li)[lock_set])
+            np.testing.assert_array_equal(kv.values(li)[lock_set], locked_before.values(li)[lock_set])
 
     def test_zero_scale_gives_constant_logits(self, toy_weights):
         tokens, mask_flags = make_tokens(toy_weights.config, 10, seed=1)
@@ -174,9 +187,8 @@ class TestForwardPartial:
     def test_scale_param_matches_scaled_weights(self, toy_weights):
         tokens, mask_flags = make_tokens(toy_weights.config, 8, seed=2)
         n = len(tokens)
-        caches = [LayerKVCache.empty(n, toy_weights.config.kv_dim) for _ in range(2)]
-        frozen = FrozenInputs.empty(n, toy_weights.config.d_model)
-        via_param = forward_partial(toy_weights, tokens, mask_flags, np.arange(n), caches, frozen, scale=0.5)
+        kv = KVStore.empty(toy_weights.config, n)
+        via_param = forward_partial(toy_weights, tokens, mask_flags, np.arange(n), kv, scale=0.5)
         via_copy = full_forward(toy_weights.scaled(0.5), tokens, mask_flags)
         np.testing.assert_array_equal(via_param.logits, via_copy.logits)
 
@@ -190,46 +202,65 @@ class TestForwardPartial:
         cfg = toy_weights.config
         n = 16
         tokens, mask_flags = make_tokens(cfg, n, seed=8)
-        ref = full_forward(toy_weights, tokens, mask_flags)
         lock_set = np.array([0, 5, 9])
         active = np.setdiff1d(np.arange(n), lock_set)
-        caches = [LayerKVCache.empty(n, cfg.kv_dim) for _ in range(cfg.n_layers)]
-        frozen = FrozenInputs.empty(n, cfg.d_model)
-        for li in range(cfg.n_layers):
-            caches[li].k[lock_set] = ref.fresh_k[li][lock_set]
-            caches[li].v[lock_set] = ref.fresh_v[li][lock_set]
-            caches[li].valid[lock_set] = True
-        frozen.x_hat[lock_set] = ref.block_inputs[lock_set]
-        frozen.valid[lock_set] = True
+        _, kv = store_with_rows(toy_weights, tokens, mask_flags, lock_set)
 
         counter = GemmCounter()
-        forward_partial(toy_weights, tokens, mask_flags, active, caches, frozen, counter=counter)
+        forward_partial(toy_weights, tokens, mask_flags, active, kv, counter=counter)
         assert counter.flops == active_step_flops(cfg, 1, n, len(active))
 
     def test_missing_cache_raises(self, toy_weights):
         cfg = toy_weights.config
         n = 6
         tokens, mask_flags = make_tokens(cfg, n, seed=4)
-        caches = [LayerKVCache.empty(n, cfg.kv_dim) for _ in range(cfg.n_layers)]
-        frozen = FrozenInputs.empty(n, cfg.d_model)
+        kv = KVStore.empty(cfg, n)
         with pytest.raises(StateCorruptionError):
-            forward_partial(toy_weights, tokens, mask_flags, np.arange(1, n), caches, frozen)
+            forward_partial(toy_weights, tokens, mask_flags, np.arange(1, n), kv)
 
     def test_empty_active_raises(self, toy_weights):
         tokens, mask_flags = make_tokens(toy_weights.config, 6, seed=4)
-        caches = [LayerKVCache.empty(6, toy_weights.config.kv_dim) for _ in range(2)]
-        frozen = FrozenInputs.empty(6, toy_weights.config.d_model)
+        kv = KVStore.empty(toy_weights.config, 6)
         with pytest.raises(NoWorkError):
-            forward_partial(toy_weights, tokens, mask_flags, np.array([], dtype=int), caches, frozen)
+            forward_partial(toy_weights, tokens, mask_flags, np.array([], dtype=int), kv)
 
     def test_mask_id_must_back_masked_positions(self, toy_weights):
         tokens, mask_flags = make_tokens(toy_weights.config, 6, seed=4)
         mask_flags[0] = True
         tokens[0] = 3  # inconsistent with the flag
-        caches = [LayerKVCache.empty(6, toy_weights.config.kv_dim) for _ in range(2)]
-        frozen = FrozenInputs.empty(6, toy_weights.config.d_model)
+        kv = KVStore.empty(toy_weights.config, 6)
         with pytest.raises(InvalidInputError):
-            forward_partial(toy_weights, tokens, mask_flags, np.arange(6), caches, frozen)
+            forward_partial(toy_weights, tokens, mask_flags, np.arange(6), kv)
+
+
+@st.composite
+def partial_forward_cases(draw):
+    """A small model with random (grouped) heads, tokens, and lock set."""
+    n_kv_heads = draw(st.sampled_from([1, 2, 4]))
+    n_heads = n_kv_heads * draw(st.sampled_from([1, 2, 4]))
+    cfg = ModelConfig(
+        vocab_size=draw(st.integers(4, 20)), d_model=n_heads * draw(st.integers(1, 6)),
+        n_layers=draw(st.integers(1, 3)), n_heads=n_heads, n_kv_heads=n_kv_heads,
+        d_ff=draw(st.integers(2, 24)), max_seq=40,
+    )
+    n = draw(st.integers(2, 40))
+    lock_set = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+    return cfg, n, lock_set, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_forward_cases())
+def test_partial_forward_equals_full_forward_on_computed_rows(case):
+    """Acceptance criterion 2 as a property: with the locked rows' K/V taken
+    from a full forward, the partial forward's logits match the full
+    forward's on every computed row, at any head grouping, length, and lock set."""
+    cfg, n, lock_set, seed = case
+    w = init_weights(cfg, seed)
+    tokens, mask_flags = make_tokens(cfg, n, seed=seed)
+    active = np.setdiff1d(np.arange(n), lock_set)
+    ref, kv = store_with_rows(w, tokens, mask_flags, lock_set)
+    part = forward_partial(w, tokens, mask_flags, active, kv)
+    np.testing.assert_allclose(part.logits, ref.logits[active], atol=1e-9, rtol=0)
 
 
 class TestGroupedKV:
