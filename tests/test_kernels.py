@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from surelock import kernels
+from surelock.model import KVStore, ModelConfig
 
 
 requires_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
@@ -71,8 +72,6 @@ def test_attention_matches_naive_reference(rng, group_size, c):
 
 def test_attention_reads_store_views_without_copy(rng):
     """Store views enter the products as they are: same result as rows."""
-    from surelock.model import KVStore, ModelConfig
-
     cfg = ModelConfig(vocab_size=8, d_model=16, n_layers=1, n_heads=4, n_kv_heads=2, d_ff=8, max_seq=16)
     kv = KVStore.empty(cfg, 13)
     k, v = rng.normal(size=(13, 2, 4)), rng.normal(size=(13, 2, 4))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surelock import (
     LockPolicy,
@@ -13,6 +15,7 @@ from surelock import (
     unmask_schedule,
     update_mask,
 )
+from surelock import kernels
 from surelock.cli import random_prompt
 from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
 from surelock.numkit import kl_from_log_probs_rows
@@ -100,6 +103,49 @@ class TestUpdateMask:
         a = update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1.7, SplitMix64(5))
         b = update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1.7, SplitMix64(5))
         assert a == b
+
+
+def update_mask_reference(log_post, log_post_valid, mask_flags, k_t, block, temperature, rng, mask_id):
+    """Position-at-a-time reference for update_mask (no error checks)."""
+    lo, hi = block
+    scorable = [i for i in range(lo, hi) if mask_flags[i] and log_post_valid[i]]
+    ids = np.array([j for j in range(log_post.shape[1]) if j != mask_id])
+    confidence = {i: float(np.exp(log_post[i, ids].max())) for i in scorable}
+    chosen = sorted(sorted(scorable, key=lambda i: (-confidence[i], i))[:k_t])
+    committed = {}
+    for i in chosen:
+        restricted = log_post[i, ids]
+        if temperature == 0.0:
+            committed[i] = int(ids[np.argmax(restricted)])
+        else:
+            tempered = restricted / temperature
+            probs = np.exp(tempered - tempered.max())
+            committed[i] = int(ids[rng.categorical(probs / probs.sum())])
+    return chosen, committed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 24), v=st.integers(3, 9), levels=st.integers(1, 4),
+    temperature=st.sampled_from([0.0, 1.3]), seed=st.integers(0, 2**32 - 1),
+)
+def test_update_mask_matches_reference(n, v, levels, temperature, seed):
+    """Same choices, tokens and draws as the loop, ties included (few
+    distinct logit levels make equal confidences common)."""
+    rng = np.random.default_rng(seed)
+    log_post = kernels.log_softmax_rows(rng.integers(0, levels, size=(n, v)).astype(float))
+    mask_flags = rng.random(n) < 0.7
+    valid = rng.random(n) < 0.8
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo + 1, n + 1))
+    scorable = int((mask_flags[lo:hi] & valid[lo:hi]).sum())
+    k_t = int(rng.integers(0, scorable + 1))
+    mask_id = int(rng.integers(0, v))
+    draws_a, draws_b = SplitMix64(seed), SplitMix64(seed)
+    got = update_mask(log_post, valid, mask_flags, k_t, (lo, hi), temperature, draws_a, mask_id=mask_id)
+    want = update_mask_reference(log_post, valid, mask_flags, k_t, (lo, hi), temperature, draws_b, mask_id)
+    assert got == want
+    assert draws_a.next_u64() == draws_b.next_u64()
 
 
 class TestSelectComputeRows:
