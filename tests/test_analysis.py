@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surelock import (
     LockPolicy,
@@ -12,8 +14,11 @@ from surelock import (
     init_weights,
     run_sampler,
 )
+from surelock import kernels
 from surelock.analysis import (
     BOUND_SLACK,
+    BoundReport,
+    TailEstimate,
     Trajectory,
     battery_steps,
     calibrate_input_radius,
@@ -30,6 +35,7 @@ from surelock.analysis import (
 )
 from surelock.cli import random_prompt
 from surelock.errors import EstimateUndefinedError, InvalidInputError
+from surelock.numkit import LOG_SOFTMAX_LIPSCHITZ
 
 DATA = Path(__file__).parent / "data"
 
@@ -337,3 +343,149 @@ class TestStepwiseKLCurve:
         curve = stepwise_kl_curve(res.trace)
         assert [t for t, _ in curve] == list(range(2, 9))
         assert all(np.isfinite(v) and v >= 0 for _, v in curve)
+
+
+# ---------------------------------------------------------------------------
+# step-at-a-time reference for the lock-bound check
+
+
+def reference_estimate_contraction(traj, lock_step):
+    """Loop reference for estimate_contraction."""
+    ratios = []
+    skipped = 0
+    for s in range(lock_step + 1, traj.n_steps + 1):
+        d_prev, d_cur = traj.step_kl[s - 2], traj.step_kl[s - 1]
+        if d_prev == 0.0:
+            if d_cur == 0.0:
+                skipped += 1
+                continue
+            ratios.append(np.inf)
+        else:
+            ratios.append(d_cur / d_prev)
+    if not ratios:
+        if skipped:
+            return TailEstimate(0.0, 0, True)
+        raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
+    return TailEstimate(float(max(ratios)), len(ratios), False)
+
+
+def reference_estimate_smoothness(traj, lock_step):
+    """Loop reference for estimate_smoothness."""
+    ratios = []
+    skipped = 0
+    for s in range(lock_step + 1, traj.n_steps + 1):
+        d_prev = traj.step_kl[s - 2]
+        dz = float(np.linalg.norm(traj.logits[s - 1] - traj.logits[s - 2]))
+        if d_prev == 0.0:
+            if dz == 0.0:
+                skipped += 1
+                continue
+            ratios.append(np.inf)
+        else:
+            ratios.append(dz / math.sqrt(d_prev))
+    if not ratios:
+        if skipped:
+            return TailEstimate(0.0, 0, True)
+        raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
+    return TailEstimate(float(max(ratios)), len(ratios), False)
+
+
+def reference_lock_step(traj, epsilon):
+    for s in range(2, traj.n_steps + 1):
+        if traj.step_kl[s - 1] <= epsilon:
+            return s
+    return None
+
+
+REPORT_FIELDS = ("status", "lock_step", "lock_kl", "contraction", "smoothness",
+                 "log_softmax_lip", "gain", "lhs", "rhs", "holds", "position", "source")
+
+
+def reference_check_lock_bound(traj, epsilon, log_softmax_lip=LOG_SOFTMAX_LIPSCHITZ):
+    """Loop reference for check_lock_bound, as a dict of the report fields."""
+    where = {"log_softmax_lip": log_softmax_lip, "position": traj.position, "source": traj.source}
+    lock_step = reference_lock_step(traj, epsilon)
+    if lock_step is None:
+        return BoundReport(status="no_lock", **where).to_dict()
+    lock_kl = float(traj.step_kl[lock_step - 1])
+    lp = kernels.log_softmax_rows(traj.logits[[lock_step - 1, traj.n_steps - 1]])
+    lhs = float(np.max(np.abs(lp[1] - lp[0])))
+    if lock_step == traj.n_steps:
+        return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=0.0,
+                           smoothness=0.0, gain=0.0, lhs=lhs, rhs=0.0, holds=True, **where).to_dict()
+    rho = reference_estimate_contraction(traj, lock_step)
+    lsm = reference_estimate_smoothness(traj, lock_step)
+    if not rho.value < 1.0:
+        return BoundReport(status="inapplicable", lock_step=lock_step, lock_kl=lock_kl,
+                           contraction=rho.value, smoothness=lsm.value, lhs=lhs, **where).to_dict()
+    gain = tail_gain(log_softmax_lip, lsm.value, rho.value) if np.isfinite(lsm.value) else np.inf
+    rhs = gain * math.sqrt(lock_kl)
+    return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=rho.value,
+                       smoothness=lsm.value, gain=gain, lhs=lhs, rhs=float(rhs),
+                       holds=bool(lhs <= rhs + BOUND_SLACK), **where).to_dict()
+
+
+def report_fields(report):
+    return {k: v for k, v in report.to_dict().items() if k in REPORT_FIELDS}
+
+
+ROW_KINDS = ("fresh", "repeat", "nudge", "decay")
+
+
+def build_logits(t, v, seed, kinds):
+    """(t, v) logits whose later rows follow ``kinds``: a fresh draw, an exact
+    repeat (zero KL and zero movement), a small nudge, or a step half the
+    size of the one before (a contracting tail)."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=v)]
+    for kind in kinds:
+        prev = rows[-1]
+        if kind == "fresh":
+            rows.append(rng.normal(size=v))
+        elif kind == "repeat":
+            rows.append(prev.copy())
+        elif kind == "nudge":
+            rows.append(prev + 1e-3 * rng.normal(size=v))
+        else:
+            before = rows[-2] if len(rows) > 1 else prev - rng.normal(size=v)
+            rows.append(prev + 0.5 * (prev - before))
+    return np.stack(rows)
+
+
+def epsilon_for(traj, which):
+    if which == "zero":
+        return 0.0
+    if which == "inf":
+        return float("inf")
+    if which == "terminal":
+        return float(traj.step_kl[-1])
+    return float(np.quantile(traj.step_kl[1:], which))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.integers(3, 40), v=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+    head=st.lists(st.sampled_from(ROW_KINDS), max_size=39), tail=st.sampled_from(ROW_KINDS),
+    n_positions=st.integers(1, 4), position=st.integers(0, 3),
+    which=st.sampled_from(["zero", "inf", "terminal", 0.0, 0.25, 0.5, 0.75, 1.0]),
+)
+@example(t=5, v=4, seed=1, head=["fresh"] * 3, tail="repeat", n_positions=1, position=0,
+         which="zero")  # lock at the terminal step
+@example(t=6, v=3, seed=2, head=["fresh", "repeat", "repeat", "fresh"], tail="decay", n_positions=2,
+         position=1, which="inf")  # skipped pairs, then zero -> positive KL
+@example(t=8, v=5, seed=3, head=["fresh"], tail="decay", n_positions=3, position=2,
+         which="inf")  # a contracting tail that certifies the bound
+def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions, position, which):
+    logits = build_logits(t, v, seed, (head + [tail] * t)[: t - 1])
+    # trajectories come out of a run's history as strided (steps, N, V) views
+    history = np.random.default_rng(seed ^ 1).normal(size=(t, n_positions, v))
+    position %= n_positions
+    history[:, position, :] = logits
+    traj = Trajectory.from_logits(history[:, position, :], position=position, source="sampled")
+    eps = epsilon_for(traj, which)
+    want = reference_check_lock_bound(traj, eps)
+    got = check_lock_bound(traj, eps)
+    assert repr(report_fields(got)) == repr(want)
+    for lock_step in range(2, t):
+        assert repr(estimate_contraction(traj, lock_step)) == repr(reference_estimate_contraction(traj, lock_step))
+        assert repr(estimate_smoothness(traj, lock_step)) == repr(reference_estimate_smoothness(traj, lock_step))
