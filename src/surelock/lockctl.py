@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError
+from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
 from .model import Weights, forward_partial
 from .numkit import kl_from_log_probs_rows, percentile_nearest_rank
 
@@ -52,8 +52,15 @@ class LockPolicy:
     relock_tightening: float = 0.5
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon):
-            raise ConfigError("epsilon must be finite")
+        for name in ("epsilon", "percentile", "epsilon_unlock", "relock_tightening"):
+            require_finite(name, getattr(self, name))
+        if self.hybrid_fraction is not None:
+            require_finite("hybrid_fraction", self.hybrid_fraction)
+        for name in ("probe_period", "min_locked_duration", "relock_cooldown"):
+            require_int(name, getattr(self, name))
+        for name in ("gate_enabled", "unlock_enabled"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not 0.0 <= self.percentile <= 100.0:
             raise ConfigError("percentile must lie in [0, 100]")
         if not 0.0 < self.relock_tightening <= 1.0:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, NoWorkError, StateCorruptionError
+from .errors import ConfigError, InvalidInputError, NoWorkError, StateCorruptionError, require_int
 from .prng import normals
 
 LN_EPS = 1e-6
@@ -48,6 +48,8 @@ class ModelConfig:
             object.__setattr__(self, "n_kv_heads", self.n_heads)
         if self.mask_id is None:
             object.__setattr__(self, "mask_id", self.vocab_size - 1)
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq", "n_kv_heads", "mask_id"):
+            require_int(name, getattr(self, name))
         if self.vocab_size < 3:
             raise ConfigError("vocab_size must be at least 3 (two tokens plus mask)")
         if min(self.d_model, self.n_layers, self.n_heads, self.d_ff, self.max_seq) < 1:
@@ -395,7 +397,10 @@ def save_weights(w: Weights, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> Weights:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read weight file {path}: {exc}") from exc
     try:
         cfg = ModelConfig.from_dict(doc["config"])
         tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["tensors"].items()}

@@ -35,7 +35,7 @@ from surelock.analysis import (
 )
 from surelock.cli import random_prompt
 from surelock.errors import EstimateUndefinedError, InvalidInputError
-from surelock.numkit import LOG_SOFTMAX_LIPSCHITZ
+from surelock.numkit import LOG_SOFTMAX_LIPSCHITZ, row_norms
 
 DATA = Path(__file__).parent / "data"
 
@@ -129,6 +129,17 @@ class TestEstimateSmoothness:
             estimate_smoothness(traj, 2)
 
 
+def test_row_norms_match_linalg_norm_bit_for_bit():
+    """The smoothness estimate's batched row dot equals np.linalg.norm on
+    each 1-D row exactly, including rows taken from a strided history."""
+    rng = np.random.default_rng(17)
+    for v in (1, 2, 3, 7, 16, 64, 255, 256, 1000):
+        history = rng.normal(size=(12, 3, v)) * rng.choice([1e-9, 1.0, 1e6], size=(12, 3, 1))
+        diff = history[1:, 1, :] - history[:-1, 1, :]
+        want = np.array([np.linalg.norm(row) for row in diff])
+        assert row_norms(diff).tobytes() == want.tobytes()
+
+
 class TestTailGain:
     def test_algebra(self):
         assert tail_gain(2.0, 1.0, 0.25) == pytest.approx(4.0)
@@ -194,6 +205,21 @@ class TestCheckLockBound:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError):
             check_lock_bound(Trajectory.from_logits(np.zeros((2, 4))), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        z = np.zeros((5, 4))
+        z[3, 1] = bad
+        with pytest.raises(InvalidInputError):
+            Trajectory.from_logits(z)
+
+    def test_growth_step_names_first_growing_tail_step(self):
+        traj = traj_from_kl_series([0.4, 0.1, 0.2, 0.05])
+        rep = check_lock_bound(traj, float("inf"))
+        assert rep.status == "inapplicable" and rep.lock_step == 2
+        assert rep.growth_step == 4  # KL 0.1 -> 0.2
+        assert rep.to_dict()["growth_step"] == 4
+        assert check_lock_bound(traj_from_kl_series([0.4, 0.1, 0.05]), float("inf")).growth_step is None
 
 
 class TestSimulateTrajectory:
@@ -402,27 +428,36 @@ REPORT_FIELDS = ("status", "lock_step", "lock_kl", "contraction", "smoothness",
 
 
 def reference_check_lock_bound(traj, epsilon, log_softmax_lip=LOG_SOFTMAX_LIPSCHITZ):
-    """Loop reference for check_lock_bound, as a dict of the report fields."""
+    """Loop reference for check_lock_bound (without ``growth_step``)."""
     where = {"log_softmax_lip": log_softmax_lip, "position": traj.position, "source": traj.source}
     lock_step = reference_lock_step(traj, epsilon)
     if lock_step is None:
-        return BoundReport(status="no_lock", **where).to_dict()
+        return BoundReport(status="no_lock", **where)
     lock_kl = float(traj.step_kl[lock_step - 1])
     lp = kernels.log_softmax_rows(traj.logits[[lock_step - 1, traj.n_steps - 1]])
     lhs = float(np.max(np.abs(lp[1] - lp[0])))
     if lock_step == traj.n_steps:
         return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=0.0,
-                           smoothness=0.0, gain=0.0, lhs=lhs, rhs=0.0, holds=True, **where).to_dict()
+                           smoothness=0.0, gain=0.0, lhs=lhs, rhs=0.0, holds=True, **where)
     rho = reference_estimate_contraction(traj, lock_step)
     lsm = reference_estimate_smoothness(traj, lock_step)
     if not rho.value < 1.0:
         return BoundReport(status="inapplicable", lock_step=lock_step, lock_kl=lock_kl,
-                           contraction=rho.value, smoothness=lsm.value, lhs=lhs, **where).to_dict()
+                           contraction=rho.value, smoothness=lsm.value, lhs=lhs, **where)
     gain = tail_gain(log_softmax_lip, lsm.value, rho.value) if np.isfinite(lsm.value) else np.inf
     rhs = gain * math.sqrt(lock_kl)
     return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=rho.value,
                        smoothness=lsm.value, gain=gain, lhs=lhs, rhs=float(rhs),
-                       holds=bool(lhs <= rhs + BOUND_SLACK), **where).to_dict()
+                       holds=bool(lhs <= rhs + BOUND_SLACK), **where)
+
+
+def reference_growth_step(traj, lock_step):
+    """First tail step whose KL ratio to the step before is >= 1."""
+    for s in range(lock_step + 1, traj.n_steps + 1):
+        d_prev, d_cur = traj.step_kl[s - 2], traj.step_kl[s - 1]
+        if (d_cur / d_prev >= 1.0) if d_prev != 0.0 else d_cur != 0.0:
+            return s
+    return None
 
 
 def report_fields(report):
@@ -485,7 +520,11 @@ def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions,
     eps = epsilon_for(traj, which)
     want = reference_check_lock_bound(traj, eps)
     got = check_lock_bound(traj, eps)
-    assert repr(report_fields(got)) == repr(want)
+    assert repr(report_fields(got)) == repr(report_fields(want))
+    if got.status == "inapplicable":
+        assert got.growth_step == reference_growth_step(traj, got.lock_step)
+    else:
+        assert got.growth_step is None
     for lock_step in range(2, t):
         assert repr(estimate_contraction(traj, lock_step)) == repr(reference_estimate_contraction(traj, lock_step))
         assert repr(estimate_smoothness(traj, lock_step)) == repr(reference_estimate_smoothness(traj, lock_step))

@@ -84,6 +84,32 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_nan_temperature_is_config_error(self, tmp_path, config_file, capsys):
+        assert main(["run", "--config", config_file, "--temperature", "nan",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "steps", 2.5),
+        ("run", "seed", True),
+        ("policy", "epsilon_unlock", "x"),
+    ])
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        doc = {**TOY, section: {**TOY.get(section, {}), key: value}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--mode", "surelock", "--unlock",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_weights_file_not_json_is_config_error(self, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text("not json")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY, "weights_path": str(weights)}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_epsilon_ordering(self, tmp_path, config_file):
@@ -146,6 +172,23 @@ class TestVerifyAndSimulate:
         rows = json.loads(report.read_text())
         assert len(rows) == 12
         assert all(r["holds"] for r in rows if r["status"] == "ok")
+        assert all((r["growth_step"] is None) == (r["status"] != "inapplicable") for r in rows)
+
+
+class TestVerifyBoundInputErrors:
+    @pytest.mark.parametrize("text", [
+        "not json",  # not JSON at all
+        json.dumps([{"position": 0}]),  # an item without log_probs
+        json.dumps([{"log_probs": [[0.0, 1.0], [0.5], [1.0, 0.0]]}]),  # ragged rows
+        json.dumps([{"log_probs": [[0.0, 1.0], [float("nan"), 0.0], [1.0, 0.0]]}]),  # NaN logits
+    ], ids=["not-json", "missing-log-probs", "ragged", "nan"])
+    def test_bad_trajectories_file_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "trajectories.json"
+        path.write_text(text)
+        assert main(["verify-bound", "--trajectories", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert "not applicable" not in captured.out
 
 
 class TestConstantsCommand:
