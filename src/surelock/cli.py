@@ -342,7 +342,7 @@ def _load_trajectories(path: str) -> list[analysis.Trajectory]:
         raise ConfigError(f"cannot read trajectories {path}: {exc}") from exc
     try:
         return [
-            analysis.Trajectory.from_logits(np.asarray(item["log_probs"], dtype=np.float64),
+            analysis.Trajectory.from_logits(np.asarray(item["log_probs"]),
                                             position=item.get("position", -1), source="sampled")
             for item in doc
         ]

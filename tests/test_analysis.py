@@ -12,9 +12,9 @@ from surelock import (
     ModelConfig,
     RunConfig,
     init_weights,
+    kernels,
     run_sampler,
 )
-from surelock import kernels
 from surelock.analysis import (
     BOUND_SLACK,
     BoundReport,
@@ -432,7 +432,7 @@ def reference_check_lock_bound(traj, epsilon, log_softmax_lip=LOG_SOFTMAX_LIPSCH
     where = {"log_softmax_lip": log_softmax_lip, "position": traj.position, "source": traj.source}
     lock_step = reference_lock_step(traj, epsilon)
     if lock_step is None:
-        return BoundReport(status="no_lock", **where)
+        return BoundReport(status="no_lock", position=traj.position, source=traj.source)
     lock_kl = float(traj.step_kl[lock_step - 1])
     lp = kernels.log_softmax_rows(traj.logits[[lock_step - 1, traj.n_steps - 1]])
     lhs = float(np.max(np.abs(lp[1] - lp[0])))
