@@ -18,13 +18,7 @@ from .analysis import (
     stepwise_kl_curve,
     tail_gain,
 )
-from .flops import (
-    FlopsReport,
-    GemmCounter,
-    active_step_flops,
-    baseline_step_flops,
-    micro_active_ratio,
-)
+from .flops import GemmCounter, active_step_flops, baseline_step_flops
 from .lockctl import (
     LockEvent,
     LockPolicy,
@@ -68,8 +62,7 @@ __all__ = [
     "BoundReport", "ConstantsReport", "Trajectory", "check_lock_bound",
     "estimate_contraction", "estimate_smoothness", "lipschitz_constants",
     "simulate_trajectory", "stepwise_kl_curve", "tail_gain",
-    "FlopsReport", "GemmCounter", "active_step_flops", "baseline_step_flops",
-    "micro_active_ratio",
+    "GemmCounter", "active_step_flops", "baseline_step_flops",
     "LockEvent", "LockPolicy", "apply_locks", "evaluate_locks", "probe_unlock",
     "threshold_for_deviation", "uncertainty",
     "ForwardResult", "KVStore", "ModelConfig", "Weights",

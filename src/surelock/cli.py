@@ -201,7 +201,7 @@ def write_summary(result: RunResult, echo: dict, out_dir: Path) -> None:
              "step_kl": _float_or_none(e.step_kl), "uncertainty": _float_or_none(e.uncertainty)}
             for e in result.events
         ],
-        "counter_matches": result.flops.counter_matches,
+        "counter_matches": result.counter_matches,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
 
@@ -219,7 +219,7 @@ def write_timing(result: RunResult, out_dir: Path) -> None:
 def check_run_invariants(result: RunResult, run: RunConfig) -> list[str]:
     """Accounting identities that must hold for every completed run."""
     problems = []
-    if not result.flops.counter_matches:
+    if not result.counter_matches:
         problems.append("instrumented GEMM counter disagrees with the closed-form step cost")
     for rec in result.trace:
         if rec.flops_actual > rec.flops_base:
@@ -432,12 +432,12 @@ def cmd_flops_check(args) -> int:
         base_run = dict(entry["run"])
         n = base_run["n_prompt"] + base_run["n_gen"]
         print(f"config {spec_i}: baseline per-step FLOPs at N={n}: "
-              f"{baseline_step_flops(cfg, 1, n)}")
+              f"{baseline_step_flops(cfg, n)}")
         for mode in MODES:
             policy = LockPolicy(epsilon=5e-2, hybrid_fraction=0.8)
             run = RunConfig(policy=policy, mode=mode, seed=11, **base_run)
             result = run_sampler(run, w, random_prompt(cfg, run.n_prompt, run.seed))
-            match = result.flops.counter_matches
+            match = result.counter_matches
             ok &= match
             status = "exact" if match else "MISMATCH"
             print(f"  mode={mode:9s} steps={len(result.trace)} counter vs formula: {status}")

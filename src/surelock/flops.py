@@ -11,8 +11,6 @@ every step of every mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidInputError
 from .model import ModelConfig
 
@@ -50,84 +48,18 @@ def per_row_step_flops(cfg: ModelConfig, seq_len: int) -> int:
     )
 
 
-def baseline_step_flops(cfg: ModelConfig, batch: int, seq_len: int) -> int:
+def baseline_step_flops(cfg: ModelConfig, seq_len: int) -> int:
     """Per-step GEMM cost with every position computed."""
-    if batch < 1 or seq_len < 1:
-        raise InvalidInputError("batch and sequence length must be positive")
-    return batch * seq_len * per_row_step_flops(cfg, seq_len)
+    if seq_len < 1:
+        raise InvalidInputError("sequence length must be positive")
+    return seq_len * per_row_step_flops(cfg, seq_len)
 
 
-def active_step_flops(cfg: ModelConfig, batch: int, seq_len: int, computed_rows: int) -> int:
+def active_step_flops(cfg: ModelConfig, seq_len: int, computed_rows: int) -> int:
     """Per-step GEMM cost when only ``computed_rows`` positions are computed.
 
-    Equals (computed_rows / (batch*seq_len)) of the baseline cost, exactly.
+    Equals (computed_rows / seq_len) of the baseline cost, exactly.
     """
-    if not 0 <= computed_rows <= batch * seq_len:
-        raise InvalidInputError(f"computed_rows={computed_rows} outside [0, {batch * seq_len}]")
+    if not 0 <= computed_rows <= seq_len:
+        raise InvalidInputError(f"computed_rows={computed_rows} outside [0, {seq_len}]")
     return computed_rows * per_row_step_flops(cfg, seq_len)
-
-
-def micro_active_ratio(traces) -> float:
-    """Micro-averaged active-row ratio over all steps of all traces.
-
-    ``traces`` is an iterable of per-run step-record lists; each record
-    supplies ``active_rows`` and ``n_positions``.
-    """
-    active_total = 0
-    position_total = 0
-    for trace in traces:
-        for rec in trace:
-            active_total += rec.active_rows
-            position_total += rec.n_positions
-    if position_total == 0:
-        raise InvalidInputError("micro average of an empty trace collection")
-    return active_total / position_total
-
-
-@dataclass
-class FlopsReport:
-    """Per-step and aggregate FLOPs for one run."""
-
-    steps: list[int] = field(default_factory=list)
-    base: list[int] = field(default_factory=list)
-    actual: list[int] = field(default_factory=list)
-    counted: list[int] = field(default_factory=list)
-    ratio: list[float] = field(default_factory=list)
-    active_rows: list[int] = field(default_factory=list)
-    computed_rows: list[int] = field(default_factory=list)
-    n_positions: list[int] = field(default_factory=list)
-
-    @property
-    def total_base(self) -> int:
-        return sum(self.base)
-
-    @property
-    def total_actual(self) -> int:
-        return sum(self.actual)
-
-    @property
-    def aggregate_ratio(self) -> float:
-        return self.total_actual / self.total_base
-
-    @property
-    def active_ratio(self) -> float:
-        """Micro-averaged active-position ratio over the run's steps."""
-        return sum(self.active_rows) / sum(self.n_positions)
-
-    @property
-    def counter_matches(self) -> bool:
-        return self.actual == self.counted
-
-    @classmethod
-    def from_trace(cls, trace) -> "FlopsReport":
-        rep = cls()
-        for rec in trace:
-            rep.steps.append(rec.t)
-            rep.base.append(rec.flops_base)
-            rep.actual.append(rec.flops_actual)
-            rep.counted.append(rec.flops_counted)
-            rep.ratio.append(rec.flops_actual / rec.flops_base)
-            rep.active_rows.append(rec.active_rows)
-            rep.computed_rows.append(rec.computed_rows)
-            rep.n_positions.append(rec.n_positions)
-        return rep

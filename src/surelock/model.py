@@ -265,8 +265,7 @@ class KVStore:
 class ForwardResult:
     logits: np.ndarray  # (C, V) for computed rows, in `active` order
     head_flops: int  # output-head GEMM cost, reported separately
-    attn_weight_sums: np.ndarray | None = None  # (n_layers, C, H) when collected
-    post_ln_max_norm: float = 0.0  # max row 2-norm seen after either LN
+    post_ln_max_norm: float = 0.0  # max row 2-norm after either LN, when collected
 
 
 def forward_partial(
@@ -275,7 +274,6 @@ def forward_partial(
     mask_flags: np.ndarray,
     active: np.ndarray,
     kv: KVStore,
-    scale: float = 1.0,
     counter=None,
     collect_stats: bool = False,
 ) -> ForwardResult:
@@ -285,9 +283,9 @@ def forward_partial(
     rows are written into ``kv`` in place, layer by layer, and marked valid.
     Every other position must already hold a valid row; it supplies K/V to
     attention and is otherwise untouched, so changing a skipped position's
-    token id cannot change any output. ``scale`` multiplies every weight
-    tensor (scale=0 exercises the constant-logit degenerate case).
-    ``counter`` receives one gemm(m, n, k) call per matrix multiply.
+    token id cannot change any output. ``counter`` receives one
+    gemm(m, n, k) call per matrix multiply. ``collect_stats`` records the
+    largest post-normalization row norm.
     """
     cfg = w.config
     n = len(tokens)
@@ -308,16 +306,12 @@ def forward_partial(
         bad = np.flatnonzero(skipped & ~kv.valid)
         raise StateCorruptionError(f"no stored K/V for skipped rows {bad.tolist()}")
 
-    if scale != 1.0:
-        w = w.scaled(scale)
-
     c = active.size
     d, h, dh, kv_dim = cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.kv_dim
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
     x = w.embedding[tokens[active]] + w.positional[active]  # (C, d); skipped rows live only in kv
 
-    weight_sums = [] if collect_stats else None
     max_norm = 0.0
 
     for li, layer in enumerate(w.layers):
@@ -344,10 +338,6 @@ def forward_partial(
             for _ in range(h):
                 counter.gemm(c, n, dh)
                 counter.gemm(c, dh, n)
-        if collect_stats:
-            weight_sums.append(
-                kernels.attention_row_weights(q3, k3, inv_sqrt_dh, cfg.group_size).sum(axis=2)
-            )
 
         out = attn.reshape(c, d) @ layer.wo
         if counter is not None:
@@ -374,12 +364,7 @@ def forward_partial(
     if counter is not None:
         counter.gemm_head(c, cfg.vocab_size, d)
 
-    return ForwardResult(
-        logits=logits,
-        head_flops=head_flops,
-        attn_weight_sums=np.stack(weight_sums) if collect_stats else None,
-        post_ln_max_norm=max_norm,
-    )
+    return ForwardResult(logits=logits, head_flops=head_flops, post_ln_max_norm=max_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
-from .flops import FlopsReport, GemmCounter, active_step_flops, baseline_step_flops
+from .flops import GemmCounter, active_step_flops, baseline_step_flops
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock
 from .model import KVStore, Weights, forward_partial
 from .numkit import kl_from_log_probs_rows, percentile_nearest_rank
@@ -335,8 +335,8 @@ def step(
         state.release_locks(newly_unlocked, policy)
 
     flops_after, head_after = counter.snapshot()
-    f_base = baseline_step_flops(cfg, 1, n)
-    f_actual = active_step_flops(cfg, 1, n, int(computed.size))
+    f_base = baseline_step_flops(cfg, n)
+    f_actual = active_step_flops(cfg, n, int(computed.size))
 
     finite_unmasked = [v for i, v in step_kl.items() if not state.mask_flags[i] and np.isfinite(v)]
     mean_kl = float(np.mean(finite_unmasked)) if finite_unmasked else None
@@ -364,19 +364,46 @@ def step(
 
 @dataclass
 class RunResult:
+    """A finished run. Its FLOPs and row totals are sums over ``trace``,
+    the run's one per-step ledger."""
+
     tokens: np.ndarray
     trace: list[StepRecord]
     events: list[LockEvent]
-    flops: FlopsReport
-    active_ratio: float  # micro-average of M_t / N over steps
-    computed_ratio: float  # micro-average of C_t / N over steps
-    total_flops_base: int
-    total_flops_actual: int
-    total_head_flops: int
-    total_probe_flops: int
     wall_seconds: float
     history: np.ndarray | None = None  # (S, N, V) reported log-posteriors
     history_valid: np.ndarray | None = None  # (S, N)
+
+    @property
+    def total_flops_base(self) -> int:
+        return sum(r.flops_base for r in self.trace)
+
+    @property
+    def total_flops_actual(self) -> int:
+        return sum(r.flops_actual for r in self.trace)
+
+    @property
+    def total_head_flops(self) -> int:
+        return sum(r.head_flops for r in self.trace)
+
+    @property
+    def total_probe_flops(self) -> int:
+        return sum(r.probe_flops for r in self.trace)
+
+    @property
+    def active_ratio(self) -> float:
+        """Micro-average of M_t / N over steps."""
+        return sum(r.active_rows for r in self.trace) / sum(r.n_positions for r in self.trace)
+
+    @property
+    def computed_ratio(self) -> float:
+        """Micro-average of C_t / N over steps."""
+        return sum(r.computed_rows for r in self.trace) / sum(r.n_positions for r in self.trace)
+
+    @property
+    def counter_matches(self) -> bool:
+        """The instrumented GEMM count equals the closed-form cost at every step."""
+        return all(r.flops_counted == r.flops_actual for r in self.trace)
 
     @property
     def e2e_tps(self) -> float:
@@ -429,19 +456,10 @@ def run_sampler(
     if np.any(state.mask_flags):
         raise InvalidStateError("schedule finished with masked positions remaining")
 
-    total_base = sum(r.flops_base for r in records)
-    total_actual = sum(r.flops_actual for r in records)
     return RunResult(
         tokens=state.tokens.copy(),
         trace=records,
         events=list(state.events),
-        flops=FlopsReport.from_trace(records),
-        active_ratio=sum(r.active_rows for r in records) / (len(records) * n),
-        computed_ratio=sum(r.computed_rows for r in records) / (len(records) * n),
-        total_flops_base=total_base,
-        total_flops_actual=total_actual,
-        total_head_flops=sum(r.head_flops for r in records),
-        total_probe_flops=probe_counter.flops,
         wall_seconds=wall,
         history=history,
         history_valid=history_valid,

@@ -117,7 +117,7 @@ def test_criterion_03_flops_exactness():
     for cfg, shape, expect_base in FLOPS_CONFIGS:
         n = shape["n_prompt"] + shape["n_gen"]
         if expect_base is not None:
-            assert baseline_step_flops(cfg, 1, n) == expect_base
+            assert baseline_step_flops(cfg, n) == expect_base
         w = init_weights(cfg, 7)
         prompt = random_prompt(cfg, shape["n_prompt"], 3)
         for mode in ("baseline", "surelock", "selection", "hybrid"):

@@ -237,23 +237,16 @@ class TestSimulateTrajectory:
     def test_measured_contraction_matches_golden_file(self):
         """Frozen calibration values; ratios of deep-tail KLs are sensitive
         to summation order, so the golden file is pinned to the numpy path."""
-        from surelock import kernels
-
         rows = json.loads((DATA / "contraction_calibration.json").read_text())
-        saved = kernels.backend_name()
-        kernels.set_backend("numpy")
-        try:
-            for row in rows:
-                traj = simulate_trajectory(
-                    row["seed"], row["vocab_size"], row["steps"],
-                    row["contraction_target"], row["magnitude"],
-                )
-                rep = check_lock_bound(traj, float("inf"))
-                assert rep.contraction == pytest.approx(row["measured_contraction"], abs=1e-12)
-                assert rep.smoothness == pytest.approx(row["measured_smoothness"], abs=1e-12)
-                assert 0.5 * row["contraction_target"] <= rep.contraction < 1.0
-        finally:
-            kernels.set_backend(saved)
+        for row in rows:
+            traj = simulate_trajectory(
+                row["seed"], row["vocab_size"], row["steps"],
+                row["contraction_target"], row["magnitude"],
+            )
+            rep = check_lock_bound(traj, float("inf"))
+            assert rep.contraction == pytest.approx(row["measured_contraction"], abs=1e-12)
+            assert rep.smoothness == pytest.approx(row["measured_smoothness"], abs=1e-12)
+            assert 0.5 * row["contraction_target"] <= rep.contraction < 1.0
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -4,7 +4,7 @@ import pytest
 from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler
 from surelock.cli import random_prompt
 from surelock.errors import InvalidInputError
-from surelock.flops import active_step_flops, baseline_step_flops, micro_active_ratio
+from surelock.flops import active_step_flops, baseline_step_flops
 
 HAND_CFG = ModelConfig(vocab_size=8, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq=8)
 
@@ -12,51 +12,31 @@ HAND_CFG = ModelConfig(vocab_size=8, d_model=8, n_layers=2, n_heads=2, d_ff=16, 
 class TestClosedForms:
     def test_hand_summed_config(self):
         # attention 512 + Q 512 + out 512 + K/V 1024 + FFN 3072, times 2 layers
-        assert baseline_step_flops(HAND_CFG, 1, 4) == 11264
+        assert baseline_step_flops(HAND_CFG, 4) == 11264
 
     def test_ffn_linearity(self):
         double_ff = ModelConfig(vocab_size=8, d_model=8, n_layers=2, n_heads=2, d_ff=32, max_seq=8)
-        got = baseline_step_flops(double_ff, 1, 4) - baseline_step_flops(HAND_CFG, 1, 4)
+        got = baseline_step_flops(double_ff, 4) - baseline_step_flops(HAND_CFG, 4)
         assert got == 2 * 6 * 1 * 4 * 8 * 16  # L * 6 * B * N * d * d_ff
 
     def test_sequence_length_degrees(self):
         n = 4
-        f1 = baseline_step_flops(HAND_CFG, 1, n)
-        f2 = baseline_step_flops(HAND_CFG, 1, 2 * n)
+        f1 = baseline_step_flops(HAND_CFG, n)
+        f2 = baseline_step_flops(HAND_CFG, 2 * n)
         attn = 2 * 4 * 1 * 2 * n * n * 4  # L * 4 B H N^2 d_h
         linear = f1 - attn
         assert f2 == 4 * attn + 2 * linear
 
     def test_active_fraction(self):
-        assert active_step_flops(HAND_CFG, 1, 4, 4) == baseline_step_flops(HAND_CFG, 1, 4)
-        assert active_step_flops(HAND_CFG, 1, 4, 0) == 0
-        assert active_step_flops(HAND_CFG, 1, 4, 2) == 5632
+        assert active_step_flops(HAND_CFG, 4, 4) == baseline_step_flops(HAND_CFG, 4)
+        assert active_step_flops(HAND_CFG, 4, 0) == 0
+        assert active_step_flops(HAND_CFG, 4, 2) == 5632
 
     def test_active_fraction_bounds(self):
         with pytest.raises(InvalidInputError):
-            active_step_flops(HAND_CFG, 1, 4, 5)
+            active_step_flops(HAND_CFG, 4, 5)
         with pytest.raises(InvalidInputError):
-            baseline_step_flops(HAND_CFG, 0, 4)
-
-
-class FakeRec:
-    def __init__(self, active_rows, n_positions):
-        self.active_rows = active_rows
-        self.n_positions = n_positions
-
-
-class TestMicroAverage:
-    def test_fully_active(self):
-        traces = [[FakeRec(4, 4), FakeRec(4, 4)]]
-        assert micro_active_ratio(traces) == 1.0
-
-    def test_partial(self):
-        traces = [[FakeRec(4, 4), FakeRec(2, 4)]]
-        assert micro_active_ratio(traces) == 0.75
-
-    def test_empty_raises(self):
-        with pytest.raises(InvalidInputError):
-            micro_active_ratio([])
+            baseline_step_flops(HAND_CFG, 0)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +83,7 @@ class TestCounterAgreement:
         for _, mode, result in counted_runs:
             if mode not in ("baseline", "surelock"):
                 continue
-            assert abs(result.flops.aggregate_ratio - result.active_ratio) <= 1e-12
+            assert abs(result.total_flops_actual / result.total_flops_base - result.active_ratio) <= 1e-12
 
     def test_head_flops_reported_separately(self, counted_runs):
         cfg, _, result = counted_runs[0]

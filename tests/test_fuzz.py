@@ -56,7 +56,7 @@ def test_random_configuration_invariants(case):
     prompt = random_prompt(cfg, run.n_prompt, case)
     res = run_sampler(run, w, prompt)
 
-    assert res.flops.counter_matches
+    assert res.counter_matches
     assert sum(len(r.newly_unmasked) for r in res.trace) == run.n_gen
     assert cfg.mask_id not in res.tokens.tolist()
     assert res.total_flops_actual <= res.total_flops_base

@@ -1,49 +1,11 @@
-"""The numba and numpy kernel paths must agree to float64 round-off, and the
-numpy-only attention kernel must match a naive reference."""
+"""The attention kernel must match a naive reference, and read store views
+without a copy."""
 
 import numpy as np
 import pytest
 
 from surelock import kernels
 from surelock.model import KVStore, ModelConfig
-
-
-requires_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-
-
-@pytest.fixture()
-def both_backends():
-    saved = kernels.backend_name()
-    yield
-    kernels.set_backend(saved)
-
-
-def _run_both(fn, *args):
-    kernels.set_backend("numpy")
-    ref = fn(*args)
-    kernels.set_backend("numba")
-    fast = fn(*args)
-    return ref, fast
-
-
-@requires_numba
-class TestBackendAgreement:
-    def test_layernorm(self, rng, both_backends):
-        x = rng.normal(size=(17, 24)) * 3
-        g, b = rng.normal(size=24), rng.normal(size=24)
-        ref, fast = _run_both(kernels.layernorm_rows, x, g, b, 1e-6)
-        np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
-
-    def test_log_softmax(self, rng, both_backends):
-        z = rng.normal(size=(31, 50)) * 20
-        ref, fast = _run_both(kernels.log_softmax_rows, z)
-        np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
-
-    def test_kl(self, rng, both_backends):
-        lp = kernels.log_softmax_rows(rng.normal(size=(40, 12)))
-        lq = kernels.log_softmax_rows(rng.normal(size=(40, 12)))
-        ref, fast = _run_both(kernels.kl_rows, lp, lq)
-        np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-12)
 
 
 def naive_attention(q, k_all, v_all, scale, group_size):
@@ -85,15 +47,5 @@ def test_attention_reads_store_views_without_copy(rng):
     )
 
 
-def test_backend_flag_roundtrip(both_backends):
-    kernels.set_backend("numpy")
+def test_backend_name_is_numpy():
     assert kernels.backend_name() == "numpy"
-    with pytest.raises(ValueError):
-        kernels.set_backend("sparkles")
-
-
-def test_attention_weights_rows_sum_to_one(rng):
-    q = rng.normal(size=(5, 2, 4))
-    k = rng.normal(size=(11, 2, 4))
-    w = kernels.attention_row_weights(q, k, 0.5, 1)
-    np.testing.assert_allclose(w.sum(axis=2), 1.0, atol=1e-12)

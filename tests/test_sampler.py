@@ -345,7 +345,7 @@ class TestRunSampler:
         run = toy_run(n_prompt=0, n_gen=16, steps=16)
         res = run_sampler(run, w, np.array([], dtype=np.int64))
         assert len(res.tokens) == 16
-        assert res.flops.counter_matches
+        assert res.counter_matches
 
     def test_everything_at_once(self):
         """Blocks, grouped K/V, hybrid selection, unlocking, and sampling
@@ -364,7 +364,7 @@ class TestRunSampler:
         run = RunConfig(n_prompt=8, n_gen=64, steps=32, block_length=32,
                         temperature=0.6, mode="hybrid", seed=19, policy=policy)
         res = run_sampler(run, w, random_prompt(cfg, 8, 19))
-        assert res.flops.counter_matches
+        assert res.counter_matches
         assert sum(len(r.newly_unmasked) for r in res.trace) == 64
         assert all(r.flops_actual <= r.flops_base for r in res.trace)
         # rerun reproduces the trace bit for bit
