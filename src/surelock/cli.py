@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, InvalidInputError, InvalidStateError
+from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
 from .flops import baseline_step_flops
 from .lockctl import LockPolicy
 from .model import ModelConfig, init_weights, load_weights
@@ -63,9 +63,19 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _section(doc: dict, name: str) -> dict:
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {name!r} must be an object, got {type(value).__name__}")
+    return value
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -79,7 +89,7 @@ def _build(args, overrides: dict | None = None):
     doc = _load_config_file(getattr(args, "config", None))
     overrides = overrides or {}
 
-    model_dict = _merge(DEFAULT_MODEL, doc.get("model", {}))
+    model_dict = _merge(DEFAULT_MODEL, _section(doc, "model"))
     try:
         cfg = ModelConfig.from_dict(model_dict)
     except TypeError as exc:
@@ -89,12 +99,15 @@ def _build(args, overrides: dict | None = None):
         w = load_weights(doc["weights_path"])
         cfg = w.config
     else:
-        w = init_weights(cfg, int(doc.get("weights_seed", 1234)))
+        seed = doc.get("weights_seed", 1234)
+        require_int("weights_seed", seed)
+        w = init_weights(cfg, seed)
     scale = overrides.get("weight_scale", None)
     if scale is None:
         scale = getattr(args, "weight_scale", None)
     if scale is None:
         scale = doc.get("weight_scale", 1.0)
+    require_finite("weight_scale", scale)
     if scale != 1.0:
         w = w.scaled(float(scale))
 
@@ -107,7 +120,7 @@ def _build(args, overrides: dict | None = None):
         "block_length": getattr(args, "block_length", None),
         "temperature": getattr(args, "temperature", None),
     }
-    run_dict = _merge(_merge(DEFAULT_RUN, doc.get("run", {})), flag_run)
+    run_dict = _merge(_merge(DEFAULT_RUN, _section(doc, "run")), flag_run)
     run_dict = _merge(run_dict, {k: v for k, v in overrides.items() if k in (
         "n_prompt", "n_gen", "steps", "mode", "seed", "block_length", "temperature")})
 
@@ -120,7 +133,7 @@ def _build(args, overrides: dict | None = None):
         flag_policy["gate_enabled"] = False
     if getattr(args, "unlock", False):
         flag_policy["unlock_enabled"] = True
-    policy_dict = _merge(doc.get("policy", {}), flag_policy)
+    policy_dict = _merge(_section(doc, "policy"), flag_policy)
     policy_dict = _merge(policy_dict, {k: v for k, v in overrides.items() if k in (
         "epsilon", "percentile", "gate_enabled", "hybrid_fraction", "unlock_enabled")})
     try:

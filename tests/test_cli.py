@@ -93,9 +93,22 @@ class TestRunCommand:
         ("run", "steps", 2.5),
         ("run", "seed", True),
         ("policy", "epsilon_unlock", "x"),
+        (None, "weight_scale", "x"),
+        (None, "weights_seed", "x"),
+        ("model", None, [1]),
+        ("run", None, [1]),
+        ("policy", None, 3),
+        (None, None, [1]),
     ])
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, section, key, value):
-        doc = {**TOY, section: {**TOY.get(section, {}), key: value}}
+        """``value`` replaces ``section.key``; a None section means a top-level
+        key, a None key the whole section, and both None the whole document."""
+        if key is None:
+            doc = value if section is None else {**TOY, section: value}
+        elif section is None:
+            doc = {**TOY, key: value}
+        else:
+            doc = {**TOY, section: {**TOY.get(section, {}), key: value}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path), "--mode", "surelock", "--unlock",
