@@ -167,7 +167,8 @@ def check_lock_bound(
         raise InvalidInputError("need at least 3 steps to check the bound")
     hits = np.flatnonzero(traj.step_kl[1:] <= epsilon)
     if hits.size == 0:
-        return BoundReport(status="no_lock", position=traj.position, source=traj.source)
+        return BoundReport(status="no_lock", log_softmax_lip=log_softmax_lip,
+                           position=traj.position, source=traj.source)
     lock_step = int(hits[0]) + 2
 
     lock_kl = float(traj.step_kl[lock_step - 1])

@@ -170,6 +170,10 @@ class TestCheckLockBound:
         rep = check_lock_bound(traj, 1e-9)
         assert rep.status == "no_lock"
 
+    def test_no_lock_report_carries_the_callers_lipschitz_constant(self):
+        traj = traj_from_kl_series([0.5, 0.4, 0.3])
+        assert check_lock_bound(traj, -1.0, log_softmax_lip=3.0).log_softmax_lip == 3.0
+
     def test_infinite_epsilon_locks_at_step_two(self):
         for seed in range(10):
             traj = simulate_trajectory(seed, 8, 12, 0.5, 0.3)
@@ -425,7 +429,7 @@ def reference_check_lock_bound(traj, epsilon, log_softmax_lip=LOG_SOFTMAX_LIPSCH
     where = {"log_softmax_lip": log_softmax_lip, "position": traj.position, "source": traj.source}
     lock_step = reference_lock_step(traj, epsilon)
     if lock_step is None:
-        return BoundReport(status="no_lock", position=traj.position, source=traj.source)
+        return BoundReport(status="no_lock", **where)
     lock_kl = float(traj.step_kl[lock_step - 1])
     lp = kernels.log_softmax_rows(traj.logits[[lock_step - 1, traj.n_steps - 1]])
     lhs = float(np.max(np.abs(lp[1] - lp[0])))
