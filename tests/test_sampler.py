@@ -372,3 +372,36 @@ class TestRunSampler:
         assert np.array_equal(res.tokens, res2.tokens)
         assert [r.newly_locked for r in res.trace] == [r.newly_locked for r in res2.trace]
         assert [r.newly_unlocked for r in res.trace] == [r.newly_unlocked for r in res2.trace]
+
+
+def _run_outputs(result):
+    """The inputs of a run digest: tokens, lock events and, per step, the
+    computed row count, step KLs and committed tokens."""
+    return (
+        result.tokens.tolist(),
+        repr(result.events),
+        [(rec.computed_rows, rec.step_kl, rec.committed) for rec in result.trace],
+    )
+
+
+@pytest.mark.parametrize("n_kv_heads", [4, 2], ids=["mha", "gqa"])
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+@pytest.mark.parametrize("unlock", [False, True], ids=["no-unlock", "unlock"])
+def test_full_fraction_selection_matches_its_base_mode(n_kv_heads, temperature, unlock):
+    """At hybrid_fraction=1.0 selection computes every active row, so it is
+    baseline, and hybrid is surelock, run for run."""
+    cfg = ModelConfig(vocab_size=24, d_model=24, n_layers=2, n_heads=4, n_kv_heads=n_kv_heads,
+                      d_ff=48, max_seq=64)
+    w = init_weights(cfg, 77)
+    prompt = random_prompt(cfg, 8, 5)
+    policy = LockPolicy(epsilon=5e-2, percentile=40.0, hybrid_fraction=1.0, unlock_enabled=unlock,
+                        probe_period=2, epsilon_unlock=1e-10, min_locked_duration=1)
+    out = {}
+    for mode in ("baseline", "surelock", "selection", "hybrid"):
+        run = RunConfig(n_prompt=8, n_gen=32, steps=16, block_length=16, temperature=temperature,
+                        mode=mode, seed=11, policy=policy)
+        out[mode] = run_sampler(run, w, prompt)
+    kinds = {e.kind for e in out["surelock"].events}
+    assert "lock" in kinds and ("unlock" in kinds) == unlock
+    assert _run_outputs(out["selection"]) == _run_outputs(out["baseline"])
+    assert _run_outputs(out["hybrid"]) == _run_outputs(out["surelock"])
