@@ -1,9 +1,9 @@
 """Hot numeric kernels, one vectorized numpy implementation each.
 
 The forward pass spends nearly all of its time in row-sliced attention,
-layer normalization, and per-row log-softmax / KL reductions. Every kernel
-is deterministic for fixed inputs: its cost is BLAS products and SIMD
-element-wise work, with a fixed summation order.
+layer normalization, and per-row log-softmax / KL reductions. Their cost is
+BLAS products and vectorized element-wise work. Each kernel is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations

@@ -17,13 +17,13 @@ class TestClosedForms:
     def test_ffn_linearity(self):
         double_ff = ModelConfig(vocab_size=8, d_model=8, n_layers=2, n_heads=2, d_ff=32, max_seq=8)
         got = baseline_step_flops(double_ff, 4) - baseline_step_flops(HAND_CFG, 4)
-        assert got == 2 * 6 * 1 * 4 * 8 * 16  # L * 6 * B * N * d * d_ff
+        assert got == 2 * 6 * 4 * 8 * 16  # L * 6 * N * d * d_ff
 
     def test_sequence_length_degrees(self):
         n = 4
         f1 = baseline_step_flops(HAND_CFG, n)
         f2 = baseline_step_flops(HAND_CFG, 2 * n)
-        attn = 2 * 4 * 1 * 2 * n * n * 4  # L * 4 B H N^2 d_h
+        attn = 2 * 4 * 2 * n * n * 4  # L * 4 H N^2 d_h
         linear = f1 - attn
         assert f2 == 4 * attn + 2 * linear
 
