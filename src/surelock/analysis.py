@@ -16,7 +16,7 @@ satisfied on every trajectory with rho < 1 - any violation is a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,8 +80,9 @@ class TailEstimate(NamedTuple):
 def _tail_ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair ``num / den`` over a tail and the pairs that count: a pair
     with both terms zero is skipped, a zero denominator alone gives infinity."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den == 0.0, np.inf, num / den), (num != 0.0) | (den != 0.0)
+    nonzero = den != 0.0
+    ratios = np.divide(num, den, out=np.full(num.shape, np.inf), where=nonzero)
+    return ratios, nonzero | (num != 0.0)
 
 
 def _max_ratio(ratios: np.ndarray, used: np.ndarray, lock_step: int) -> TailEstimate:
@@ -165,34 +166,38 @@ def check_lock_bound(
     """
     if traj.n_steps < 3:
         raise InvalidInputError("need at least 3 steps to check the bound")
-    hits = np.flatnonzero(traj.step_kl[1:] <= epsilon)
+    kl, z = traj.step_kl, traj.logits
+    hits = np.flatnonzero(kl[1:] <= epsilon)
     if hits.size == 0:
         return BoundReport(status="no_lock", log_softmax_lip=log_softmax_lip,
                            position=traj.position, source=traj.source)
     lock_step = int(hits[0]) + 2
 
-    lock_kl = float(traj.step_kl[lock_step - 1])
-    lp = kernels.log_softmax_rows(traj.logits[[lock_step - 1, traj.n_steps - 1]])
-    found = BoundReport(
-        status="ok", lock_step=lock_step, lock_kl=lock_kl, log_softmax_lip=log_softmax_lip,
-        lhs=float(np.max(np.abs(lp[1] - lp[0]))), position=traj.position, source=traj.source,
-    )
+    lock_kl = float(kl[lock_step - 1])
+    lp = kernels.log_softmax_rows(z[[lock_step - 1, traj.n_steps - 1]])
+    lhs = float(np.max(np.abs(lp[1] - lp[0])))
+    common = {"lock_step": lock_step, "lock_kl": lock_kl, "log_softmax_lip": log_softmax_lip,
+             "lhs": lhs, "position": traj.position, "source": traj.source}
     if lock_step == traj.n_steps:
         # locking at the terminal step: the deviation is identically zero
-        return replace(found, contraction=0.0, smoothness=0.0, gain=0.0, rhs=0.0, holds=True)
+        return BoundReport(status="ok", contraction=0.0, smoothness=0.0, gain=0.0, rhs=0.0,
+                           holds=True, **common)
 
-    kl = traj.step_kl
-    kl_ratios, kl_used = _tail_ratios(kl[lock_step:], kl[lock_step - 1 : -1])
+    prev_kl = kl[lock_step - 1 : -1]
+    kl_ratios, kl_used = _tail_ratios(kl[lock_step:], prev_kl)
     rho = _max_ratio(kl_ratios, kl_used, lock_step)
-    lsm = estimate_smoothness(traj, lock_step)
+    # estimate_smoothness, sharing the tail's prior-step KLs
+    movement = row_norms(z[lock_step:] - z[lock_step - 1 : -1])
+    lsm = _max_ratio(*_tail_ratios(movement, np.sqrt(prev_kl)), lock_step)
     if not rho.value < 1.0:
         growth = np.flatnonzero(kl_used & (kl_ratios >= 1.0))
-        return replace(found, status="inapplicable", contraction=rho.value, smoothness=lsm.value,
-                       growth_step=lock_step + 1 + int(growth[0]) if growth.size else None)
+        return BoundReport(status="inapplicable", contraction=rho.value, smoothness=lsm.value,
+                           growth_step=lock_step + 1 + int(growth[0]) if growth.size else None,
+                           **common)
     gain = tail_gain(log_softmax_lip, lsm.value, rho.value) if np.isfinite(lsm.value) else np.inf
     rhs = gain * math.sqrt(lock_kl)
-    return replace(found, contraction=rho.value, smoothness=lsm.value, gain=gain, rhs=float(rhs),
-                   holds=bool(found.lhs <= rhs + BOUND_SLACK))
+    return BoundReport(status="ok", contraction=rho.value, smoothness=lsm.value, gain=gain,
+                       rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_SLACK), **common)
 
 
 def simulate_trajectory(seed: int, vocab_size: int, n_steps: int, contraction_target: float, magnitude: float) -> Trajectory:
@@ -235,9 +240,9 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
     Only positions whose posterior is present at every step are returned
     (a baseline run computes every row every step, so that is all of them).
     """
-    # each trajectory is a strided view of the history, not a copy: contiguous
-    # copies check ~25% faster but hold the history twice (peak RSS 111 -> 151
-    # MB on a d=128, N=192, 64-step baseline run)
+    # each trajectory is a view of the history, not a copy. ``run_sampler``
+    # records it position-major, so every view is one contiguous (steps, V)
+    # block: the checks read whole rows, and the history is held only once
     return [
         Trajectory.from_logits(history[:, i, :], position=i, source="sampled")
         for i in np.flatnonzero(valid.all(axis=0)).tolist()

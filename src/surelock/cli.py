@@ -84,6 +84,18 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _prompt_tokens(value) -> np.ndarray:
+    """The config's ``prompt_tokens``: a list of integers (a bool is not one)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"prompt_tokens must be a list of integers, got {value!r}")
+    for i, tok in enumerate(value):
+        require_int(f"prompt_tokens[{i}]", tok)
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except OverflowError as exc:
+        raise ConfigError(f"prompt_tokens: {exc}") from exc
+
+
 def _build(args, overrides: dict | None = None):
     """Model, weights, run config, and prompt from config file plus flags."""
     doc = _load_config_file(getattr(args, "config", None))
@@ -95,8 +107,11 @@ def _build(args, overrides: dict | None = None):
     except TypeError as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
 
-    if doc.get("weights_path"):
-        w = load_weights(doc["weights_path"])
+    weights_path = doc.get("weights_path")
+    if weights_path is not None and not isinstance(weights_path, str):
+        raise ConfigError(f"weights_path must be a string, got {weights_path!r}")
+    if weights_path:
+        w = load_weights(weights_path)
         cfg = w.config
     else:
         seed = doc.get("weights_seed", 1234)
@@ -143,7 +158,7 @@ def _build(args, overrides: dict | None = None):
         raise ConfigError(f"bad run/policy config: {exc}") from exc
 
     if "prompt_tokens" in doc:
-        prompt = np.asarray(doc["prompt_tokens"], dtype=np.int64)
+        prompt = _prompt_tokens(doc["prompt_tokens"])
     elif getattr(args, "prompt", None):
         prompt = np.asarray(_parse_list(args.prompt, int, "--prompt"), dtype=np.int64)
     else:

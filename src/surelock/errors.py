@@ -20,6 +20,10 @@ class StateCorruptionError(InvalidStateError):
     """Internal bookkeeping (caches, frozen rows) is inconsistent."""
 
 
+class NonFiniteError(InvalidStateError):
+    """A model output that must be finite holds a NaN or an infinity."""
+
+
 class NoWorkError(InvalidStateError):
     """A computation was requested over an empty row set."""
 

@@ -17,11 +17,21 @@ def backend_name() -> str:
 
 
 def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Row-wise layer normalization with learned gain/bias."""
+    """Row-wise layer normalization with learned gain/bias.
+
+    One centred array is scaled, gained and biased in place. The row means
+    are ``np.add.reduce(..) / d``, which is what ``ndarray.mean`` computes,
+    so the result equals the textbook ``(x - mean) / sqrt(var + eps) * gain
+    + bias`` bit for bit (the tests pin this).
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    mean = x.mean(axis=1, keepdims=True)
-    var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gain + bias
+    d = x.shape[1]
+    out = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    var = np.add.reduce(out * out, axis=1, keepdims=True) / d
+    out /= np.sqrt(var + eps)
+    out *= gain
+    out += bias
+    return out
 
 
 def attention_rows(

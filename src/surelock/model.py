@@ -44,11 +44,14 @@ class ModelConfig:
     mask_id: int | None = None
 
     def __post_init__(self):
+        # the defaults derive from vocab_size and n_heads, so those are checked first
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq"):
+            require_int(name, getattr(self, name))
         if self.n_kv_heads is None:
             object.__setattr__(self, "n_kv_heads", self.n_heads)
         if self.mask_id is None:
             object.__setattr__(self, "mask_id", self.vocab_size - 1)
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq", "n_kv_heads", "mask_id"):
+        for name in ("n_kv_heads", "mask_id"):
             require_int(name, getattr(self, name))
         if self.vocab_size < 3:
             raise ConfigError("vocab_size must be at least 3 (two tokens plus mask)")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
+from .errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError, require_finite, require_int
 from .flops import GemmCounter, active_step_flops, baseline_step_flops
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock
 from .model import KVStore, Weights, forward_partial
@@ -291,6 +291,8 @@ def step(
 
     flops_before, head_before = counter.snapshot()
     result = forward_partial(w, state.tokens, state.mask_flags, computed, state.kv, counter=counter)
+    if not np.isfinite(result.logits).all():
+        raise NonFiniteError(f"step {t}: the forward produced non-finite logits")
     lp = kernels.log_softmax_rows(result.logits)
 
     # step KL against each row's previous reported posterior; infinity when
@@ -371,7 +373,9 @@ class RunResult:
     trace: list[StepRecord]
     events: list[LockEvent]
     wall_seconds: float
-    history: np.ndarray | None = None  # (S, N, V) reported log-posteriors
+    # (S, N, V) reported log-posteriors: a transposed view of a position-major
+    # (N, S, V) block, so each position's trajectory history[:, i] is contiguous
+    history: np.ndarray | None = None
     history_valid: np.ndarray | None = None  # (S, N)
 
     @property
@@ -440,7 +444,8 @@ def run_sampler(
     counter = GemmCounter()
     probe_counter = GemmCounter()
     records: list[StepRecord] = []
-    history = np.full((run.steps, n, w.config.vocab_size), np.nan) if record_trajectories else None
+    history = (np.full((n, run.steps, w.config.vocab_size), np.nan).transpose(1, 0, 2)
+               if record_trajectories else None)
     history_valid = np.zeros((run.steps, n), dtype=bool) if record_trajectories else None
 
     t_start = time.perf_counter()

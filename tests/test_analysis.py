@@ -286,6 +286,37 @@ class TestSamplerTraceBound:
                         assert rep.holds, rep
         assert applicable >= 20
 
+    def test_trajectories_are_contiguous_views_of_the_history(self, small_model):
+        cfg, w = small_model
+        run = RunConfig(n_prompt=6, n_gen=10, steps=10, mode="baseline", seed=0)
+        res = run_sampler(run, w, random_prompt(cfg, 6, 0), record_trajectories=True)
+        for traj in trajectories_from_history(res.history, res.history_valid):
+            assert traj.logits.flags.c_contiguous
+            assert np.shares_memory(traj.logits, res.history)
+
+    def test_reports_equal_on_contiguous_and_strided_trajectories(self, small_model):
+        """The same trajectories, read as contiguous blocks (the history's
+        layout) or as strided views of a step-major copy, give repr-equal
+        reports in every status, terminal-step locks included."""
+        cfg, w = small_model
+        run = RunConfig(n_prompt=6, n_gen=10, steps=10, mode="baseline", seed=1)
+        res = run_sampler(run, w, random_prompt(cfg, 6, 1), record_trajectories=True)
+        synthetic = [simulate_trajectory(i, 16, 10, rho, 0.25) for i, rho in enumerate((0.3, 0.6, 0.9))]
+        history = np.concatenate([res.history, np.stack([t.logits for t in synthetic], axis=1)], axis=1)
+        step_major = np.ascontiguousarray(history)
+        position_major = np.ascontiguousarray(history.transpose(1, 0, 2))
+        seen = set()
+        for i in range(history.shape[1]):
+            fast = Trajectory.from_logits(position_major[i], position=i)
+            slow = Trajectory.from_logits(step_major[:, i], position=i)
+            assert fast.logits.flags.c_contiguous and not slow.logits.flags.c_contiguous
+            np.testing.assert_array_equal(fast.step_kl, slow.step_kl)
+            for eps in (-1.0, math.inf, 1e-2, 1e-4, float(fast.step_kl[-1])):
+                got = check_lock_bound(fast, eps)
+                assert repr(got.to_dict()) == repr(check_lock_bound(slow, eps).to_dict())
+                seen.add("terminal" if got.lock_step == fast.n_steps else got.status)
+        assert seen == {"no_lock", "inapplicable", "ok", "terminal"}
+
 
 class TestConstants:
     def test_identity_embedding_gain(self):

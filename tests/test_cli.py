@@ -99,6 +99,9 @@ class TestRunCommand:
         ("run", None, [1]),
         ("policy", None, 3),
         (None, None, [1]),
+        (None, "prompt_tokens", ["x"]),
+        (None, "prompt_tokens", [1.5, 2, 3, 4]),
+        (None, "weights_path", 3),
     ])
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, section, key, value):
         """``value`` replaces ``section.key``; a None section means a top-level
@@ -114,6 +117,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--mode", "surelock", "--unlock",
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_weight_scale_is_invariant_violation(self, tmp_path, config_file, capsys):
+        assert main(["run", "--config", config_file, "--weight-scale", "1e80",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "invariant violation:" in capsys.readouterr().err
 
     def test_weights_file_not_json_is_config_error(self, tmp_path, capsys):
         weights = tmp_path / "weights.json"

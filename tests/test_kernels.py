@@ -1,8 +1,10 @@
-"""The attention kernel must match a naive reference, and read store views
-without a copy."""
+"""The attention kernel must match a naive reference and read store views
+without a copy; layer norm must equal its textbook formula bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surelock import kernels
 from surelock.model import KVStore, ModelConfig
@@ -49,3 +51,25 @@ def test_attention_reads_store_views_without_copy(rng):
 
 def test_backend_name_is_numpy():
     assert kernels.backend_name() == "numpy"
+
+
+def reference_layernorm(x, gain, bias, eps=1e-6):
+    """The textbook formula ``layernorm_rows`` must reproduce exactly."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    mean = x.mean(axis=1, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * gain + bias
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 256), width=st.integers(1, 256), seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0), offset=st.floats(-1e3, 1e3),
+)
+def test_layernorm_matches_reference_bit_for_bit(rows, width, seed, log_scale, offset):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, width)) * 10.0**log_scale + offset
+    gain, bias = rng.normal(size=width), rng.normal(size=width)
+    got = kernels.layernorm_rows(x, gain, bias)
+    want = reference_layernorm(x, gain, bias)
+    assert got.tobytes() == want.tobytes()

@@ -62,6 +62,14 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**base)
 
+    @pytest.mark.parametrize("name", ["vocab_size", "n_heads"])
+    def test_mistyped_field_with_derived_default_is_named(self, name):
+        """mask_id and n_kv_heads derive from these; the type check comes first."""
+        base = dict(vocab_size=16, d_model=32, n_layers=1, n_heads=4, d_ff=8, max_seq=8)
+        base[name] = "x"
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ModelConfig(**base)
+
 
 class TestInitWeights:
     def test_deterministic(self, toy_config):

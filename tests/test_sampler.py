@@ -15,9 +15,9 @@ from surelock import (
     unmask_schedule,
     update_mask,
 )
-from surelock import kernels
+from surelock import kernels, sampler
 from surelock.cli import random_prompt
-from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
+from surelock.errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError
 from surelock.numkit import kl_from_log_probs_rows
 from surelock.prng import SplitMix64
 
@@ -243,6 +243,39 @@ class TestRunSampler:
             frozen = res.history[t_star - 1, pos]
             for t in range(t_star, len(res.trace) + 1):
                 np.testing.assert_array_equal(res.history[t - 1, pos], frozen)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_logits_raise_invariant_error(self, toy):
+        """Overflowing weights stop the run at the first step, with an error
+        the CLI maps to exit 3, instead of sampling from NaN posteriors."""
+        _, w, prompt = toy
+        with pytest.raises(NonFiniteError, match="step 1"):
+            run_sampler(toy_run("surelock"), w.scaled(1e80), prompt)
+        assert issubclass(NonFiniteError, InvalidStateError)
+
+    @pytest.mark.parametrize("mode", ["baseline", "hybrid"])
+    def test_history_is_each_steps_reported_posterior(self, toy, monkeypatch, mode):
+        """history[t, i] is the run's log_post after step t + 1, recorded here
+        independently by wrapping ``step``; each position's trajectory is one
+        contiguous block of the history."""
+        _, w, prompt = toy
+        seen = []
+        original_step = sampler.step
+
+        def recording_step(state, *args, **kwargs):
+            rec = original_step(state, *args, **kwargs)
+            seen.append((state.log_post.copy(), state.log_post_valid.copy()))
+            return rec
+
+        monkeypatch.setattr(sampler, "step", recording_step)
+        res = run_sampler(toy_run(mode, block_length=8), w, prompt, record_trajectories=True)
+        assert res.history.shape == (16, 32, 32)
+        assert len(seen) == 16
+        for t, (log_post, valid) in enumerate(seen):
+            np.testing.assert_array_equal(res.history[t], log_post)
+            np.testing.assert_array_equal(res.history_valid[t], valid)
+        for i in range(32):
+            assert res.history[:, i].flags.c_contiguous
 
     def test_step_kl_matches_raw_history(self, toy):
         """Recorded step KLs are KLs of the raw reported posteriors."""
