@@ -183,12 +183,9 @@ def check_lock_bound(
         return BoundReport(status="ok", contraction=0.0, smoothness=0.0, gain=0.0, rhs=0.0,
                            holds=True, **common)
 
-    prev_kl = kl[lock_step - 1 : -1]
-    kl_ratios, kl_used = _tail_ratios(kl[lock_step:], prev_kl)
+    kl_ratios, kl_used = _tail_ratios(kl[lock_step:], kl[lock_step - 1 : -1])
     rho = _max_ratio(kl_ratios, kl_used, lock_step)
-    # estimate_smoothness, sharing the tail's prior-step KLs
-    movement = row_norms(z[lock_step:] - z[lock_step - 1 : -1])
-    lsm = _max_ratio(*_tail_ratios(movement, np.sqrt(prev_kl)), lock_step)
+    lsm = estimate_smoothness(traj, lock_step)
     if not rho.value < 1.0:
         growth = np.flatnonzero(kl_used & (kl_ratios >= 1.0))
         return BoundReport(status="inapplicable", contraction=rho.value, smoothness=lsm.value,

@@ -19,16 +19,20 @@ def backend_name() -> str:
 def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Row-wise layer normalization with learned gain/bias.
 
-    One centred array is scaled, gained and biased in place. The row means
-    are ``np.add.reduce(..) / d``, which is what ``ndarray.mean`` computes,
-    so the result equals the textbook ``(x - mean) / sqrt(var + eps) * gain
-    + bias`` bit for bit (the tests pin this).
+    Two (rows, d) arrays are allocated: the centred rows, and the squares
+    buffer that is then reused for the scaled, gained and biased output, so
+    the array returned is the later allocation, as in the textbook chain
+    (returning the earlier one raised the benchmark's peak RSS). The row
+    means are ``np.add.reduce(..) / d``, which is what ``ndarray.mean``
+    computes, so the result equals the textbook ``(x - mean) / sqrt(var +
+    eps) * gain + bias`` bit for bit (the tests pin this).
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     d = x.shape[1]
-    out = x - np.add.reduce(x, axis=1, keepdims=True) / d
-    var = np.add.reduce(out * out, axis=1, keepdims=True) / d
-    out /= np.sqrt(var + eps)
+    centred = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    out = centred * centred
+    var = np.add.reduce(out, axis=1, keepdims=True) / d
+    np.divide(centred, np.sqrt(var + eps), out=out)
     out *= gain
     out += bias
     return out
