@@ -15,7 +15,6 @@ from .analysis import (
     estimate_smoothness,
     lipschitz_constants,
     simulate_trajectory,
-    stepwise_kl_curve,
     tail_gain,
 )
 from .flops import GemmCounter, active_step_flops, baseline_step_flops
@@ -25,8 +24,6 @@ from .lockctl import (
     apply_locks,
     evaluate_locks,
     probe_unlock,
-    threshold_for_deviation,
-    uncertainty,
 )
 from .model import (
     ForwardResult,
@@ -38,12 +35,7 @@ from .model import (
     load_weights,
     save_weights,
 )
-from .numkit import (
-    kl_from_logits,
-    log_softmax,
-    percentile_nearest_rank,
-    spectral_norm,
-)
+from .numkit import percentile_nearest_rank, spectral_norm
 from .sampler import (
     RunConfig,
     RunResult,
@@ -61,13 +53,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "ConstantsReport", "Trajectory", "check_lock_bound",
     "estimate_contraction", "estimate_smoothness", "lipschitz_constants",
-    "simulate_trajectory", "stepwise_kl_curve", "tail_gain",
+    "simulate_trajectory", "tail_gain",
     "GemmCounter", "active_step_flops", "baseline_step_flops",
     "LockEvent", "LockPolicy", "apply_locks", "evaluate_locks", "probe_unlock",
-    "threshold_for_deviation", "uncertainty",
     "ForwardResult", "KVStore", "ModelConfig", "Weights",
     "forward_partial", "init_weights", "load_weights", "save_weights",
-    "kl_from_logits", "log_softmax", "percentile_nearest_rank", "spectral_norm",
+    "percentile_nearest_rank", "spectral_norm",
     "RunConfig", "RunResult", "SamplerState", "StepRecord", "run_sampler",
     "select_compute_rows", "step", "unmask_schedule", "update_mask",
     "__version__",

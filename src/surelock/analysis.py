@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import EstimateUndefinedError, InvalidInputError
-from .model import Weights, forward_partial
+from .errors import EstimateUndefinedError, InvalidInputError, NonFiniteError
+from .model import Weights
 from .numkit import (
     LOG_SOFTMAX_LIPSCHITZ,
     kl_from_log_probs_rows,
@@ -31,7 +31,6 @@ from .numkit import (
     spectral_norm,
 )
 from .prng import normals, uniforms
-from .sampler import RunConfig, SamplerState, unmask_schedule, update_mask
 
 BOUND_SLACK = 1e-9
 
@@ -327,12 +326,15 @@ def lipschitz_constants(
     gains are measured empirically over ``samples`` seeded input pairs
     inside the given radius. ``tail_share`` is the assumed ratio of other
     positions' posterior movement to this position's own (0 attributes the
-    whole step to one position).
+    whole step to one position). A report with a field that overflowed or
+    is not finite raises ``NonFiniteError``.
     """
-    if input_radius <= 0:
-        raise InvalidInputError("input_radius must be positive")
-    if tail_share < 0:
-        raise InvalidInputError("tail_share must be >= 0")
+    if not 0.0 < input_radius < math.inf:
+        raise InvalidInputError(f"input_radius must be positive and finite, got {input_radius}")
+    if not 0.0 <= tail_share < math.inf:
+        raise InvalidInputError(f"tail_share must be >= 0 and finite, got {tail_share}")
+    if samples < 1:
+        raise InvalidInputError(f"samples must be >= 1, got {samples}")
     cfg = w.config
     n = seq_len if seq_len is not None else cfg.max_seq
     dh = cfg.head_dim
@@ -387,9 +389,12 @@ def lipschitz_constants(
     ffn_g = max(p["ffn_gain"] for p in per_layer)
     ln_g = max(p["layernorm_gain"] for p in per_layer)
     blk = max(p["block_gain"] for p in per_layer)
-    net = head_sn.value * blk**cfg.n_layers
+    try:
+        net = head_sn.value * blk**cfg.n_layers
+    except OverflowError:  # a float power raises where a product gives inf
+        net = math.inf
     overall = net * emb_gain
-    return ConstantsReport(
+    report = ConstantsReport(
         embedding_gain=emb_gain,
         head_norm=head_sn.value,
         per_layer=per_layer,
@@ -405,32 +410,23 @@ def lipschitz_constants(
         lipschitz_samples=samples,
         all_converged=bool(converged),
     )
+    fields = {**report.to_dict(), **{f"per_layer[{p['layer']}].{k}": v for p in per_layer for k, v in p.items()}}
+    bad = [name for name, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NonFiniteError(f"constants report is not finite in {', '.join(bad)}")
+    return report
 
 
-def calibrate_input_radius(w: Weights, run: RunConfig, prompt: np.ndarray) -> float:
-    """Max post-normalization row norm over a short baseline run's states."""
-    state = SamplerState.fresh(run, w, prompt)
-    schedule = unmask_schedule(run.n_gen, run.steps)
-    radius = 0.0
-    for t, k_t in enumerate(schedule, start=1):
-        state.t = t
-        active = np.flatnonzero(~state.lock)
-        result = forward_partial(
-            w, state.tokens, state.mask_flags, active, state.kv, collect_stats=True,
-        )
-        radius = max(radius, result.post_ln_max_norm)
-        lp = kernels.log_softmax_rows(result.logits)
-        state.log_post[active] = lp
-        state.log_post_valid[active] = True
-        block = (run.n_prompt, run.n_prompt + run.n_gen)
-        _, committed = update_mask(
-            state.log_post, state.log_post_valid, state.mask_flags, k_t, block, 0.0,
-            state.rng, mask_id=w.config.mask_id,
-        )
-        for pos, tok in committed.items():
-            state.tokens[pos] = tok
-            state.mask_flags[pos] = False
-    return radius
+def input_radius_bound(w: Weights) -> float:
+    """Largest row norm any layer norm of ``w`` can output: the normalized
+    row has norm at most sqrt(d), so ||LN(x)|| <= sqrt(d) * max|gain| +
+    ||bias||, maximized over every layer's two layer norms."""
+    root_d = math.sqrt(w.config.d_model)
+    return max(
+        root_d * float(np.abs(gain).max()) + float(np.linalg.norm(bias))
+        for layer in w.layers
+        for gain, bias in ((layer.ln1_gain, layer.ln1_bias), (layer.ln2_gain, layer.ln2_bias))
+    )
 
 
 def softmax_jacobian_sup(samples: int = 10_000, max_dim: int = 16, seed: int = 7) -> float:
@@ -455,11 +451,3 @@ def softmax_jacobian_sup(samples: int = 10_000, max_dim: int = 16, seed: int = 7
         sup = max(sup, float(eigs[:, -1].max()))
     return sup
 
-
-def stepwise_kl_curve(trace) -> list[tuple[int, float]]:
-    """Per-step mean of finite step KLs over computed unmasked positions.
-
-    Steps with no finite value (the first step, where every KL is infinite)
-    are omitted.
-    """
-    return [(rec.t, rec.mean_step_kl) for rec in trace if rec.mean_step_kl is not None]

@@ -45,6 +45,8 @@ DEFAULT_MODEL = {
     "max_seq": 64,
 }
 DEFAULT_RUN = {"n_prompt": 16, "n_gen": 16, "steps": 16, "mode": "baseline", "seed": 0}
+CONFIG_KEYS = ("model", "run", "policy", "weights_path", "weights_seed", "weight_scale",
+               "prompt_tokens", "output_dir")
 
 
 def random_prompt(cfg: ModelConfig, n_prompt: int, seed: int) -> np.ndarray:
@@ -68,6 +70,9 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"config {path} has unknown top-level key(s) {unknown}; allowed: {list(CONFIG_KEYS)}")
     return doc
 
 
@@ -84,16 +89,17 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _prompt_tokens(value) -> np.ndarray:
-    """The config's ``prompt_tokens``: a list of integers (a bool is not one)."""
+def _prompt_tokens(value, name: str = "prompt_tokens") -> np.ndarray:
+    """Prompt ids from the config's ``prompt_tokens`` or from ``--prompt``:
+    a list of integers (a bool is not one) that fit in int64."""
     if not isinstance(value, list):
-        raise ConfigError(f"prompt_tokens must be a list of integers, got {value!r}")
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
     for i, tok in enumerate(value):
-        require_int(f"prompt_tokens[{i}]", tok)
+        require_int(f"{name}[{i}]", tok)
     try:
         return np.asarray(value, dtype=np.int64)
     except OverflowError as exc:
-        raise ConfigError(f"prompt_tokens: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _build(args, overrides: dict | None = None):
@@ -157,10 +163,12 @@ def _build(args, overrides: dict | None = None):
     except TypeError as exc:
         raise ConfigError(f"bad run/policy config: {exc}") from exc
 
+    if run.n_positions > cfg.max_seq:  # before a prompt of that length is drawn
+        raise ConfigError(f"{run.n_positions} positions exceed max_seq={cfg.max_seq}")
     if "prompt_tokens" in doc:
         prompt = _prompt_tokens(doc["prompt_tokens"])
     elif getattr(args, "prompt", None):
-        prompt = np.asarray(_parse_list(args.prompt, int, "--prompt"), dtype=np.int64)
+        prompt = _prompt_tokens(_parse_list(args.prompt, int, "--prompt"), "--prompt")
     else:
         prompt = random_prompt(cfg, run.n_prompt, run.seed)
 
@@ -267,7 +275,10 @@ def _resolve_out(args) -> Path:
     if args.out is not None:
         return Path(args.out)
     doc = _load_config_file(getattr(args, "config", None))
-    return Path(doc.get("output_dir", "out"))
+    out = doc.get("output_dir", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a string, got {out!r}")
+    return Path(out)
 
 
 def cmd_run(args) -> int:
@@ -424,11 +435,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    w, run, prompt, _ = _build(args)
-    if args.radius is not None:
-        radius = args.radius
-    else:
-        radius = analysis.calibrate_input_radius(w, run, prompt)
+    w, run, _, _ = _build(args)
+    radius = args.radius if args.radius is not None else analysis.input_radius_bound(w)
     report = analysis.lipschitz_constants(
         w, radius, tail_share=args.kappa, seq_len=run.n_positions, samples=args.samples,
     )
@@ -531,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="model Lipschitz constants report")
     _add_model_run_flags(p)
-    p.add_argument("--radius", type=float, help="input radius; default: calibrate")
+    p.add_argument("--radius", type=float, help="input radius; default: the layer-norm output bound")
     p.add_argument("--kappa", type=float, default=0.0, help="tail attribution share")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--out")

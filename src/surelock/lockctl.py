@@ -12,12 +12,12 @@ the store and releases those whose posterior has drifted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
+from .errors import ConfigError, InvalidStateError, require_finite, require_int
 from .model import Weights, forward_partial
 from .numkit import kl_from_log_probs_rows, percentile_nearest_rank
 
@@ -80,52 +80,37 @@ class LockEvent:
     uncertainty: float
 
 
-def uncertainty(log_probs: np.ndarray) -> float:
-    """One minus the maximum probability of a log-posterior vector."""
-    return float(1.0 - np.exp(np.max(log_probs)))
-
-
-def threshold_for_deviation(delta: float, tail_gain: float) -> float:
-    """KL threshold guaranteeing terminal log-prob deviation at most ``delta``.
-
-    Inverts deviation = tail_gain * sqrt(KL): threshold = (delta/tail_gain)^2.
-    """
-    if tail_gain <= 0:
-        raise InvalidInputError("tail_gain must be positive")
-    if delta < 0:
-        raise InvalidInputError("delta must be non-negative")
-    return delta * delta / (tail_gain * tail_gain)
+def uncertainty_rows(log_probs: np.ndarray) -> np.ndarray:
+    """One minus the maximum probability of each row of log-posteriors."""
+    return 1.0 - np.exp(log_probs.max(axis=1))
 
 
 def evaluate_locks(
-    candidates: Iterable[int],
-    step_kl: Mapping[int, float],
-    uncert: Mapping[int, float],
+    candidates: np.ndarray,
+    step_kl: np.ndarray,
+    uncert: np.ndarray,
     policy: LockPolicy,
-    t: int = 0,
-    cooldown_until: Mapping[int, int] | None = None,
-    ever_unlocked: frozenset[int] | set[int] = frozenset(),
+    t: int,
+    cooldown_until: np.ndarray,
+    ever_unlocked: np.ndarray,
 ) -> list[int]:
-    """Positions among ``candidates`` that pass the lock test this step.
+    """Positions among ``candidates`` that pass the lock test at step ``t``,
+    in ascending order. The four arrays are (N,) and indexed by position.
 
     The gate threshold is the nearest-rank percentile of candidate
     uncertainties. Positions still inside a re-lock cooldown are excluded
     outright; previously unlocked positions must meet the tightened KL
     threshold.
     """
-    candidates = sorted(candidates)
-    if not candidates:
+    candidates = np.unique(np.asarray(candidates, dtype=np.intp))
+    if candidates.size == 0:
         return []
-    theta = percentile_nearest_rank([uncert[i] for i in candidates], policy.percentile)
-    cooldown_until = cooldown_until or {}
-    locked = []
-    for i in candidates:
-        if t <= cooldown_until.get(i, -1):
-            continue
-        eps = policy.epsilon * (policy.relock_tightening if i in ever_unlocked else 1.0)
-        if step_kl[i] <= eps and (not policy.gate_enabled or uncert[i] <= theta):
-            locked.append(i)
-    return locked
+    u = uncert[candidates]
+    eps = np.where(ever_unlocked[candidates], policy.epsilon * policy.relock_tightening, policy.epsilon)
+    passed = (step_kl[candidates] <= eps) & (t > cooldown_until[candidates])
+    if policy.gate_enabled:
+        passed &= u <= percentile_nearest_rank(u, policy.percentile)
+    return candidates[passed].tolist()
 
 
 def apply_locks(
@@ -138,29 +123,24 @@ def apply_locks(
     Every position must be among this step's ``computed`` rows, so the
     store already holds its lock-time K/V and ``log_post`` its posterior.
     """
-    to_lock = sorted(to_lock)
-    if not to_lock:
-        return
-    computed_rows = set(np.asarray(computed).tolist())
-    for i in to_lock:
-        if state.lock[i]:
-            raise InvalidStateError(f"position {i} is already locked")
-        if state.mask_flags[i]:
-            raise InvalidStateError(f"position {i} is masked and cannot lock")
-        if i not in computed_rows:
-            raise InvalidStateError(f"position {i} was not computed this step")
-        if not state.log_post_valid[i]:
-            raise InvalidStateError(f"position {i} has no posterior to freeze")
+    to_lock = np.unique(np.asarray(to_lock, dtype=np.intp))
+    for refused, why in (
+        (state.lock[to_lock], "already locked"),
+        (state.mask_flags[to_lock], "masked and cannot lock"),
+        (~np.isin(to_lock, computed), "not computed this step"),
+        (~state.log_post_valid[to_lock], "without a posterior to freeze"),
+    ):
+        if refused.any():
+            raise InvalidStateError(f"positions {to_lock[refused].tolist()} are {why}")
 
     t = state.t
-    for i in to_lock:
-        state.lock[i] = True
-        state.lock_step[i] = t
-        kind = "relock" if i in state.ever_unlocked else "lock"
-        state.events.append(
-            LockEvent(position=i, step=t, kind=kind, step_kl=state.last_step_kl.get(i, float("inf")),
-                      uncertainty=state.last_uncertainty.get(i, float("nan")))
-        )
+    state.lock[to_lock] = True
+    state.lock_step[to_lock] = t
+    for i in to_lock.tolist():
+        state.events.append(LockEvent(
+            position=i, step=t, kind="relock" if state.ever_unlocked[i] else "lock",
+            step_kl=float(state.last_step_kl[i]), uncertainty=float(state.last_uncertainty[i]),
+        ))
 
 
 def probe_unlock(
@@ -179,11 +159,12 @@ def probe_unlock(
     against the posterior frozen at lock time, and returns the rows where
     proxy uncertainty exceeds ``gate_threshold``, drift exceeds
     ``epsilon_unlock``, and the lock age strictly exceeds
-    ``min_locked_duration``. The caller applies the release.
+    ``min_locked_duration``. Each probed row's drift and proxy uncertainty
+    are kept in ``state.probe_drift`` and ``state.probe_uncertainty``. The
+    caller applies the release.
     """
-    locked = np.flatnonzero(state.lock)
     if rows is None:
-        rows = locked
+        rows = np.flatnonzero(state.lock)
     else:
         rows = np.asarray(sorted(rows), dtype=np.intp)
         if np.any(~state.lock[rows]):
@@ -194,16 +175,12 @@ def probe_unlock(
 
     result = forward_partial(w, state.tokens, state.mask_flags, rows, state.stale_view(), counter=counter)
     proxy_lp = kernels.log_softmax_rows(result.logits)
-    frozen_lp = state.log_post[rows]
-    drift = kl_from_log_probs_rows(proxy_lp, frozen_lp)
-
-    out = []
-    state.probe_diagnostics = {}
-    for r, i in enumerate(rows):
-        i = int(i)
-        proxy_u = uncertainty(proxy_lp[r])
-        state.probe_diagnostics[i] = (float(drift[r]), proxy_u)
-        age = state.t - state.lock_step[i]
-        if proxy_u > gate_threshold and drift[r] > policy.epsilon_unlock and age > policy.min_locked_duration:
-            out.append(i)
-    return out
+    drift = kl_from_log_probs_rows(proxy_lp, state.log_post[rows])
+    proxy_u = uncertainty_rows(proxy_lp)
+    state.probe_drift.fill(np.nan)
+    state.probe_uncertainty.fill(np.nan)
+    state.probe_drift[rows] = drift
+    state.probe_uncertainty[rows] = proxy_u
+    age = state.t - state.lock_step[rows]
+    unlock = (proxy_u > gate_threshold) & (drift > policy.epsilon_unlock) & (age > policy.min_locked_duration)
+    return rows[unlock].tolist()

@@ -13,6 +13,7 @@ to the number of computed rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +56,7 @@ class ModelConfig:
             require_int(name, getattr(self, name))
         if self.vocab_size < 3:
             raise ConfigError("vocab_size must be at least 3 (two tokens plus mask)")
-        if min(self.d_model, self.n_layers, self.n_heads, self.d_ff, self.max_seq) < 1:
+        if min(self.d_model, self.n_layers, self.n_heads, self.n_kv_heads, self.d_ff, self.max_seq) < 1:
             raise ConfigError("all model dimensions must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
@@ -187,7 +188,8 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     order - embedding, positional table, then each layer's fields in
     declaration order (wq, wk, wv, wo, ln1 gain/bias, ln2 gain/bias, w_up,
     w_gate, w_down), then the output head - so equal seeds give
-    bit-identical parameters.
+    bit-identical parameters. Each tensor draws only its own stretch of the
+    stream, so no stream-sized temporary is held.
     """
     shapes = _tensor_shapes(cfg)
     order = ["embedding", "positional"]
@@ -195,15 +197,15 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
         order.extend(f"layers.{i}.{name}" for name in LayerWeights.FIELDS)
     order.append("head")
 
-    total = sum(int(np.prod(shapes[name])) for name in order)
-    stream = normals(seed, total) * INIT_STD
-
     tensors: dict[str, np.ndarray] = {}
     cursor = 0
     for name in order:
         shape = shapes[name]
-        size = int(np.prod(shape))
-        tensors[name] = stream[cursor : cursor + size].reshape(shape).copy()
+        size = math.prod(shape)
+        # draw only this tensor's stretch of the stream: from the pair that
+        # holds value ``cursor``, dropping that pair's first value when odd
+        skip = cursor % 2
+        tensors[name] = (normals(seed, size + skip, offset_pairs=cursor // 2)[skip:] * INIT_STD).reshape(shape)
         cursor += size
 
     layers = [
@@ -268,7 +270,6 @@ class KVStore:
 class ForwardResult:
     logits: np.ndarray  # (C, V) for computed rows, in `active` order
     head_flops: int  # output-head GEMM cost, reported separately
-    post_ln_max_norm: float = 0.0  # max row 2-norm after either LN, when collected
 
 
 def forward_partial(
@@ -278,7 +279,6 @@ def forward_partial(
     active: np.ndarray,
     kv: KVStore,
     counter=None,
-    collect_stats: bool = False,
 ) -> ForwardResult:
     """Forward pass over the computed rows only.
 
@@ -287,8 +287,7 @@ def forward_partial(
     Every other position must already hold a valid row; it supplies K/V to
     attention and is otherwise untouched, so changing a skipped position's
     token id cannot change any output. ``counter`` receives one
-    gemm(m, n, k) call per matrix multiply. ``collect_stats`` records the
-    largest post-normalization row norm.
+    gemm(m, n, k) call per matrix multiply.
     """
     cfg = w.config
     n = len(tokens)
@@ -315,12 +314,8 @@ def forward_partial(
 
     x = w.embedding[tokens[active]] + w.positional[active]  # (C, d); skipped rows live only in kv
 
-    max_norm = 0.0
-
     for li, layer in enumerate(w.layers):
         hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias, LN_EPS)
-        if collect_stats:
-            max_norm = max(max_norm, float(np.linalg.norm(hid, axis=1).max()))
 
         q = hid @ layer.wq
         if counter is not None:
@@ -348,8 +343,6 @@ def forward_partial(
         x = x + out
 
         hid2 = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias, LN_EPS)
-        if collect_stats:
-            max_norm = max(max_norm, float(np.linalg.norm(hid2, axis=1).max()))
         up = hid2 @ layer.w_up
         gate = hid2 @ layer.w_gate
         if counter is not None:
@@ -367,7 +360,7 @@ def forward_partial(
     if counter is not None:
         counter.gemm_head(c, cfg.vocab_size, d)
 
-    return ForwardResult(logits=logits, head_flops=head_flops, post_ln_max_norm=max_norm)
+    return ForwardResult(logits=logits, head_flops=head_flops)
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,6 @@ KL_ROUNDOFF_TOL = 1e-12
 LOG_SOFTMAX_LIPSCHITZ = 2.0
 
 
-def log_softmax(z: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Log-probabilities of a logit vector, stable under large shifts."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size < 2:
-        raise InvalidInputError("logit vector must be 1-D with at least 2 entries")
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("logit vector contains non-finite entries")
-    return kernels.log_softmax_rows(z[None, :])[0]
-
-
 def _clamp_kl(kl: np.ndarray) -> np.ndarray:
     kl = np.atleast_1d(kl)
     neg = kl < 0.0
@@ -44,17 +34,6 @@ def _clamp_kl(kl: np.ndarray) -> np.ndarray:
             raise InternalConsistencyError(f"KL evaluated to {worst}, below round-off tolerance")
         kl = np.where(neg, 0.0, kl)
     return kl
-
-
-def kl_from_logits(z_p: Sequence[float] | np.ndarray, z_q: Sequence[float] | np.ndarray) -> float:
-    """KL(p||q) with p, q the softmax distributions of two logit vectors."""
-    z_p = np.asarray(z_p, dtype=np.float64)
-    z_q = np.asarray(z_q, dtype=np.float64)
-    if z_p.shape != z_q.shape:
-        raise InvalidInputError(f"logit length mismatch: {z_p.shape} vs {z_q.shape}")
-    lp = log_softmax(z_p)
-    lq = log_softmax(z_q)
-    return float(_clamp_kl(kernels.kl_rows(lp[None, :], lq[None, :]))[0])
 
 
 def kl_from_log_probs_rows(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError, require_finite, require_int
 from .flops import GemmCounter, active_step_flops, baseline_step_flops
-from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock
+from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
 from .model import KVStore, Weights, forward_partial
 from .numkit import kl_from_log_probs_rows, percentile_nearest_rank
 from .prng import SplitMix64
@@ -91,17 +91,16 @@ def unmask_schedule(n_gen: int, steps: int) -> list[int]:
     return [base + 1] * rem + [base] * (steps - rem)
 
 
-def select_compute_rows(active: np.ndarray, last_step_kl: dict[int, float], fraction: float) -> np.ndarray:
+def select_compute_rows(active: np.ndarray, last_step_kl: np.ndarray, fraction: float) -> np.ndarray:
     """The ceil(fraction * |active|) rows with the largest last observed
-    step KL, ties to the lowest index; rows never scored rank first."""
+    step KL (``last_step_kl`` is indexed by position), ties to the lowest
+    index; rows never scored hold +inf, so they rank first."""
     if not 0.0 < fraction <= 1.0:
         raise InvalidInputError(f"fraction={fraction} outside (0, 1]")
     active = np.asarray(active, dtype=np.intp)
-    if active.size == 0:
-        return active
     count = math.ceil(fraction * active.size)
-    ranked = sorted(active, key=lambda i: (-last_step_kl.get(int(i), np.inf), i))
-    return np.array(sorted(ranked[:count]), dtype=np.intp)
+    ranked = np.lexsort((active, -last_step_kl[active]))
+    return np.sort(active[ranked[:count]])
 
 
 def update_mask(
@@ -113,13 +112,14 @@ def update_mask(
     temperature: float,
     rng: SplitMix64,
     mask_id: int | None = None,
-) -> tuple[list[int], dict[int, int]]:
-    """Choose the k_t highest-confidence masked in-block positions and their
-    committed tokens (argmax at temperature 0, tempered categorical draw
-    otherwise). Ties break toward the lowest position index; draws happen in
-    ascending position order. The mask id is an absorbing-state marker, not
-    vocabulary, so it is never committed: confidence and draws range over the
-    other ids. Does not mutate any input."""
+) -> tuple[list[int], list[int]]:
+    """Choose the k_t highest-confidence masked in-block positions, in
+    ascending order, and the token committed at each (argmax at temperature
+    0, tempered categorical draw otherwise). Ties break toward the lowest
+    position index; draws happen in ascending position order. The mask id
+    is an absorbing-state marker, not vocabulary, so it is never committed:
+    confidence and draws range over the other ids. Does not mutate any
+    input."""
     lo, hi = block
     in_block = lo + np.flatnonzero(mask_flags[lo:hi])
     scorable = in_block[log_post_valid[in_block]]
@@ -146,13 +146,13 @@ def update_mask(
             probs = np.exp(tempered - tempered.max())
             probs /= probs.sum()
             tokens.append(int(ids[rng.categorical(probs)]))
-    committed = dict(zip(chosen, tokens))
-    return chosen, committed
+    return chosen, tokens
 
 
 @dataclass
 class SamplerState:
-    """Mutable per-run state; one writer at a time."""
+    """Mutable per-run state; one writer at a time. Every per-position
+    quantity is one (N,) array indexed by position."""
 
     tokens: np.ndarray  # (N,) token ids; masked positions carry mask_id
     mask_flags: np.ndarray  # (N,) bool, True while masked
@@ -161,14 +161,15 @@ class SamplerState:
     kv: KVStore  # every row's last computed K/V; written in place by each step's forward
     log_post: np.ndarray  # (N, V) latest reported log-posteriors
     log_post_valid: np.ndarray  # (N,) bool
-    last_step_kl: dict[int, float]
-    last_uncertainty: dict[int, float]
-    cooldown_until: dict[int, int]
-    ever_unlocked: set[int]
+    last_step_kl: np.ndarray  # (N,) latest step KL; +inf until scored and again after a release
+    last_uncertainty: np.ndarray  # (N,) latest uncertainty; NaN until computed
+    cooldown_until: np.ndarray  # (N,) int, last step of a re-lock cooldown; -1 when none
+    ever_unlocked: np.ndarray  # (N,) bool
+    probe_drift: np.ndarray  # (N,) the latest probe's drift; NaN on rows it did not probe
+    probe_uncertainty: np.ndarray  # (N,) the latest probe's proxy uncertainty; NaN likewise
     events: list[LockEvent]
     rng: SplitMix64
     t: int = 0
-    probe_diagnostics: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, run: RunConfig, w: Weights, prompt: np.ndarray) -> "SamplerState":
@@ -196,10 +197,12 @@ class SamplerState:
             kv=KVStore.empty(cfg, n),
             log_post=np.full((n, cfg.vocab_size), np.nan),
             log_post_valid=np.zeros(n, dtype=bool),
-            last_step_kl={},
-            last_uncertainty={},
-            cooldown_until={},
-            ever_unlocked=set(),
+            last_step_kl=np.full(n, np.inf),
+            last_uncertainty=np.full(n, np.nan),
+            cooldown_until=np.full(n, -1, dtype=np.int64),
+            ever_unlocked=np.zeros(n, dtype=bool),
+            probe_drift=np.full(n, np.nan),
+            probe_uncertainty=np.full(n, np.nan),
             events=[],
             rng=SplitMix64(run.seed),
         )
@@ -218,18 +221,18 @@ class SamplerState:
         """Clear lock state for ``rows``: the cooldown timer starts and future
         re-locks use the tightened threshold. The row's stored K/V and its
         reported log-posterior stay as they are until it is next computed."""
-        for i in rows:
-            if not self.lock[i]:
-                raise InvalidStateError(f"cannot unlock position {i}: not locked")
-            drift, proxy_u = self.probe_diagnostics.get(i, (float("nan"), float("nan")))
-            self.lock[i] = False
-            self.lock_step[i] = -1
-            self.cooldown_until[i] = self.t + policy.relock_cooldown
-            self.ever_unlocked.add(i)
-            self.last_step_kl.pop(i, None)  # rank as unscored if selection resumes
-            self.events.append(
-                LockEvent(position=i, step=self.t, kind="unlock", step_kl=drift, uncertainty=proxy_u)
-            )
+        rows = np.asarray(rows, dtype=np.intp)
+        if not self.lock[rows].all():
+            raise InvalidStateError(f"cannot unlock positions {rows[~self.lock[rows]].tolist()}: not locked")
+        self.lock[rows] = False
+        self.lock_step[rows] = -1
+        self.cooldown_until[rows] = self.t + policy.relock_cooldown
+        self.ever_unlocked[rows] = True
+        self.last_step_kl[rows] = np.inf  # rank as unscored if selection resumes
+        for i in rows.tolist():
+            self.events.append(LockEvent(position=i, step=self.t, kind="unlock",
+                                         step_kl=float(self.probe_drift[i]),
+                                         uncertainty=float(self.probe_uncertainty[i])))
 
 
 @dataclass
@@ -246,11 +249,11 @@ class StepRecord:
     head_flops: int
     probe_flops: int
     newly_unmasked: list[int]
-    committed: dict[int, int]
+    committed: list[int]  # the token committed at each of newly_unmasked
     newly_locked: list[int]
     newly_unlocked: list[int]
-    step_kl: dict[int, float]
-    uncert: dict[int, float]
+    step_kl: np.ndarray  # (N,) this step's KL per position; NaN on rows not computed
+    uncert: np.ndarray  # (N,) this step's uncertainty per position; NaN likewise
     mean_step_kl: float | None
     wall_seconds: float
 
@@ -302,27 +305,28 @@ def step(
     if had_prev.any():
         idx = np.flatnonzero(had_prev)
         kl_vals[idx] = kl_from_log_probs_rows(lp[idx], state.log_post[computed[idx]])
-    u_vals = 1.0 - np.exp(lp.max(axis=1))
+    u_vals = uncertainty_rows(lp)
 
     state.log_post[computed] = lp
     state.log_post_valid[computed] = True
 
-    step_kl = {int(i): float(v) for i, v in zip(computed, kl_vals)}
-    uncert = {int(i): float(v) for i, v in zip(computed, u_vals)}
-    state.last_step_kl.update(step_kl)
-    state.last_uncertainty.update(uncert)
+    step_kl = np.full(n, np.nan)
+    uncert = np.full(n, np.nan)
+    step_kl[computed] = kl_vals
+    uncert[computed] = u_vals
+    state.last_step_kl[computed] = kl_vals
+    state.last_uncertainty[computed] = u_vals
 
     newly_unmasked, committed = update_mask(
         state.log_post, state.log_post_valid, state.mask_flags, k_t, block,
         run.temperature, state.rng, mask_id=cfg.mask_id,
     )
-    for pos, tok in committed.items():
-        state.tokens[pos] = tok
-        state.mask_flags[pos] = False
+    state.tokens[newly_unmasked] = committed
+    state.mask_flags[newly_unmasked] = False
 
     newly_locked: list[int] = []
     if run.mode in LOCKING_MODES:
-        candidates = [int(i) for i in computed if not state.mask_flags[i]]
+        candidates = computed[~state.mask_flags[computed]]
         newly_locked = evaluate_locks(
             candidates, step_kl, uncert, policy,
             t=t, cooldown_until=state.cooldown_until, ever_unlocked=state.ever_unlocked,
@@ -340,8 +344,9 @@ def step(
     f_base = baseline_step_flops(cfg, n)
     f_actual = active_step_flops(cfg, n, int(computed.size))
 
-    finite_unmasked = [v for i, v in step_kl.items() if not state.mask_flags[i] and np.isfinite(v)]
-    mean_kl = float(np.mean(finite_unmasked)) if finite_unmasked else None
+    # summed in ascending position order, which the trace bytes depend on
+    finite_unmasked = kl_vals[~state.mask_flags[computed] & np.isfinite(kl_vals)]
+    mean_kl = float(np.mean(finite_unmasked)) if finite_unmasked.size else None
 
     return StepRecord(
         t=t,
@@ -355,8 +360,8 @@ def step(
         probe_flops=probe_counter.flops - probe_before,
         newly_unmasked=newly_unmasked,
         committed=committed,
-        newly_locked=[int(i) for i in newly_locked],
-        newly_unlocked=[int(i) for i in newly_unlocked],
+        newly_locked=newly_locked,
+        newly_unlocked=newly_unlocked,
         step_kl=step_kl,
         uncert=uncert,
         mean_step_kl=mean_kl,

@@ -21,15 +21,14 @@ from surelock.analysis import (
     TailEstimate,
     Trajectory,
     battery_steps,
-    calibrate_input_radius,
     check_lock_bound,
     embedding_gain,
     estimate_contraction,
     estimate_smoothness,
+    input_radius_bound,
     lipschitz_constants,
     simulate_trajectory,
     softmax_jacobian_sup,
-    stepwise_kl_curve,
     tail_gain,
     trajectories_from_history,
 )
@@ -368,16 +367,44 @@ class TestConstants:
         assert b.embedding_gain == pytest.approx(a.embedding_gain, abs=1e-8)
         assert b.overall_gain == pytest.approx(a.overall_gain, abs=1e-6)
 
-    def test_radius_calibration_positive(self, small_model):
+    def test_radius_bound_is_positive_and_closed_form(self, small_model):
         cfg, w = small_model
-        run = RunConfig(n_prompt=4, n_gen=8, steps=8, mode="baseline", seed=2)
-        r = calibrate_input_radius(w, run, random_prompt(cfg, 4, 2))
-        assert r > 0.0
+        want = max(
+            math.sqrt(cfg.d_model) * np.max(np.abs(gain)) + np.linalg.norm(bias)
+            for layer in w.layers
+            for gain, bias in ((layer.ln1_gain, layer.ln1_bias), (layer.ln2_gain, layer.ln2_bias))
+        )
+        assert input_radius_bound(w) == want > 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 64), rows=st.integers(1, 16), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           offset=st.sampled_from([0.0, -5.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_layernorm_output_within_radius_bound(self, d, rows, scale, offset, seed):
+        """No row any layer norm outputs is longer than the bound; the
+        tolerance covers only the round-off of the row norm."""
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(vocab_size=4, d_model=d, n_layers=2, n_heads=1, d_ff=2, max_seq=2)
+        w = init_weights(cfg, seed)
+        for layer in w.layers:
+            layer.ln1_gain = rng.normal(scale=rng.uniform(0.01, 3.0), size=d)
+            layer.ln2_bias = rng.normal(scale=rng.uniform(0.01, 3.0), size=d)
+        bound = input_radius_bound(w)
+        x = offset + scale * rng.normal(size=(rows, d))
+        for layer in w.layers:
+            for gain, bias in ((layer.ln1_gain, layer.ln1_bias), (layer.ln2_gain, layer.ln2_bias)):
+                norms = np.linalg.norm(kernels.layernorm_rows(x, gain, bias), axis=1)
+                assert np.all(norms <= bound * (1.0 + 1e-12))
 
     def test_rejects_bad_radius(self, small_model):
         _, w = small_model
         with pytest.raises(InvalidInputError):
             lipschitz_constants(w, input_radius=0.0)
+
+
+def mean_step_kl_curve(trace):
+    """Each step's mean finite step KL over computed unmasked rows, the
+    trace's ``mean_D``; the first step, where every KL is infinite, has none."""
+    return [(rec.t, rec.mean_step_kl) for rec in trace if rec.mean_step_kl is not None]
 
 
 class TestStepwiseKLCurve:
@@ -386,7 +413,7 @@ class TestStepwiseKLCurve:
         run = RunConfig(n_prompt=4, n_gen=8, steps=8, mode="surelock", seed=4,
                         policy=LockPolicy(epsilon=1e-6))
         res = run_sampler(run, w.scaled(0.0), random_prompt(cfg, 4, 1))
-        curve = stepwise_kl_curve(res.trace)
+        curve = mean_step_kl_curve(res.trace)
         assert curve[0][0] == 2
         assert all(v == 0.0 for _, v in curve)
 
@@ -394,7 +421,7 @@ class TestStepwiseKLCurve:
         cfg, w = small_model
         run = RunConfig(n_prompt=4, n_gen=8, steps=8, mode="baseline", seed=4)
         res = run_sampler(run, w, random_prompt(cfg, 4, 1))
-        curve = stepwise_kl_curve(res.trace)
+        curve = mean_step_kl_curve(res.trace)
         assert [t for t, _ in curve] == list(range(2, 9))
         assert all(np.isfinite(v) and v >= 0 for _, v in curve)
 

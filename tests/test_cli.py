@@ -102,10 +102,12 @@ class TestRunCommand:
         (None, "prompt_tokens", ["x"]),
         (None, "prompt_tokens", [1.5, 2, 3, 4]),
         (None, "weights_path", 3),
+        (None, "modle", {}),  # a misspelled top-level key
     ])
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, section, key, value):
         """``value`` replaces ``section.key``; a None section means a top-level
-        key, a None key the whole section, and both None the whole document."""
+        key, a None key the whole section, and both None the whole document.
+        The error names the key."""
         if key is None:
             doc = value if section is None else {**TOY, section: value}
         elif section is None:
@@ -116,7 +118,17 @@ class TestRunCommand:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path), "--mode", "surelock", "--unlock",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err and (key is None or key in err)
+
+    def test_mistyped_output_dir_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """``output_dir`` is read only when ``--out`` is absent."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY, "output_dir": 3}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_weight_scale_is_invariant_violation(self, tmp_path, config_file, capsys):
@@ -223,6 +235,16 @@ class TestConstantsCommand:
                     "softmax_jacobian_sup", "input_radius"):
             assert key in doc
         assert doc["softmax_jacobian_sup"] <= 0.5 + 1e-6
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("scale", ["1e30", "1e80"])
+    def test_overflowing_report_is_invariant_violation(self, tmp_path, capsys, scale):
+        """At 1e30 the network gain overflows a float power; at 1e80 five
+        fields are NaN. Neither may end in a traceback or a report."""
+        out = tmp_path / "constants.json"
+        assert main(["constants", "--weight-scale", scale, "--samples", "100", "--out", str(out)]) == 3
+        assert "invariant violation:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFlopsCheckCommand:

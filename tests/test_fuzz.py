@@ -1,11 +1,19 @@
 """Deterministic sweep over random configurations: every run must satisfy
 the accounting identities and structural invariants regardless of shape."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler
-from surelock.cli import random_prompt
+from surelock.cli import main, random_prompt
 
 CASES = list(range(18))
 
@@ -81,3 +89,95 @@ def test_random_configuration_invariants(case):
     res2 = run_sampler(run, w, random_prompt(cfg, run.n_prompt, case))
     assert np.array_equal(res.tokens, res2.tokens)
     assert [r.flops_actual for r in res.trace] == [r.flops_actual for r in res2.trace]
+
+
+# ---------------------------------------------------------------------------
+# the CLI's exit-code contract under malformed input: 0 ok, 2 configuration
+# error, 3 invariant violation, and never an uncaught exception
+
+TINY = {
+    "model": {"vocab_size": 8, "d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 8, "max_seq": 16},
+    "weights_seed": 3,
+    "run": {"n_prompt": 2, "n_gen": 4, "steps": 4, "seed": 1},
+    "policy": {"hybrid_fraction": 0.5},
+}
+SECTION_KEYS = {
+    None: ["weights_path", "weights_seed", "weight_scale", "prompt_tokens", "output_dir", "modle"],
+    "model": ["vocab_size", "d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "max_seq", "mask_id", "dim"],
+    "run": ["n_prompt", "n_gen", "steps", "mode", "block_length", "temperature", "seed", "stpes"],
+    "policy": ["epsilon", "percentile", "gate_enabled", "hybrid_fraction", "unlock_enabled", "probe_period",
+               "epsilon_unlock", "min_locked_duration", "relock_cooldown", "relock_tightening", "eps"],
+}
+# model dimensions stay small, because the model is allocated as given
+# (and n_layers is looped over); file names are plain letters, so every
+# output lands in the example's own directory
+SMALL_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(alphabet="xyz", max_size=3),
+    st.lists(st.integers(-2, 9), max_size=5), st.dictionaries(st.sampled_from(["a", "seed"]), st.integers(0, 3)),
+)
+JUNK = st.one_of(SMALL_JUNK, st.sampled_from([2**70, -(2**70)]))
+FLAG_VALUES = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e9", "1e80",
+                               "2,3", "1,,2", "99999999999999999999999"])
+COMMON_FLAGS = ["--mode", "--eps", "--percentile", "--fraction", "--n-prompt", "--n-gen", "--steps",
+                "--block-length", "--temperature", "--seed", "--weight-scale", "--prompt"]
+COMMAND_FLAGS = {
+    "run": [],
+    "sweep": ["--eps-list", "--m-list", "--steps-list", "--ngen-list", "--seeds"],
+    "verify-bound": ["--trajectories"],
+    "constants": ["--radius", "--kappa"],
+}
+COMMANDS = list(COMMAND_FLAGS)
+
+
+@st.composite
+def config_documents(draw):
+    doc = json.loads(json.dumps(TINY))
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(list(SECTION_KEYS)))
+        junk = SMALL_JUNK if section == "model" else JUNK
+        if section is not None and draw(st.integers(0, 4)) == 0:
+            doc[section] = draw(junk)  # the whole section
+        elif section is None or isinstance(doc.get(section), dict):
+            target = doc if section is None else doc[section]
+            target[draw(st.sampled_from(SECTION_KEYS[section]))] = draw(junk)
+    return draw(st.sampled_from([doc] * 9 + [[doc]]))  # now and then not an object
+
+
+def run_cli(argv, doc=None) -> int:
+    """``cli.main`` in a fresh directory; argparse's rejection counts as its exit code."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if doc is not None:
+            Path("config.json").write_text(json.dumps(doc))
+            argv = [*argv, "--config", "config.json"]
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning",
+                            "ignore:divide by zero:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(COMMANDS), doc=config_documents())
+def test_malformed_config_keeps_the_exit_code_contract(command, doc):
+    extra = ["--samples", "20"] if command == "constants" else []
+    assert run_cli([command, *extra], doc) in (0, 2, 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning",
+                            "ignore:divide by zero:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(COMMANDS))
+def test_malformed_flags_keep_the_exit_code_contract(data, command):
+    flags = data.draw(st.lists(st.sampled_from(COMMON_FLAGS + COMMAND_FLAGS[command]), max_size=3, unique=True))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, data.draw(FLAG_VALUES)]
+    if command == "constants":
+        argv += ["--samples", data.draw(st.sampled_from(["-1", "0", "1", "x", "20"]))]
+    for switch in ("--no-gate", "--unlock"):
+        if data.draw(st.booleans()):
+            argv.append(switch)
+    assert run_cli(argv, TINY) in (0, 2, 3)

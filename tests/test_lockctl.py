@@ -1,8 +1,9 @@
 import copy
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surelock import (
     LockPolicy,
@@ -12,51 +13,29 @@ from surelock import (
     init_weights,
     run_sampler,
 )
+from surelock.numkit import kl_from_log_probs_rows, percentile_nearest_rank
 from surelock.cli import random_prompt
-from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
-from surelock.lockctl import (
-    apply_locks,
-    evaluate_locks,
-    probe_unlock,
-    threshold_for_deviation,
-    uncertainty,
-)
+from surelock.errors import ConfigError, InvalidStateError
+from surelock.kernels import log_softmax_rows
+from surelock.lockctl import apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
 from surelock.sampler import SamplerState, step, unmask_schedule
+
+inf = float("inf")
+nan = float("nan")
 
 
 class TestUncertainty:
     def test_one_hot(self):
-        lp = np.array([0.0, -np.inf, -np.inf])
-        assert uncertainty(lp) == 0.0
+        lp = np.array([[0.0, -np.inf, -np.inf]])
+        assert uncertainty_rows(lp)[0] == 0.0
 
     def test_uniform(self):
-        lp = np.log(np.full(4, 0.25))
-        assert abs(uncertainty(lp) - 0.75) < 1e-12
+        lp = np.log(np.full((1, 4), 0.25))
+        assert abs(uncertainty_rows(lp)[0] - 0.75) < 1e-12
 
     def test_plain_arithmetic(self):
-        lp = np.log([0.6, 0.3, 0.1])
-        assert abs(uncertainty(lp) - 0.4) < 1e-12
-
-
-class TestThresholdForDeviation:
-    def test_quarter_of_a_percent(self):
-        assert threshold_for_deviation(0.1, 2.0) == pytest.approx(0.0025)
-
-    def test_zero_deviation(self):
-        assert threshold_for_deviation(0.0, 3.0) == 0.0
-
-    def test_composed_gain(self):
-        from surelock.analysis import tail_gain
-
-        gain = tail_gain(2.0, 1.0, 0.25)
-        assert gain == pytest.approx(4.0)
-        assert threshold_for_deviation(1.0, gain) == pytest.approx(0.0625)
-
-    def test_bad_gain(self):
-        with pytest.raises(InvalidInputError):
-            threshold_for_deviation(0.1, 0.0)
-        with pytest.raises(InvalidInputError):
-            threshold_for_deviation(-0.1, 1.0)
+        lp = np.log([[0.6, 0.3, 0.1]])
+        assert abs(uncertainty_rows(lp)[0] - 0.4) < 1e-12
 
 
 class TestPolicyValidation:
@@ -73,45 +52,108 @@ class TestPolicyValidation:
             LockPolicy(**bad)
 
 
+def locks(candidates, step_kl, uncert, policy, t=0, cooldown_until=None, ever_unlocked=None):
+    """``evaluate_locks`` on per-position arrays; by default no position is
+    in a cooldown or was ever unlocked."""
+    n = len(step_kl)
+    cooldown_until = np.full(n, -1) if cooldown_until is None else np.asarray(cooldown_until)
+    ever_unlocked = np.zeros(n, bool) if ever_unlocked is None else np.asarray(ever_unlocked)
+    return evaluate_locks(np.asarray(candidates, dtype=np.intp), np.asarray(step_kl, dtype=float),
+                          np.asarray(uncert, dtype=float), policy, t, cooldown_until, ever_unlocked)
+
+
 class TestEvaluateLocks:
     def test_threshold_split_gate_disabled(self):
         policy = LockPolicy(epsilon=1e-3, gate_enabled=False)
-        got = evaluate_locks([1, 2], {1: 1e-5, 2: 1.0}, {1: 0.5, 2: 0.5}, policy)
+        got = locks([1, 2], [nan, 1e-5, 1.0], [nan, 0.5, 0.5], policy)
         assert got == [1]
 
     def test_nearest_rank_gate(self):
         policy = LockPolicy(epsilon=1.0, percentile=33.0)
-        got = evaluate_locks(
-            [1, 2, 3], {1: 0.0, 2: 0.0, 3: 0.0}, {1: 0.1, 2: 0.2, 3: 0.3}, policy
-        )
+        got = locks([1, 2, 3], [nan, 0.0, 0.0, 0.0], [nan, 0.1, 0.2, 0.3], policy)
         assert got == [1]
 
     def test_infinite_kl_first_step(self):
         policy = LockPolicy(epsilon=1.0, gate_enabled=False)
-        inf = float("inf")
-        assert evaluate_locks([0, 1], {0: inf, 1: inf}, {0: 0.1, 1: 0.1}, policy) == []
+        assert locks([0, 1], [inf, inf], [0.1, 0.1], policy) == []
 
     def test_empty_candidates(self):
-        assert evaluate_locks([], {}, {}, LockPolicy()) == []
+        assert locks([], [0.0, 0.0], [0.1, 0.1], LockPolicy()) == []
 
     def test_gate_disabled_is_pure_threshold(self):
         policy = LockPolicy(epsilon=0.5, gate_enabled=False)
-        d = {i: 0.1 * i for i in range(10)}
-        u = {i: 0.9 for i in range(10)}
-        got = evaluate_locks(range(10), d, u, policy)
+        d = 0.1 * np.arange(10)
+        got = locks(range(10), d, np.full(10, 0.9), policy)
         assert got == [i for i in range(10) if d[i] <= 0.5]
 
     def test_cooldown_exclusion(self):
         policy = LockPolicy(epsilon=1.0, gate_enabled=False)
-        cooldown = {1: 5}
-        assert evaluate_locks([1], {1: 0.0}, {1: 0.1}, policy, t=5, cooldown_until=cooldown) == []
-        assert evaluate_locks([1], {1: 0.0}, {1: 0.1}, policy, t=6, cooldown_until=cooldown) == [1]
+        cooldown = [-1, 5]
+        assert locks([1], [nan, 0.0], [nan, 0.1], policy, t=5, cooldown_until=cooldown) == []
+        assert locks([1], [nan, 0.0], [nan, 0.1], policy, t=6, cooldown_until=cooldown) == [1]
 
     def test_tightened_threshold_after_unlock(self):
         policy = LockPolicy(epsilon=1e-3, gate_enabled=False, relock_tightening=0.5)
-        unlocked = {7}
-        assert evaluate_locks([7], {7: 7e-4}, {7: 0.1}, policy, ever_unlocked=unlocked) == []
-        assert evaluate_locks([7], {7: 4e-4}, {7: 0.1}, policy, ever_unlocked=unlocked) == [7]
+        unlocked = np.arange(8) == 7
+        kl = np.full(8, nan)
+        kl[7] = 7e-4
+        assert locks([7], kl, np.full(8, 0.1), policy, ever_unlocked=unlocked) == []
+        kl[7] = 4e-4
+        assert locks([7], kl, np.full(8, 0.1), policy, ever_unlocked=unlocked) == [7]
+
+
+def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until, ever_unlocked):
+    """The position-at-a-time lock test over dicts and a set, as the sampler
+    kept its state before it held one array per quantity."""
+    candidates = sorted(candidates)
+    if not candidates:
+        return []
+    theta = percentile_nearest_rank([uncert[i] for i in candidates], policy.percentile)
+    locked = []
+    for i in candidates:
+        if t <= cooldown_until.get(i, -1):
+            continue
+        eps = policy.epsilon * (policy.relock_tightening if i in ever_unlocked else 1.0)
+        if step_kl[i] <= eps and (not policy.gate_enabled or uncert[i] <= theta):
+            locked.append(i)
+    return locked
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    kl_levels=st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 5e-3, 1e-2, 1.0, inf, -inf]), min_size=1, max_size=4),
+    u_levels=st.integers(1, 4),
+    epsilon=st.sampled_from([-1.0, 0.0, 1e-6, 5e-3, 1.0, 1e9]),
+    percentile=st.sampled_from([0.0, 20.0, 50.0, 100.0]),
+    gate=st.booleans(),
+    tightening=st.sampled_from([0.5, 0.9, 1.0]),
+    t=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_locks_matches_reference(n, kl_levels, u_levels, epsilon, percentile, gate, tightening, t, seed):
+    """Same locks as the loop over dicts: few distinct KL and uncertainty
+    levels make ties common, and KLs include +-inf; candidates may be empty,
+    in a cooldown or previously unlocked, and other rows are unscored."""
+    rng = np.random.default_rng(seed)
+    policy = LockPolicy(epsilon=epsilon, percentile=percentile, gate_enabled=gate, relock_tightening=tightening)
+    candidates = np.flatnonzero(rng.random(n) < 0.6)
+    step_kl = np.full(n, nan)
+    uncert = np.full(n, nan)
+    step_kl[candidates] = rng.choice(kl_levels, size=candidates.size)
+    uncert[candidates] = rng.integers(0, u_levels, size=candidates.size) / 4.0
+    cooldown_until = np.where(rng.random(n) < 0.3, rng.integers(0, 10, size=n), -1)
+    ever_unlocked = rng.random(n) < 0.3
+    got = evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until, ever_unlocked)
+    want = reference_evaluate_locks(
+        candidates.tolist(),
+        {i: float(step_kl[i]) for i in candidates.tolist()},
+        {i: float(uncert[i]) for i in candidates.tolist()},
+        policy, t,
+        {i: int(c) for i, c in enumerate(cooldown_until) if c >= 0},
+        set(np.flatnonzero(ever_unlocked).tolist()),
+    )
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +294,25 @@ class TestProbeUnlock:
         )
         assert probe_unlock(state, W, below_boundary, gate_threshold=-1.0, rows=rows) == rows
 
+    def test_probe_diagnostics_are_per_row_and_match_the_scalar_formula(self):
+        """The probe scores all rows at once; each probed row's uncertainty is
+        1 - exp(max) of its proxy log-posterior, bit for bit, and rows it did
+        not probe read NaN."""
+        state, _ = self.make_locked_state()
+        rows = np.flatnonzero(state.lock)
+        assert rows.size > 1
+        state.probe_drift[:] = 1.0  # stale values from an earlier probe
+        probe_unlock(state, W, LockPolicy(unlock_enabled=True), gate_threshold=-1.0, rows=rows[1:])
+        proxy = forward_partial(W, state.tokens, state.mask_flags, rows[1:], state.stale_view())
+        proxy_lp = log_softmax_rows(proxy.logits)
+        want = [float(1.0 - np.exp(np.max(row))) for row in proxy_lp]
+        assert state.probe_uncertainty[rows[1:]].tolist() == want
+        np.testing.assert_array_equal(state.probe_drift[rows[1:]],
+                                      kl_from_log_probs_rows(proxy_lp, state.log_post[rows[1:]]))
+        others = np.ones(state.n, bool)
+        others[rows[1:]] = False
+        assert np.isnan(state.probe_drift[others]).all() and np.isnan(state.probe_uncertainty[others]).all()
+
     def test_probe_on_unlocked_row_raises(self):
         state, _ = self.make_locked_state()
         free = int(np.flatnonzero(~state.lock)[0])
@@ -278,16 +339,15 @@ class TestProbeUnlock:
         np.testing.assert_array_equal(state.kv.v, kv_before.v)
         assert state.kv.valid[pos]
         assert state.cooldown_until[pos] == state.t + 4
-        assert pos in state.ever_unlocked
+        assert state.ever_unlocked[pos]
+        assert state.last_step_kl[pos] == np.inf  # ranks as unscored again
         # cooldown refusal: the lock test rejects the row until the timer runs out
+        zeros = np.zeros(state.n)
         assert evaluate_locks(
-            [pos], {pos: 0.0}, {pos: 0.0}, policy,
-            t=state.t + 4, cooldown_until=state.cooldown_until,
+            [pos], zeros, zeros, policy, state.t + 4, state.cooldown_until, np.zeros(state.n, bool),
         ) == []
         assert evaluate_locks(
-            [pos], {pos: 0.0}, {pos: 0.0}, policy,
-            t=state.t + 5, cooldown_until=state.cooldown_until,
-            ever_unlocked=state.ever_unlocked,
+            [pos], zeros, zeros, policy, state.t + 5, state.cooldown_until, state.ever_unlocked,
         ) == [pos]
 
     def test_post_unlock_row_uses_the_standard_subgraph(self):
@@ -312,8 +372,6 @@ class TestProbeUnlock:
         ref = forward_partial(
             W, snapshot.tokens, snapshot.mask_flags, active, snapshot.kv
         )
-        from surelock.kernels import log_softmax_rows
-
         want = log_softmax_rows(ref.logits)[list(active).index(pos)]
         np.testing.assert_array_equal(state.log_post[pos], want)
 

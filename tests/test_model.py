@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from surelock.errors import ConfigError, InvalidInputError, NoWorkError, StateCorruptionError
 from surelock.flops import GemmCounter, active_step_flops
 from surelock.model import (
+    INIT_STD,
     KVStore,
+    LayerWeights,
     ModelConfig,
     forward_partial,
     init_weights,
     load_weights,
     save_weights,
 )
+from surelock.prng import normals
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -55,6 +58,7 @@ class TestModelConfig:
         dict(n_kv_heads=3),  # does not divide heads
         dict(mask_id=99),
         dict(n_layers=0),
+        dict(n_kv_heads=0),  # a zero divisor, not a ZeroDivisionError
     ])
     def test_invalid_configs(self, bad):
         base = dict(vocab_size=16, d_model=32, n_layers=1, n_heads=4, d_ff=8, max_seq=8)
@@ -99,6 +103,37 @@ class TestInitWeights:
         stream = splitmix_normals_oracle(5, 200) * 0.02
         offset = 16 + 8  # embedding then positional
         np.testing.assert_array_equal(w.layers[0].wq.ravel(), stream[offset : offset + 16])
+
+
+def one_stream_init(cfg, seed):
+    """The init formula as one stream: every parameter's normal drawn at
+    once, then cut into tensors in fill order."""
+    w = init_weights(cfg, seed)  # only for the tensor names, order and shapes
+    named = [("embedding", w.embedding), ("positional", w.positional)]
+    named += [(f"layers.{i}.{fld}", getattr(layer, fld))
+              for i, layer in enumerate(w.layers) for fld in LayerWeights.FIELDS]
+    named.append(("head", w.head))
+    stream = normals(seed, sum(arr.size for _, arr in named)) * INIT_STD
+    out, cursor = {}, 0
+    for name, arr in named:
+        out[name] = stream[cursor : cursor + arr.size].reshape(arr.shape)
+        cursor += arr.size
+    return w, out
+
+
+@settings(max_examples=40, deadline=None)
+@given(vocab=st.integers(3, 19), heads=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2)]), width=st.integers(1, 5),
+       layers=st.integers(1, 3), d_ff=st.integers(1, 13), max_seq=st.integers(1, 9), seed=st.integers(0, 2**64 - 1))
+def test_init_weights_matches_one_stream(vocab, heads, width, layers, d_ff, max_seq, seed):
+    """Each tensor drawn from its own stretch of the stream equals the same
+    cut of one whole-stream draw, bit for bit; odd sizes put tensors at odd
+    cursors, inside a Box-Muller pair."""
+    n_heads, n_kv_heads = heads
+    cfg = ModelConfig(vocab_size=vocab, d_model=n_heads * width, n_layers=layers, n_heads=n_heads,
+                      n_kv_heads=n_kv_heads, d_ff=d_ff, max_seq=max_seq)
+    w, want = one_stream_init(cfg, seed)
+    for name, arr in w._named_tensors():
+        np.testing.assert_array_equal(arr, want[name], err_msg=name)
 
 
 def full_forward(w, tokens, mask_flags, counter=None, kv=None):

@@ -57,7 +57,7 @@ class TestUpdateMask:
         masked = np.array([False, False, True])
         newly, committed = update_mask(lp, valid, masked, 1, (0, 3), 0.0, SplitMix64(0))
         assert newly == [2]
-        assert committed == {2: 7}
+        assert committed == [7]
 
     def test_confidence_ordering(self):
         lp = make_log_post(2, 10, {0: (1, 0.9), 1: (2, 0.6)})
@@ -71,7 +71,7 @@ class TestUpdateMask:
         masked[[3, 5]] = True
         newly, committed = update_mask(lp, np.ones(6, bool), masked, 1, (0, 6), 0.0, SplitMix64(0))
         assert newly == [3]
-        assert committed[3] == 4
+        assert committed == [4]
 
     def test_block_restriction(self):
         lp = make_log_post(8, 10, {1: (3, 0.99), 6: (2, 0.5)})
@@ -95,7 +95,7 @@ class TestUpdateMask:
         cold, cold_tok = update_mask(lp, valid, masked, 1, (0, 4), 0.0, SplitMix64(0))
         hot, hot_tok = update_mask(lp, valid, masked, 1, (0, 4), 5.0, SplitMix64(12))
         assert cold == hot == [1]  # selection is temperature-free
-        assert cold_tok[1] == 2  # argmax at temperature zero
+        assert cold_tok == [2]  # argmax at temperature zero
 
     def test_hot_draw_is_seed_deterministic(self):
         lp = make_log_post(2, 6, {0: (1, 0.5)})
@@ -112,15 +112,15 @@ def update_mask_reference(log_post, log_post_valid, mask_flags, k_t, block, temp
     ids = np.array([j for j in range(log_post.shape[1]) if j != mask_id])
     confidence = {i: float(np.exp(log_post[i, ids].max())) for i in scorable}
     chosen = sorted(sorted(scorable, key=lambda i: (-confidence[i], i))[:k_t])
-    committed = {}
+    committed = []
     for i in chosen:
         restricted = log_post[i, ids]
         if temperature == 0.0:
-            committed[i] = int(ids[np.argmax(restricted)])
+            committed.append(int(ids[np.argmax(restricted)]))
         else:
             tempered = restricted / temperature
             probs = np.exp(tempered - tempered.max())
-            committed[i] = int(ids[rng.categorical(probs / probs.sum())])
+            committed.append(int(ids[rng.categorical(probs / probs.sum())]))
     return chosen, committed
 
 
@@ -151,26 +151,56 @@ def test_update_mask_matches_reference(n, v, levels, temperature, seed):
 class TestSelectComputeRows:
     def test_full_fraction_is_identity(self):
         active = np.array([0, 3, 5])
-        got = select_compute_rows(active, {0: 0.1, 3: 0.2, 5: 0.3}, 1.0)
+        kl = np.array([0.1, 9.0, 9.0, 0.2, 9.0, 0.3])
+        got = select_compute_rows(active, kl, 1.0)
         assert got.tolist() == [0, 3, 5]
 
     def test_sorts_by_volatility(self):
         active = np.array([0, 1, 2, 3])
-        kl = {0: 0.4, 1: 0.1, 2: 0.3, 3: 0.2}
+        kl = np.array([0.4, 0.1, 0.3, 0.2])
         assert select_compute_rows(active, kl, 0.5).tolist() == [0, 2]
 
     def test_ceiling_count(self):
         active = np.arange(5)
-        kl = {i: float(i) for i in range(5)}
+        kl = np.arange(5, dtype=float)
         assert select_compute_rows(active, kl, 0.8).size == 4
 
     def test_unscored_rank_first(self):
         active = np.array([0, 1, 2, 3])
-        kl = {0: 5.0, 1: 4.0, 2: 3.0}  # 3 never scored
+        kl = np.array([5.0, 4.0, 3.0, np.inf])  # 3 never scored
         assert select_compute_rows(active, kl, 0.5).tolist() == [0, 3]
 
     def test_empty_active(self):
-        assert select_compute_rows(np.array([], dtype=int), {}, 0.5).size == 0
+        assert select_compute_rows(np.array([], dtype=int), np.zeros(4), 0.5).size == 0
+
+
+def reference_select_compute_rows(active, last_step_kl, fraction):
+    """The dict-and-sort ranking the sampler used before it kept one array
+    per quantity: a row missing from ``last_step_kl`` was never scored."""
+    if active.size == 0:
+        return active
+    count = math.ceil(fraction * active.size)
+    ranked = sorted(active, key=lambda i: (-last_step_kl.get(int(i), np.inf), i))
+    return np.array(sorted(ranked[:count]), dtype=np.intp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 24),
+    levels=st.lists(st.sampled_from([0.0, 1e-12, 1e-3, 0.5, 2.0, np.inf]), min_size=1, max_size=4),
+    fraction=st.sampled_from([1e-3, 0.25, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_compute_rows_matches_reference(n, levels, fraction, seed):
+    """Same rows as the dict-and-sort ranking: few distinct KLs make ties
+    common, +inf KLs tie with never-scored rows, and ``active`` may be empty."""
+    rng = np.random.default_rng(seed)
+    active = np.flatnonzero(rng.random(n) < 0.7)
+    scored = rng.random(n) < 0.7
+    last_step_kl = np.where(scored, rng.choice(levels, size=n), np.inf)
+    want = reference_select_compute_rows(
+        active, {i: float(last_step_kl[i]) for i in np.flatnonzero(scored).tolist()}, fraction)
+    np.testing.assert_array_equal(select_compute_rows(active, last_step_kl, fraction), want)
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +243,8 @@ class TestRunSampler:
         for rb, rl in zip(base.trace, locked.trace):
             assert rb.newly_unmasked == rl.newly_unmasked
             assert rb.committed == rl.committed
-            assert rb.step_kl == rl.step_kl
-            assert rb.uncert == rl.uncert
+            np.testing.assert_array_equal(rb.step_kl, rl.step_kl)
+            np.testing.assert_array_equal(rb.uncert, rl.uncert)
             assert rb.flops_actual == rl.flops_actual
             assert rl.newly_locked == []
 
@@ -283,10 +313,32 @@ class TestRunSampler:
         res = run_sampler(toy_run("baseline", temperature=0.9), w, prompt, record_trajectories=True)
         for t in range(2, len(res.trace) + 1):
             rec = res.trace[t - 1]
-            pos = sorted(rec.step_kl)
+            pos = np.flatnonzero(~np.isnan(rec.step_kl))
             want = kl_from_log_probs_rows(res.history[t - 1, pos], res.history[t - 2, pos])
-            got = np.array([rec.step_kl[p] for p in pos])
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(rec.step_kl[pos], want, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["selection", "hybrid"])
+    def test_step_arrays_are_nan_exactly_off_the_computed_rows(self, toy, mode):
+        """Every per-position quantity is one (N,) array: a step record's KLs
+        and uncertainties are set on the C_t rows it computed and NaN
+        elsewhere, and no state or record field is a dict or set."""
+        _, w, prompt = toy
+        run = toy_run(mode, policy=LockPolicy(epsilon=5e-2, hybrid_fraction=0.5))
+        state = sampler.SamplerState.fresh(run, w, prompt)
+        skipped_rows = 0
+        for k_t in unmask_schedule(run.n_gen, run.steps):
+            rec = sampler.step(state, run, w, k_t, (16, 32))
+            computed = ~np.isnan(rec.step_kl)
+            assert computed.sum() == rec.computed_rows
+            skipped_rows += 32 - rec.computed_rows
+            np.testing.assert_array_equal(np.isnan(rec.uncert), ~computed)
+            np.testing.assert_array_equal(state.last_uncertainty[computed], rec.uncert[computed])
+            for obj in (state, rec):
+                for name, value in vars(obj).items():
+                    assert not isinstance(value, (dict, set)), name
+                    if isinstance(value, np.ndarray) and name not in ("log_post",):
+                        assert value.shape == (32,), name
+        assert skipped_rows > 0
 
     def test_temperature_does_not_move_lock_steps(self, toy):
         """With every masked posterior peaked the same way, lock decisions
@@ -371,7 +423,7 @@ class TestRunSampler:
             res = run_sampler(toy_run(seed=seed, temperature=1.3), w, prompt)
             assert cfg.mask_id not in res.tokens.tolist()
             for rec in res.trace:
-                assert cfg.mask_id not in rec.committed.values()
+                assert cfg.mask_id not in rec.committed
 
     def test_prompt_free_run(self, toy):
         _, w, _ = toy
@@ -413,7 +465,7 @@ def _run_outputs(result):
     return (
         result.tokens.tolist(),
         repr(result.events),
-        [(rec.computed_rows, rec.step_kl, rec.committed) for rec in result.trace],
+        [(rec.computed_rows, rec.step_kl.tobytes(), rec.committed) for rec in result.trace],
     )
 
 
