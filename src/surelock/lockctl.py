@@ -126,12 +126,12 @@ def apply_locks(
     to_lock = np.unique(np.asarray(to_lock, dtype=np.intp))
     for refused, why in (
         (state.lock[to_lock], "already locked"),
-        (state.mask_flags[to_lock], "masked and cannot lock"),
+        (state.mask_flags[to_lock], "still masked"),
         (~np.isin(to_lock, computed), "not computed this step"),
-        (~state.log_post_valid[to_lock], "without a posterior to freeze"),
+        (~state.log_post_valid[to_lock], "no posterior to freeze"),
     ):
         if refused.any():
-            raise InvalidStateError(f"positions {to_lock[refused].tolist()} are {why}")
+            raise InvalidStateError(f"cannot lock positions {to_lock[refused].tolist()}: {why}")
 
     t = state.t
     state.lock[to_lock] = True

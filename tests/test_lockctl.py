@@ -294,16 +294,19 @@ class TestProbeUnlock:
         )
         assert probe_unlock(state, W, below_boundary, gate_threshold=-1.0, rows=rows) == rows
 
-    def test_probe_diagnostics_are_per_row_and_match_the_scalar_formula(self):
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_probe_diagnostics_are_per_row_and_match_the_scalar_formula(self, scale):
         """The probe scores all rows at once; each probed row's uncertainty is
         1 - exp(max) of its proxy log-posterior, bit for bit, and rows it did
-        not probe read NaN."""
-        state, _ = self.make_locked_state()
+        not probe read NaN. Scaled weights give peaked posteriors, where the
+        rounding of 1 - exp(max) shows."""
+        w = W.scaled(scale)
+        state, _ = drive(surelock_run(LockPolicy(epsilon=1e9, gate_enabled=False)), n_steps=6, w=w)
         rows = np.flatnonzero(state.lock)
         assert rows.size > 1
         state.probe_drift[:] = 1.0  # stale values from an earlier probe
-        probe_unlock(state, W, LockPolicy(unlock_enabled=True), gate_threshold=-1.0, rows=rows[1:])
-        proxy = forward_partial(W, state.tokens, state.mask_flags, rows[1:], state.stale_view())
+        probe_unlock(state, w, LockPolicy(unlock_enabled=True), gate_threshold=-1.0, rows=rows[1:])
+        proxy = forward_partial(w, state.tokens, state.mask_flags, rows[1:], state.stale_view())
         proxy_lp = log_softmax_rows(proxy.logits)
         want = [float(1.0 - np.exp(np.max(row))) for row in proxy_lp]
         assert state.probe_uncertainty[rows[1:]].tolist() == want
