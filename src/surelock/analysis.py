@@ -269,14 +269,7 @@ class ConstantsReport:
     all_converged: bool
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "embedding_gain", "head_norm", "attention_gain", "ffn_gain",
-            "layernorm_gain", "block_gain", "network_gain", "overall_gain",
-            "smoothness_bound", "input_radius", "tail_share",
-            "lipschitz_samples", "all_converged",
-        )}
-        d["per_layer"] = self.per_layer
-        return d
+        return asdict(self)
 
 
 def embedding_gain(embedding: np.ndarray) -> tuple[float, bool]:

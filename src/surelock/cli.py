@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -102,10 +103,13 @@ def _prompt_tokens(value, name: str = "prompt_tokens") -> np.ndarray:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _build(args, overrides: dict | None = None):
-    """Model, weights, run config, and prompt from config file plus flags."""
-    doc = _load_config_file(getattr(args, "config", None))
-    overrides = overrides or {}
+def _build(args, points=({},)):
+    """Weights, the parsed config document, and one ``(run, prompt, echo)``
+    per point. A point is a dict of ``RunConfig``/``LockPolicy`` field
+    values; values apply in order defaults, config file, flags, point. The
+    file is read and the weights built and scaled once, and every point is
+    validated before this returns."""
+    doc = _load_config_file(args.config)
 
     model_dict = _merge(DEFAULT_MODEL, _section(doc, "model"))
     try:
@@ -123,58 +127,44 @@ def _build(args, overrides: dict | None = None):
         seed = doc.get("weights_seed", 1234)
         require_int("weights_seed", seed)
         w = init_weights(cfg, seed)
-    scale = overrides.get("weight_scale", None)
-    if scale is None:
-        scale = getattr(args, "weight_scale", None)
+    scale = args.weight_scale
     if scale is None:
         scale = doc.get("weight_scale", 1.0)
     require_finite("weight_scale", scale)
     if scale != 1.0:
         w = w.scaled(float(scale))
 
-    flag_run = {
-        "n_prompt": getattr(args, "n_prompt", None),
-        "n_gen": getattr(args, "n_gen", None),
-        "steps": getattr(args, "steps", None),
-        "mode": getattr(args, "mode", None),
-        "seed": getattr(args, "seed", None),
-        "block_length": getattr(args, "block_length", None),
-        "temperature": getattr(args, "temperature", None),
-    }
-    run_dict = _merge(_merge(DEFAULT_RUN, _section(doc, "run")), flag_run)
-    run_dict = _merge(run_dict, {k: v for k, v in overrides.items() if k in (
-        "n_prompt", "n_gen", "steps", "mode", "seed", "block_length", "temperature")})
+    # flags, like points, set RunConfig/LockPolicy fields; a run flag's dest is its field name
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "policy"}
+    flags.update(epsilon=args.eps, percentile=args.percentile, hybrid_fraction=args.fraction,
+                 gate_enabled=False if args.no_gate else None, unlock_enabled=True if args.unlock else None)
+    file_run = _merge(DEFAULT_RUN, _section(doc, "run"))
+    file_policy = _section(doc, "policy")
 
-    flag_policy = {
-        "epsilon": getattr(args, "eps", None),
-        "percentile": getattr(args, "percentile", None),
-        "hybrid_fraction": getattr(args, "fraction", None),
-    }
-    if getattr(args, "no_gate", False):
-        flag_policy["gate_enabled"] = False
-    if getattr(args, "unlock", False):
-        flag_policy["unlock_enabled"] = True
-    policy_dict = _merge(_section(doc, "policy"), flag_policy)
-    policy_dict = _merge(policy_dict, {k: v for k, v in overrides.items() if k in (
-        "epsilon", "percentile", "gate_enabled", "hybrid_fraction", "unlock_enabled")})
-    try:
-        policy = LockPolicy(**policy_dict)
-        run = RunConfig(policy=policy, **run_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad run/policy config: {exc}") from exc
-
-    if run.n_positions > cfg.max_seq:  # before a prompt of that length is drawn
-        raise ConfigError(f"{run.n_positions} positions exceed max_seq={cfg.max_seq}")
     if "prompt_tokens" in doc:
-        prompt = _prompt_tokens(doc["prompt_tokens"])
-    elif getattr(args, "prompt", None):
-        prompt = _prompt_tokens(_parse_list(args.prompt, int, "--prompt"), "--prompt")
+        fixed_prompt = _prompt_tokens(doc["prompt_tokens"])
+    elif args.prompt:
+        fixed_prompt = _prompt_tokens(_parse_list(args.prompt, int, "--prompt"), "--prompt")
     else:
-        prompt = random_prompt(cfg, run.n_prompt, run.seed)
+        fixed_prompt = None
 
-    echo = {"model": cfg.to_dict(), "run": run_dict, "policy": policy_dict or {},
-            "weight_scale": scale, "prompt_tokens": prompt.tolist()}
-    return w, run, prompt, echo
+    policy_fields = {f.name for f in fields(LockPolicy)}
+    runs = []
+    for point in points:
+        values = _merge(flags, point)
+        run_dict = _merge(file_run, {k: v for k, v in values.items() if k not in policy_fields})
+        policy_dict = _merge(file_policy, {k: v for k, v in values.items() if k in policy_fields})
+        try:
+            run = RunConfig(policy=LockPolicy(**policy_dict), **run_dict)
+        except TypeError as exc:
+            raise ConfigError(f"bad run/policy config: {exc}") from exc
+        if run.n_positions > cfg.max_seq:  # before a prompt of that length is drawn
+            raise ConfigError(f"{run.n_positions} positions exceed max_seq={cfg.max_seq}")
+        prompt = random_prompt(cfg, run.n_prompt, run.seed) if fixed_prompt is None else fixed_prompt
+        echo = {"model": cfg.to_dict(), "run": run_dict, "policy": policy_dict,
+                "weight_scale": scale, "prompt_tokens": prompt.tolist()}
+        runs.append((run, prompt, echo))
+    return w, doc, runs
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +261,17 @@ def check_run_invariants(result: RunResult, run: RunConfig) -> list[str]:
 # subcommands
 
 
-def _resolve_out(args) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    doc = _load_config_file(getattr(args, "config", None))
-    out = doc.get("output_dir", "out")
+def _resolve_out(args, doc: dict) -> Path:
+    out = doc.get("output_dir", "out") if args.out is None else args.out
     if not isinstance(out, str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
     return Path(out)
 
 
 def cmd_run(args) -> int:
-    w, run, prompt, echo = _build(args)
+    w, doc, [(run, prompt, echo)] = _build(args)
+    out_dir = _resolve_out(args, doc)
     result = run_sampler(run, w, prompt, record_trajectories=args.record_trajectories)
-    out_dir = _resolve_out(args)
     emit_trace(result, out_dir)
     write_summary(result, echo, out_dir)
     write_timing(result, out_dir)
@@ -315,38 +302,25 @@ def _parse_list(text: str, cast, flag: str) -> list:
     return values
 
 
-def _sweep_axis(text: str | None, cast, flag: str):
-    return [None] if text is None else _parse_list(text, cast, flag)
-
-
 def cmd_sweep(args) -> int:
-    eps_list = _sweep_axis(args.eps_list, float, "--eps-list")
-    m_list = _sweep_axis(args.m_list, float, "--m-list")
-    steps_list = _sweep_axis(args.steps_list, int, "--steps-list")
-    ngen_list = _sweep_axis(args.ngen_list, int, "--ngen-list")
-    seeds = _sweep_axis(args.seeds, int, "--seeds")
-    grid = [(e, m, s, g, sd) for e in eps_list for m in m_list for s in steps_list
-            for g in ngen_list for sd in seeds]
+    points = [{}]
+    for key, text, cast, flag in (("epsilon", args.eps_list, float, "--eps-list"),
+                                  ("percentile", args.m_list, float, "--m-list"),
+                                  ("steps", args.steps_list, int, "--steps-list"),
+                                  ("n_gen", args.ngen_list, int, "--ngen-list"),
+                                  ("seed", args.seeds, int, "--seeds")):
+        if text is not None:
+            values = _parse_list(text, cast, flag)
+            points = [{**p, key: v} for p in points for v in values]
+    if args.ngen_list is not None and args.steps_list is None:  # one token per step
+        points = [{**p, "steps": p["n_gen"]} for p in points]
 
-    out_dir = _resolve_out(args)
+    w, doc, runs = _build(args, points)
+    out_dir = _resolve_out(args, doc)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     bad = False
-    for eps, m, steps, n_gen, seed in grid:
-        overrides = {}
-        if eps is not None:
-            overrides["epsilon"] = eps
-        if m is not None:
-            overrides["percentile"] = m
-        if steps is not None:
-            overrides["steps"] = steps
-        if n_gen is not None:
-            overrides["n_gen"] = n_gen
-            if steps is None:
-                overrides["steps"] = n_gen
-        if seed is not None:
-            overrides["seed"] = seed
-        w, run, prompt, _ = _build(args, overrides)
+    for run, prompt, _ in runs:
         result = run_sampler(run, w, prompt)
         bad |= bool(check_run_invariants(result, run))
         rows.append({
@@ -393,7 +367,7 @@ def cmd_verify_bound(args) -> int:
     if args.trajectories:
         trajs = _load_trajectories(args.trajectories)
     else:
-        w, run, prompt, _ = _build(args, {"mode": "baseline"})
+        w, _, [(run, prompt, _)] = _build(args, [{"mode": "baseline"}])
         result = run_sampler(run, w, prompt, record_trajectories=True)
         trajs = analysis.trajectories_from_history(result.history, result.history_valid)
 
@@ -435,7 +409,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    w, run, _, _ = _build(args)
+    w, _, [(run, _, _)] = _build(args)
     radius = args.radius if args.radius is not None else analysis.input_radius_bound(w)
     report = analysis.lipschitz_constants(
         w, radius, tail_share=args.kappa, seq_len=run.n_positions, samples=args.samples,

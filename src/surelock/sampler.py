@@ -118,7 +118,8 @@ def update_mask(
     0, tempered categorical draw otherwise). Ties break toward the lowest
     position index; draws happen in ascending position order. The mask id
     is an absorbing-state marker, not vocabulary, so it is never committed:
-    confidence and draws range over the other ids. Does not mutate any
+    confidence and draws range over the other ids. A tempered distribution
+    that is not finite raises ``NonFiniteError``. Does not mutate any
     input."""
     lo, hi = block
     in_block = lo + np.flatnonzero(mask_flags[lo:hi])
@@ -143,7 +144,10 @@ def update_mask(
         tokens = []
         for row in restricted[picked]:
             tempered = row / temperature
-            probs = np.exp(tempered - tempered.max())
+            top = tempered.max()
+            if not np.isfinite(top):  # e.g. a temperature so small every logit overflows
+                raise NonFiniteError(f"temperature {temperature} gives a non-finite distribution")
+            probs = np.exp(tempered - top)
             probs /= probs.sum()
             tokens.append(int(ids[rng.categorical(probs)]))
     return chosen, tokens

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from surelock import cli
 from surelock.cli import main
+from surelock.model import MAX_PARAMS
 
 TOY = {
     "model": {"vocab_size": 16, "d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 32, "max_seq": 32},
@@ -89,6 +91,13 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_tempered_distribution_is_invariant_violation(self, tmp_path, config_file, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", config_file, "--temperature", "1e-310", "--out", str(out)]) == 3
+        assert "invariant violation:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("run", "steps", 2.5),
         ("run", "seed", True),
@@ -120,6 +129,15 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and (key is None or key in err)
+
+    @pytest.mark.parametrize("key,value", [("vocab_size", 2**70), ("n_layers", 10**8)])
+    def test_model_above_the_parameter_cap_is_config_error(self, tmp_path, capsys, key, value):
+        """Rejected from the closed-form count, before any tensor is built."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {key: value}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"above the cap of {MAX_PARAMS}" in err
 
     def test_mistyped_output_dir_is_config_error(self, tmp_path, capsys, monkeypatch):
         """``output_dir`` is read only when ``--out`` is absent."""
@@ -156,16 +174,48 @@ class TestSweepCommand:
         actual = [int(r["F_actual"]) for r in rows]
         assert all(b <= a for a, b in zip(actual, actual[1:]))
 
-    def test_single_point_matches_run(self, tmp_path, config_file):
-        out_s, out_r = tmp_path / "sweep", tmp_path / "run"
-        assert main(["sweep", "--config", config_file, "--mode", "surelock",
-                     "--eps-list", "5e-3", "--out", str(out_s)]) == 0
-        assert main(["run", "--config", config_file, "--mode", "surelock",
-                     "--eps", "5e-3", "--out", str(out_r)]) == 0
+    def test_every_point_matches_run(self, tmp_path, config_file):
+        """Each row of an epsilon x seed x n_gen grid equals the ``run`` of
+        that point: its own seed's prompt, and steps = n_gen because no
+        --steps-list is given."""
+        out_s = tmp_path / "sweep"
+        assert main(["sweep", "--config", config_file, "--mode", "surelock", "--eps-list", "5e-4,5e-2",
+                     "--seeds", "0,1", "--ngen-list", "4,8", "--out", str(out_s)]) == 0
         with open(out_s / "sweep.csv") as fh:
-            row = next(csv.DictReader(fh))
-        summary = json.loads((out_r / "summary.json").read_text())
-        assert int(row["F_actual"]) == summary["totals"]["F_actual"]
+            rows = list(csv.DictReader(fh))
+        assert [(r["epsilon"], r["n_gen"], r["seed"]) for r in rows] == [
+            (e, g, s) for e in ("0.0005", "0.05") for g in ("4", "8") for s in ("0", "1")]
+        for i, row in enumerate(rows):
+            assert row["steps"] == row["n_gen"]
+            out_r = tmp_path / f"run{i}"
+            assert main(["run", "--config", config_file, "--mode", "surelock", "--eps", row["epsilon"],
+                         "--seed", row["seed"], "--n-gen", row["n_gen"], "--steps", row["n_gen"],
+                         "--out", str(out_r)]) == 0
+            summary = json.loads((out_r / "summary.json").read_text())
+            assert int(row["F_base"]) == summary["totals"]["F_base"]
+            assert int(row["F_actual"]) == summary["totals"]["F_actual"]
+            assert float(row["active_ratio"]) == summary["active_ratio"]
+            assert int(row["locks"]) == sum(e["kind"] in ("lock", "relock") for e in summary["lock_events"])
+
+    def test_config_read_and_weights_built_once(self, tmp_path, config_file, monkeypatch):
+        calls = {"init_weights": 0, "_load_config_file": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(cli, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["sweep", "--config", config_file, "--mode", "surelock", "--weight-scale", "2",
+                     "--eps-list", "5e-4,5e-2", "--seeds", "0,1", "--out", str(tmp_path / "s")]) == 0
+        assert calls == {"init_weights": 1, "_load_config_file": 1}
+
+    def test_bad_last_point_fails_before_any_run(self, tmp_path, config_file, monkeypatch):
+        """4 prompt + 40 generated positions exceed max_seq=32."""
+        runs = []
+        monkeypatch.setattr(cli, "run_sampler", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", config_file, "--ngen-list", "8,40", "--out", str(out)]) == 2
+        assert runs == []
+        assert not (out / "sweep.csv").exists()
 
     def test_two_seeds_two_rows(self, tmp_path, config_file):
         out = tmp_path / "sweep"

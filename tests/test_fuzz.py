@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler
 from surelock.cli import main, random_prompt
+from surelock.model import MAX_PARAMS
 
 CASES = list(range(18))
 
@@ -108,14 +109,16 @@ SECTION_KEYS = {
     "policy": ["epsilon", "percentile", "gate_enabled", "hybrid_fraction", "unlock_enabled", "probe_period",
                "epsilon_unlock", "min_locked_duration", "relock_cooldown", "relock_tightening", "eps"],
 }
-# model dimensions stay small, because the model is allocated as given
-# (and n_layers is looped over); file names are plain letters, so every
-# output lands in the example's own directory
+# file names are plain letters, so every output lands in the example's own
+# directory
 SMALL_JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40),
     st.floats(allow_nan=True, allow_infinity=True), st.text(alphabet="xyz", max_size=3),
     st.lists(st.integers(-2, 9), max_size=5), st.dictionaries(st.sampled_from(["a", "seed"]), st.integers(0, 3)),
 )
+# a model dimension beyond the parameter cap must be rejected before anything
+# is shaped or allocated
+MODEL_JUNK = st.one_of(SMALL_JUNK, st.integers(MAX_PARAMS + 1, 2**80))
 JUNK = st.one_of(SMALL_JUNK, st.sampled_from([2**70, -(2**70)]))
 FLAG_VALUES = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e9", "1e80",
                                "2,3", "1,,2", "99999999999999999999999"])
@@ -135,7 +138,7 @@ def config_documents(draw):
     doc = json.loads(json.dumps(TINY))
     for _ in range(draw(st.integers(1, 3))):
         section = draw(st.sampled_from(list(SECTION_KEYS)))
-        junk = SMALL_JUNK if section == "model" else JUNK
+        junk = MODEL_JUNK if section == "model" else JUNK
         if section is not None and draw(st.integers(0, 4)) == 0:
             doc[section] = draw(junk)  # the whole section
         elif section is None or isinstance(doc.get(section), dict):

@@ -9,9 +9,11 @@ from surelock.errors import ConfigError, InvalidInputError, NoWorkError, StateCo
 from surelock.flops import GemmCounter, active_step_flops
 from surelock.model import (
     INIT_STD,
+    MAX_PARAMS,
     KVStore,
     LayerWeights,
     ModelConfig,
+    _tensor_shapes,
     forward_partial,
     init_weights,
     load_weights,
@@ -59,6 +61,9 @@ class TestModelConfig:
         dict(mask_id=99),
         dict(n_layers=0),
         dict(n_kv_heads=0),  # a zero divisor, not a ZeroDivisionError
+        dict(vocab_size=2**70),  # above the parameter cap, rejected before any allocation
+        dict(n_layers=10**8),
+        dict(d_ff=2**80),
     ])
     def test_invalid_configs(self, bad):
         base = dict(vocab_size=16, d_model=32, n_layers=1, n_heads=4, d_ff=8, max_seq=8)
@@ -73,6 +78,22 @@ class TestModelConfig:
         base[name] = "x"
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             ModelConfig(**base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(heads=st.sampled_from([(1, 1), (2, 1), (4, 2), (4, 4)]), head_dim=st.integers(1, 6),
+           vocab=st.integers(3, 50), layers=st.integers(1, 5), d_ff=st.integers(1, 40), max_seq=st.integers(1, 50))
+    def test_param_count_is_the_sum_of_tensor_sizes(self, heads, head_dim, vocab, layers, d_ff, max_seq):
+        n_heads, n_kv = heads
+        cfg = ModelConfig(vocab_size=vocab, d_model=n_heads * head_dim, n_layers=layers, n_heads=n_heads,
+                          n_kv_heads=n_kv, d_ff=d_ff, max_seq=max_seq)
+        assert cfg.n_params == sum(math.prod(shape) for shape in _tensor_shapes(cfg).values())
+
+    def test_param_cap_is_inclusive(self):
+        """One parameter per unit of max_seq here: 2*3 + max_seq + 11 in all."""
+        tiny = dict(vocab_size=3, d_model=1, n_layers=1, n_heads=1, d_ff=1)
+        assert ModelConfig(**tiny, max_seq=MAX_PARAMS - 17).n_params == MAX_PARAMS
+        with pytest.raises(ConfigError, match=f"{MAX_PARAMS + 1} parameters, above the cap of {MAX_PARAMS}"):
+            ModelConfig(**tiny, max_seq=MAX_PARAMS - 16)
 
 
 class TestInitWeights:

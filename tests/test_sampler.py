@@ -104,6 +104,16 @@ class TestUpdateMask:
         b = update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1.7, SplitMix64(5))
         assert a == b
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_tempered_distribution_raises(self):
+        """At 1e-310 every log-probability divides to -inf, so the draw
+        would be over NaN probabilities; at 1e-3 the row stays finite."""
+        lp = make_log_post(2, 6, {0: (1, 0.5)})
+        masked = np.array([True, False])
+        with pytest.raises(NonFiniteError):
+            update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1e-310, SplitMix64(5))
+        assert update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1e-3, SplitMix64(5)) == ([0], [1])
+
 
 def update_mask_reference(log_post, log_post_valid, mask_flags, k_t, block, temperature, rng, mask_id):
     """Position-at-a-time reference for update_mask (no error checks)."""
