@@ -26,7 +26,6 @@ from .lockctl import (
     probe_unlock,
 )
 from .model import (
-    ForwardResult,
     KVStore,
     ModelConfig,
     Weights,
@@ -56,7 +55,7 @@ __all__ = [
     "simulate_trajectory", "tail_gain",
     "GemmCounter", "active_step_flops", "baseline_step_flops",
     "LockEvent", "LockPolicy", "apply_locks", "evaluate_locks", "probe_unlock",
-    "ForwardResult", "KVStore", "ModelConfig", "Weights",
+    "KVStore", "ModelConfig", "Weights",
     "forward_partial", "init_weights", "load_weights", "save_weights",
     "percentile_nearest_rank", "spectral_norm",
     "RunConfig", "RunResult", "SamplerState", "StepRecord", "run_sampler",

@@ -111,22 +111,22 @@ def _build(args, points=({},)):
     validated before this returns."""
     doc = _load_config_file(args.config)
 
-    model_dict = _merge(DEFAULT_MODEL, _section(doc, "model"))
-    try:
-        cfg = ModelConfig.from_dict(model_dict)
-    except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
-
     weights_path = doc.get("weights_path")
     if weights_path is not None and not isinstance(weights_path, str):
         raise ConfigError(f"weights_path must be a string, got {weights_path!r}")
     if weights_path:
+        if "model" in doc:  # a weight file carries its own model config
+            raise ConfigError("config keys 'model' and 'weights_path' are alternatives; set one")
         w = load_weights(weights_path)
-        cfg = w.config
     else:
+        try:
+            cfg = ModelConfig.from_dict(_merge(DEFAULT_MODEL, _section(doc, "model")))
+        except TypeError as exc:
+            raise ConfigError(f"bad model config: {exc}") from exc
         seed = doc.get("weights_seed", 1234)
         require_int("weights_seed", seed)
         w = init_weights(cfg, seed)
+    cfg = w.config
     scale = args.weight_scale
     if scale is None:
         scale = doc.get("weight_scale", 1.0)
@@ -312,7 +312,7 @@ def cmd_sweep(args) -> int:
         if text is not None:
             values = _parse_list(text, cast, flag)
             points = [{**p, key: v} for p in points for v in values]
-    if args.ngen_list is not None and args.steps_list is None:  # one token per step
+    if args.ngen_list is not None and args.steps is None and args.steps_list is None:  # one token per step
         points = [{**p, "steps": p["n_gen"]} for p in points]
 
     w, doc, runs = _build(args, points)

@@ -28,9 +28,6 @@ class GemmCounter:
     def gemm_head(self, m: int, n: int, k: int) -> None:
         self.head_flops += 2 * m * n * k
 
-    def snapshot(self) -> tuple[int, int]:
-        return self.flops, self.head_flops
-
 
 def per_row_step_flops(cfg: ModelConfig, seq_len: int) -> int:
     """GEMM cost contributed by one computed row of a length-N step.

@@ -117,8 +117,11 @@ def apply_locks(
     state: "SamplerState",
     to_lock: Iterable[int],
     computed: np.ndarray,
+    step_kl: np.ndarray,
+    uncert: np.ndarray,
 ) -> None:
-    """Set lock bits and record lock events.
+    """Set lock bits and record lock events, each carrying its row's entry
+    of this step's (N,) ``step_kl`` and ``uncert``.
 
     Every position must be among this step's ``computed`` rows, so the
     store already holds its lock-time K/V and ``log_post`` its posterior.
@@ -128,7 +131,7 @@ def apply_locks(
         (state.lock[to_lock], "already locked"),
         (state.mask_flags[to_lock], "still masked"),
         (~np.isin(to_lock, computed), "not computed this step"),
-        (~state.log_post_valid[to_lock], "no posterior to freeze"),
+        (~state.kv.valid[to_lock], "no posterior to freeze"),
     ):
         if refused.any():
             raise InvalidStateError(f"cannot lock positions {to_lock[refused].tolist()}: {why}")
@@ -139,7 +142,7 @@ def apply_locks(
     for i in to_lock.tolist():
         state.events.append(LockEvent(
             position=i, step=t, kind="relock" if state.ever_unlocked[i] else "lock",
-            step_kl=float(state.last_step_kl[i]), uncertainty=float(state.last_uncertainty[i]),
+            step_kl=float(step_kl[i]), uncertainty=float(uncert[i]),
         ))
 
 
@@ -173,8 +176,8 @@ def probe_unlock(
     if rows.size == 0:
         return []
 
-    result = forward_partial(w, state.tokens, state.mask_flags, rows, state.stale_view(), counter=counter)
-    proxy_lp = kernels.log_softmax_rows(result.logits)
+    logits = forward_partial(w, state.tokens, state.mask_flags, rows, state.stale_view(), counter=counter)
+    proxy_lp = kernels.log_softmax_rows(logits)
     drift = kl_from_log_probs_rows(proxy_lp, state.log_post[rows])
     proxy_u = uncertainty_rows(proxy_lp)
     state.probe_drift.fill(np.nan)

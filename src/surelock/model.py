@@ -84,11 +84,10 @@ class ModelConfig:
 
     @property
     def n_params(self) -> int:
-        """Parameter count in closed form: embedding, head, positional table,
-        and per layer four projections, two layer norms and the gated FFN."""
-        d = self.d_model
-        per_layer = 2 * d * d + 2 * d * self.kv_dim + 4 * d + 3 * d * self.d_ff
-        return (2 * self.vocab_size + self.max_seq) * d + self.n_layers * per_layer
+        """Parameter count without listing every layer: embedding, head and
+        positional table, plus ``n_layers`` times one layer's tensors."""
+        per_layer = sum(math.prod(shape) for shape in _layer_shapes(self).values())
+        return (2 * self.vocab_size + self.max_seq) * self.d_model + self.n_layers * per_layer
 
     def to_dict(self) -> dict:
         return {
@@ -133,19 +132,21 @@ class Weights:
     head: np.ndarray  # (d, V)
     seed: int | None = None
 
+    @classmethod
+    def from_tensors(cls, cfg: ModelConfig, tensors: dict[str, np.ndarray], seed: int | None) -> "Weights":
+        """Weights from arrays named as in ``_tensor_shapes``; a missing name
+        raises ``KeyError``."""
+        layers = [
+            LayerWeights(**{fld: tensors[f"layers.{i}.{fld}"] for fld in LayerWeights.FIELDS})
+            for i in range(cfg.n_layers)
+        ]
+        return cls(config=cfg, embedding=tensors["embedding"], positional=tensors["positional"],
+                   layers=layers, head=tensors["head"], seed=seed)
+
     def scaled(self, factor: float) -> "Weights":
         """A copy with every parameter multiplied by ``factor``."""
-        return Weights(
-            config=self.config,
-            embedding=self.embedding * factor,
-            positional=self.positional * factor,
-            layers=[
-                LayerWeights(**{name: getattr(layer, name) * factor for name in LayerWeights.FIELDS})
-                for layer in self.layers
-            ],
-            head=self.head * factor,
-            seed=self.seed,
-        )
+        return Weights.from_tensors(self.config, {name: arr * factor for name, arr in self._named_tensors()},
+                                    self.seed)
 
     def validate_shapes(self) -> None:
         cfg = self.config
@@ -165,14 +166,10 @@ class Weights:
         yield "head", self.head
 
 
-def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+def _layer_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """One layer's tensor shapes, in ``LayerWeights.FIELDS`` order."""
     d, kv, dff = cfg.d_model, cfg.kv_dim, cfg.d_ff
-    shapes = {
-        "embedding": (cfg.vocab_size, d),
-        "positional": (cfg.max_seq, d),
-        "head": (d, cfg.vocab_size),
-    }
-    per_layer = {
+    return {
         "wq": (d, d),
         "wk": (d, kv),
         "wv": (d, kv),
@@ -185,9 +182,15 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple]:
         "w_gate": (d, dff),
         "w_down": (dff, d),
     }
+
+
+def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """Every tensor's shape by name, in stream order: embedding, positional
+    table, each layer's fields, then the output head."""
+    shapes = {"embedding": (cfg.vocab_size, cfg.d_model), "positional": (cfg.max_seq, cfg.d_model)}
     for i in range(cfg.n_layers):
-        for name, shape in per_layer.items():
-            shapes[f"layers.{i}.{name}"] = shape
+        shapes.update({f"layers.{i}.{name}": shape for name, shape in _layer_shapes(cfg).items()})
+    shapes["head"] = (cfg.d_model, cfg.vocab_size)
     return shapes
 
 
@@ -197,42 +200,21 @@ INIT_STD = 0.02
 def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     """Draw all parameters N(0, 0.02^2) from one splitmix64/Box-Muller stream.
 
-    Tensors are filled row-major from a single normal stream in a fixed
-    order - embedding, positional table, then each layer's fields in
-    declaration order (wq, wk, wv, wo, ln1 gain/bias, ln2 gain/bias, w_up,
-    w_gate, w_down), then the output head - so equal seeds give
-    bit-identical parameters. Each tensor draws only its own stretch of the
-    stream, so no stream-sized temporary is held.
+    Tensors are filled row-major from a single normal stream in the order
+    of ``_tensor_shapes``, so equal seeds give bit-identical parameters.
+    Each tensor draws only its own stretch of the stream, so no
+    stream-sized temporary is held.
     """
-    shapes = _tensor_shapes(cfg)
-    order = ["embedding", "positional"]
-    for i in range(cfg.n_layers):
-        order.extend(f"layers.{i}.{name}" for name in LayerWeights.FIELDS)
-    order.append("head")
-
     tensors: dict[str, np.ndarray] = {}
     cursor = 0
-    for name in order:
-        shape = shapes[name]
+    for name, shape in _tensor_shapes(cfg).items():
         size = math.prod(shape)
         # draw only this tensor's stretch of the stream: from the pair that
         # holds value ``cursor``, dropping that pair's first value when odd
         skip = cursor % 2
         tensors[name] = (normals(seed, size + skip, offset_pairs=cursor // 2)[skip:] * INIT_STD).reshape(shape)
         cursor += size
-
-    layers = [
-        LayerWeights(**{fld: tensors[f"layers.{i}.{fld}"] for fld in LayerWeights.FIELDS})
-        for i in range(cfg.n_layers)
-    ]
-    return Weights(
-        config=cfg,
-        embedding=tensors["embedding"],
-        positional=tensors["positional"],
-        layers=layers,
-        head=tensors["head"],
-        seed=seed,
-    )
+    return Weights.from_tensors(cfg, tensors, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +261,6 @@ class KVStore:
         return KVStore(k_t=self.k_t.copy(), v=self.v.copy(), valid=self.valid.copy())
 
 
-@dataclass
-class ForwardResult:
-    logits: np.ndarray  # (C, V) for computed rows, in `active` order
-    head_flops: int  # output-head GEMM cost, reported separately
-
-
 def forward_partial(
     w: Weights,
     tokens: np.ndarray,
@@ -292,15 +268,17 @@ def forward_partial(
     active: np.ndarray,
     kv: KVStore,
     counter=None,
-) -> ForwardResult:
-    """Forward pass over the computed rows only.
+) -> np.ndarray:
+    """Forward pass over the computed rows only; returns their (C, V)
+    logits in ``active`` order.
 
     ``active`` lists the positions to compute (sorted, unique). Their K/V
     rows are written into ``kv`` in place, layer by layer, and marked valid.
     Every other position must already hold a valid row; it supplies K/V to
     attention and is otherwise untouched, so changing a skipped position's
     token id cannot change any output. ``counter`` receives one
-    gemm(m, n, k) call per matrix multiply.
+    gemm(m, n, k) call per matrix multiply and one gemm_head call for the
+    output head.
     """
     cfg = w.config
     n = len(tokens)
@@ -369,11 +347,9 @@ def forward_partial(
     kv.valid[active] = True
 
     logits = x @ w.head
-    head_flops = 2 * c * d * cfg.vocab_size
     if counter is not None:
         counter.gemm_head(c, cfg.vocab_size, d)
-
-    return ForwardResult(logits=logits, head_flops=head_flops)
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +374,7 @@ def load_weights(path: str | Path) -> Weights:
     try:
         cfg = ModelConfig.from_dict(doc["config"])
         tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["tensors"].items()}
-        layers = [
-            LayerWeights(**{fld: tensors[f"layers.{i}.{fld}"] for fld in LayerWeights.FIELDS})
-            for i in range(cfg.n_layers)
-        ]
-        w = Weights(
-            config=cfg,
-            embedding=tensors["embedding"],
-            positional=tensors["positional"],
-            layers=layers,
-            head=tensors["head"],
-            seed=doc.get("seed"),
-        )
+        w = Weights.from_tensors(cfg, tensors, doc.get("seed"))
     except KeyError as exc:
         raise ConfigError(f"weight file {path} is missing tensor {exc}") from exc
     w.validate_shapes()

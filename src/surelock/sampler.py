@@ -105,7 +105,7 @@ def select_compute_rows(active: np.ndarray, last_step_kl: np.ndarray, fraction: 
 
 def update_mask(
     log_post: np.ndarray,
-    log_post_valid: np.ndarray,
+    scored: np.ndarray,
     mask_flags: np.ndarray,
     k_t: int,
     block: tuple[int, int],
@@ -115,7 +115,8 @@ def update_mask(
 ) -> tuple[list[int], list[int]]:
     """Choose the k_t highest-confidence masked in-block positions, in
     ascending order, and the token committed at each (argmax at temperature
-    0, tempered categorical draw otherwise). Ties break toward the lowest
+    0, tempered categorical draw otherwise); only rows ``scored`` marks
+    have a posterior to rank. Ties break toward the lowest
     position index; draws happen in ascending position order. The mask id
     is an absorbing-state marker, not vocabulary, so it is never committed:
     confidence and draws range over the other ids. A tempered distribution
@@ -123,7 +124,7 @@ def update_mask(
     input."""
     lo, hi = block
     in_block = lo + np.flatnonzero(mask_flags[lo:hi])
-    scorable = in_block[log_post_valid[in_block]]
+    scorable = in_block[scored[in_block]]
     if k_t > in_block.size:
         raise InvalidStateError(f"asked to unmask {k_t} of {in_block.size} masked positions")
     if k_t > scorable.size:
@@ -162,11 +163,9 @@ class SamplerState:
     mask_flags: np.ndarray  # (N,) bool, True while masked
     lock: np.ndarray  # (N,) bool
     lock_step: np.ndarray  # (N,) int, -1 when not locked
-    kv: KVStore  # every row's last computed K/V; written in place by each step's forward
+    kv: KVStore  # every row's last computed K/V, written by each forward; kv.valid also marks log_post's rows
     log_post: np.ndarray  # (N, V) latest reported log-posteriors
-    log_post_valid: np.ndarray  # (N,) bool
     last_step_kl: np.ndarray  # (N,) latest step KL; +inf until scored and again after a release
-    last_uncertainty: np.ndarray  # (N,) latest uncertainty; NaN until computed
     cooldown_until: np.ndarray  # (N,) int, last step of a re-lock cooldown; -1 when none
     ever_unlocked: np.ndarray  # (N,) bool
     probe_drift: np.ndarray  # (N,) the latest probe's drift; NaN on rows it did not probe
@@ -200,9 +199,7 @@ class SamplerState:
             lock_step=np.full(n, -1, dtype=np.int64),
             kv=KVStore.empty(cfg, n),
             log_post=np.full((n, cfg.vocab_size), np.nan),
-            log_post_valid=np.zeros(n, dtype=bool),
             last_step_kl=np.full(n, np.inf),
-            last_uncertainty=np.full(n, np.nan),
             cooldown_until=np.full(n, -1, dtype=np.int64),
             ever_unlocked=np.zeros(n, dtype=bool),
             probe_drift=np.full(n, np.nan),
@@ -272,13 +269,11 @@ def step(
     w: Weights,
     k_t: int,
     block: tuple[int, int],
-    counter: GemmCounter | None = None,
-    probe_counter: GemmCounter | None = None,
 ) -> StepRecord:
-    """Advance the sampler by one diffusion step, mutating ``state``."""
+    """Advance the sampler by one diffusion step, mutating ``state``. The
+    step counts its own GEMMs: its record's FLOPs are its counters' totals."""
     t0 = time.perf_counter()
-    counter = counter if counter is not None else GemmCounter()
-    probe_counter = probe_counter if probe_counter is not None else GemmCounter()
+    counter, probe_counter = GemmCounter(), GemmCounter()
     cfg = w.config
     policy = run.policy
     state.t += 1
@@ -296,33 +291,31 @@ def step(
     else:
         computed = active
 
-    flops_before, head_before = counter.snapshot()
-    result = forward_partial(w, state.tokens, state.mask_flags, computed, state.kv, counter=counter)
-    if not np.isfinite(result.logits).all():
+    # read before the forward marks every computed row valid
+    had_prev = state.kv.valid[computed]
+    logits = forward_partial(w, state.tokens, state.mask_flags, computed, state.kv, counter=counter)
+    if not np.isfinite(logits).all():
         raise NonFiniteError(f"step {t}: the forward produced non-finite logits")
-    lp = kernels.log_softmax_rows(result.logits)
+    lp = kernels.log_softmax_rows(logits)
 
     # step KL against each row's previous reported posterior; infinity when
     # there is none (first step, or first time this row is computed)
     kl_vals = np.full(computed.size, np.inf)
-    had_prev = state.log_post_valid[computed]
     if had_prev.any():
         idx = np.flatnonzero(had_prev)
         kl_vals[idx] = kl_from_log_probs_rows(lp[idx], state.log_post[computed[idx]])
     u_vals = uncertainty_rows(lp)
 
     state.log_post[computed] = lp
-    state.log_post_valid[computed] = True
 
     step_kl = np.full(n, np.nan)
     uncert = np.full(n, np.nan)
     step_kl[computed] = kl_vals
     uncert[computed] = u_vals
     state.last_step_kl[computed] = kl_vals
-    state.last_uncertainty[computed] = u_vals
 
     newly_unmasked, committed = update_mask(
-        state.log_post, state.log_post_valid, state.mask_flags, k_t, block,
+        state.log_post, state.kv.valid, state.mask_flags, k_t, block,
         run.temperature, state.rng, mask_id=cfg.mask_id,
     )
     state.tokens[newly_unmasked] = committed
@@ -335,16 +328,14 @@ def step(
             candidates, step_kl, uncert, policy,
             t=t, cooldown_until=state.cooldown_until, ever_unlocked=state.ever_unlocked,
         )
-        apply_locks(state, newly_locked, computed)
+        apply_locks(state, newly_locked, computed, step_kl, uncert)
 
     newly_unlocked: list[int] = []
-    probe_before = probe_counter.flops
     if policy.unlock_enabled and t % policy.probe_period == 0 and state.lock.any():
         gate_threshold = percentile_nearest_rank(u_vals, policy.percentile)
         newly_unlocked = probe_unlock(state, w, policy, gate_threshold, counter=probe_counter)
         state.release_locks(newly_unlocked, policy)
 
-    flops_after, head_after = counter.snapshot()
     f_base = baseline_step_flops(cfg, n)
     f_actual = active_step_flops(cfg, n, int(computed.size))
 
@@ -359,9 +350,9 @@ def step(
         computed_rows=int(computed.size),
         flops_base=f_base,
         flops_actual=f_actual,
-        flops_counted=flops_after - flops_before,
-        head_flops=head_after - head_before,
-        probe_flops=probe_counter.flops - probe_before,
+        flops_counted=counter.flops,
+        head_flops=counter.head_flops,
+        probe_flops=probe_counter.flops,
         newly_unmasked=newly_unmasked,
         committed=committed,
         newly_locked=newly_locked,
@@ -450,8 +441,6 @@ def run_sampler(
     steps_per_block = run.steps // n_blocks
     schedule = unmask_schedule(block_len, steps_per_block)
 
-    counter = GemmCounter()
-    probe_counter = GemmCounter()
     records: list[StepRecord] = []
     history = (np.full((n, run.steps, w.config.vocab_size), np.nan).transpose(1, 0, 2)
                if record_trajectories else None)
@@ -461,10 +450,10 @@ def run_sampler(
     for b in range(n_blocks):
         block = (run.n_prompt + b * block_len, run.n_prompt + (b + 1) * block_len)
         for k_t in schedule:
-            records.append(step(state, run, w, k_t, block, counter, probe_counter))
+            records.append(step(state, run, w, k_t, block))
             if record_trajectories:
                 history[state.t - 1] = state.log_post
-                history_valid[state.t - 1] = state.log_post_valid
+                history_valid[state.t - 1] = state.kv.valid
     wall = time.perf_counter() - t_start
 
     if np.any(state.mask_flags):

@@ -94,7 +94,7 @@ def test_criterion_02_locked_row_oracle(toy_weights):
             kv.values(li)[lock_set] = full_kv.values(li)[lock_set]
         kv.valid[lock_set] = True
         part = forward_partial(toy_weights, tokens, mask_flags, active, kv)
-        gap = np.abs(part.logits - full.logits[active]).max()
+        gap = np.abs(part - full[active]).max()
         worst = max(worst, gap)
         assert gap <= 1e-9, f"case {case}: logits differ by {gap}"
     report(2, f"50 random lock sets, worst active-row logit gap {worst:.2e} <= 1e-9")
@@ -305,7 +305,7 @@ def test_criterion_09_unlock_protocol():
     ref = forward_partial(w, snapshot.tokens, snapshot.mask_flags, active, snapshot.kv)
     from surelock.kernels import log_softmax_rows
 
-    want = log_softmax_rows(ref.logits)[list(active).index(pos)]
+    want = log_softmax_rows(ref)[list(active).index(pos)]
     np.testing.assert_array_equal(state.log_post[pos], want)
 
     with pytest.raises(InvalidStateError):

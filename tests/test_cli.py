@@ -5,7 +5,7 @@ import pytest
 
 from surelock import cli
 from surelock.cli import main
-from surelock.model import MAX_PARAMS
+from surelock.model import MAX_PARAMS, ModelConfig, init_weights, save_weights
 
 TOY = {
     "model": {"vocab_size": 16, "d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 32, "max_seq": 32},
@@ -158,9 +158,21 @@ class TestRunCommand:
         weights = tmp_path / "weights.json"
         weights.write_text("not json")
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({**TOY, "weights_path": str(weights)}))
+        path.write_text(json.dumps({"weights_path": str(weights), "run": TOY["run"]}))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_model_and_weights_path_are_exclusive(self, tmp_path, capsys, monkeypatch):
+        """Both keys set exit 2, naming both, before the weight file is read."""
+        monkeypatch.setattr(cli, "load_weights", lambda path: pytest.fail("weight file read"))
+        weights = tmp_path / "w.json"
+        save_weights(init_weights(ModelConfig.from_dict(cli.DEFAULT_MODEL), 0), weights)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"weights_path": str(weights), "model": {"vocab_size": 64}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "'model'" in err and "'weights_path'" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepCommand:
@@ -176,26 +188,28 @@ class TestSweepCommand:
 
     def test_every_point_matches_run(self, tmp_path, config_file):
         """Each row of an epsilon x seed x n_gen grid equals the ``run`` of
-        that point: its own seed's prompt, and steps = n_gen because no
-        --steps-list is given."""
-        out_s = tmp_path / "sweep"
-        assert main(["sweep", "--config", config_file, "--mode", "surelock", "--eps-list", "5e-4,5e-2",
-                     "--seeds", "0,1", "--ngen-list", "4,8", "--out", str(out_s)]) == 0
-        with open(out_s / "sweep.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["epsilon"], r["n_gen"], r["seed"]) for r in rows] == [
-            (e, g, s) for e in ("0.0005", "0.05") for g in ("4", "8") for s in ("0", "1")]
-        for i, row in enumerate(rows):
-            assert row["steps"] == row["n_gen"]
-            out_r = tmp_path / f"run{i}"
-            assert main(["run", "--config", config_file, "--mode", "surelock", "--eps", row["epsilon"],
-                         "--seed", row["seed"], "--n-gen", row["n_gen"], "--steps", row["n_gen"],
-                         "--out", str(out_r)]) == 0
-            summary = json.loads((out_r / "summary.json").read_text())
-            assert int(row["F_base"]) == summary["totals"]["F_base"]
-            assert int(row["F_actual"]) == summary["totals"]["F_actual"]
-            assert float(row["active_ratio"]) == summary["active_ratio"]
-            assert int(row["locks"]) == sum(e["kind"] in ("lock", "relock") for e in summary["lock_events"])
+        that point: its own seed's prompt, and steps = n_gen when neither
+        --steps nor --steps-list is given, else the --steps value."""
+        for case, (steps, ngen) in enumerate([(None, ("4", "8")), ("4", ("8", "16"))]):
+            out_s = tmp_path / f"sweep{case}"
+            steps_flag = [] if steps is None else ["--steps", steps]
+            assert main(["sweep", "--config", config_file, "--mode", "surelock", "--eps-list", "5e-4,5e-2",
+                         "--seeds", "0,1", "--ngen-list", ",".join(ngen), *steps_flag, "--out", str(out_s)]) == 0
+            with open(out_s / "sweep.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["epsilon"], r["n_gen"], r["seed"]) for r in rows] == [
+                (e, g, s) for e in ("0.0005", "0.05") for g in ngen for s in ("0", "1")]
+            for i, row in enumerate(rows):
+                assert row["steps"] == (steps or row["n_gen"])
+                out_r = tmp_path / f"run{case}.{i}"
+                assert main(["run", "--config", config_file, "--mode", "surelock", "--eps", row["epsilon"],
+                             "--seed", row["seed"], "--n-gen", row["n_gen"], "--steps", row["steps"],
+                             "--out", str(out_r)]) == 0
+                summary = json.loads((out_r / "summary.json").read_text())
+                assert int(row["F_base"]) == summary["totals"]["F_base"]
+                assert int(row["F_actual"]) == summary["totals"]["F_actual"]
+                assert float(row["active_ratio"]) == summary["active_ratio"]
+                assert int(row["locks"]) == sum(e["kind"] in ("lock", "relock") for e in summary["lock_events"])
 
     def test_config_read_and_weights_built_once(self, tmp_path, config_file, monkeypatch):
         calls = {"init_weights": 0, "_load_config_file": 0}
@@ -209,13 +223,15 @@ class TestSweepCommand:
         assert calls == {"init_weights": 1, "_load_config_file": 1}
 
     def test_bad_last_point_fails_before_any_run(self, tmp_path, config_file, monkeypatch):
-        """4 prompt + 40 generated positions exceed max_seq=32."""
+        """4 prompt + 40 generated positions exceed max_seq=32, and an
+        explicit --steps 12 does not fit n_gen=8."""
         runs = []
         monkeypatch.setattr(cli, "run_sampler", lambda *args, **kwargs: runs.append(args))
-        out = tmp_path / "sweep"
-        assert main(["sweep", "--config", config_file, "--ngen-list", "8,40", "--out", str(out)]) == 2
-        assert runs == []
-        assert not (out / "sweep.csv").exists()
+        for case, flags in enumerate([["--ngen-list", "8,40"], ["--steps", "12", "--ngen-list", "16,8"]]):
+            out = tmp_path / f"sweep{case}"
+            assert main(["sweep", "--config", config_file, *flags, "--out", str(out)]) == 2
+            assert runs == []
+            assert not (out / "sweep.csv").exists()
 
     def test_two_seeds_two_rows(self, tmp_path, config_file):
         out = tmp_path / "sweep"

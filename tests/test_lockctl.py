@@ -185,9 +185,9 @@ def surelock_run(policy, **kw):
 class TestApplyLocks:
     def test_empty_set_is_noop(self):
         policy = LockPolicy(epsilon=-1.0)
-        state, _ = drive(surelock_run(policy), n_steps=3)
+        state, records = drive(surelock_run(policy), n_steps=3)
         before = copy.deepcopy(state.lock)
-        apply_locks(state, [], np.array([], dtype=int))
+        apply_locks(state, [], np.array([], dtype=int), records[-1].step_kl, records[-1].uncert)
         assert np.array_equal(state.lock, before)
 
     def test_double_lock_raises(self):
@@ -197,14 +197,14 @@ class TestApplyLocks:
         assert locked.size > 0
         pos = int(locked[0])
         with pytest.raises(InvalidStateError):
-            apply_locks(state, [pos], np.array([pos]))
+            apply_locks(state, [pos], np.array([pos]), records[-1].step_kl, records[-1].uncert)
 
     def test_masked_lock_raises(self):
         policy = LockPolicy(epsilon=-1.0)
-        state, _ = drive(surelock_run(policy), n_steps=2)
+        state, records = drive(surelock_run(policy), n_steps=2)
         masked_pos = int(np.flatnonzero(state.mask_flags)[0])
         with pytest.raises(InvalidStateError):
-            apply_locks(state, [masked_pos], np.array([masked_pos]))
+            apply_locks(state, [masked_pos], np.array([masked_pos]), records[-1].step_kl, records[-1].uncert)
 
     def test_locked_rows_serve_cached_kv(self):
         """After a lock, later forwards read that position from the store."""
@@ -307,7 +307,7 @@ class TestProbeUnlock:
         state.probe_drift[:] = 1.0  # stale values from an earlier probe
         probe_unlock(state, w, LockPolicy(unlock_enabled=True), gate_threshold=-1.0, rows=rows[1:])
         proxy = forward_partial(w, state.tokens, state.mask_flags, rows[1:], state.stale_view())
-        proxy_lp = log_softmax_rows(proxy.logits)
+        proxy_lp = log_softmax_rows(proxy)
         want = [float(1.0 - np.exp(np.max(row))) for row in proxy_lp]
         assert state.probe_uncertainty[rows[1:]].tolist() == want
         np.testing.assert_array_equal(state.probe_drift[rows[1:]],
@@ -375,7 +375,7 @@ class TestProbeUnlock:
         ref = forward_partial(
             W, snapshot.tokens, snapshot.mask_flags, active, snapshot.kv
         )
-        want = log_softmax_rows(ref.logits)[list(active).index(pos)]
+        want = log_softmax_rows(ref)[list(active).index(pos)]
         np.testing.assert_array_equal(state.log_post[pos], want)
 
 

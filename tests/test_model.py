@@ -188,7 +188,7 @@ class TestForwardPartial:
         tokens, mask_flags = make_tokens(toy_weights.config, 20)
         a = full_forward(toy_weights, tokens, mask_flags)
         b = full_forward(toy_weights, tokens, mask_flags)
-        assert np.array_equal(a.logits, b.logits)  # pure function
+        assert np.array_equal(a, b)  # pure function
 
     def test_locked_rows_reproduce_full_forward(self, toy_weights):
         """Populate the store from a full pass, then recompute only a subset."""
@@ -203,7 +203,7 @@ class TestForwardPartial:
 
             ref, kv = store_with_rows(toy_weights, tokens, mask_flags, lock_set)
             part = forward_partial(toy_weights, tokens, mask_flags, active, kv)
-            np.testing.assert_allclose(part.logits, ref.logits[active], atol=1e-9, rtol=0)
+            np.testing.assert_allclose(part, ref[active], atol=1e-9, rtol=0)
 
     def test_locked_token_id_is_irrelevant(self, toy_weights):
         """Only the store speaks for a locked row, not its current token."""
@@ -219,7 +219,7 @@ class TestForwardPartial:
         tokens2 = tokens.copy()
         tokens2[4] = 2  # change the locked row's token
         out2 = forward_partial(toy_weights, tokens2, mask_flags, active, kv.copy())
-        np.testing.assert_array_equal(out1.logits, out2.logits)
+        np.testing.assert_array_equal(out1, out2)
 
     def test_store_written_in_place_for_computed_rows_only(self, toy_weights):
         """A forward refreshes the computed rows' K/V and leaves the rest."""
@@ -243,7 +243,7 @@ class TestForwardPartial:
     def test_zero_scale_gives_constant_logits(self, toy_weights):
         tokens, mask_flags = make_tokens(toy_weights.config, 10, seed=1)
         out = full_forward(toy_weights.scaled(0.0), tokens, mask_flags)
-        assert np.all(out.logits == 0.0)
+        assert np.all(out == 0.0)
 
     def test_locked_rows_get_zero_gemm_work(self, toy_weights):
         """Counted FLOPs scale with computed rows only."""
@@ -308,7 +308,7 @@ def test_partial_forward_equals_full_forward_on_computed_rows(case):
     active = np.setdiff1d(np.arange(n), lock_set)
     ref, kv = store_with_rows(w, tokens, mask_flags, lock_set)
     part = forward_partial(w, tokens, mask_flags, active, kv)
-    np.testing.assert_allclose(part.logits, ref.logits[active], atol=1e-9, rtol=0)
+    np.testing.assert_allclose(part, ref[active], atol=1e-9, rtol=0)
 
 
 class TestGroupedKV:
@@ -318,7 +318,7 @@ class TestGroupedKV:
         tokens, mask_flags = make_tokens(cfg, 10, seed=6)
         counter = GemmCounter()
         out = full_forward(w, tokens, mask_flags, counter=counter)
-        assert out.logits.shape == (10, 16)
+        assert out.shape == (10, 16)
         assert counter.flops == active_step_flops(cfg, 10, 10)
 
 

@@ -304,7 +304,7 @@ class TestRunSampler:
 
         def recording_step(state, *args, **kwargs):
             rec = original_step(state, *args, **kwargs)
-            seen.append((state.log_post.copy(), state.log_post_valid.copy()))
+            seen.append((state.log_post.copy(), state.kv.valid.copy()))
             return rec
 
         monkeypatch.setattr(sampler, "step", recording_step)
@@ -331,24 +331,31 @@ class TestRunSampler:
     def test_step_arrays_are_nan_exactly_off_the_computed_rows(self, toy, mode):
         """Every per-position quantity is one (N,) array: a step record's KLs
         and uncertainties are set on the C_t rows it computed and NaN
-        elsewhere, and no state or record field is a dict or set."""
+        elsewhere, each lock event carries its step record's values at its
+        position, and no state or record field is a dict or set."""
         _, w, prompt = toy
         run = toy_run(mode, policy=LockPolicy(epsilon=5e-2, hybrid_fraction=0.5))
         state = sampler.SamplerState.fresh(run, w, prompt)
         skipped_rows = 0
+        records = []
         for k_t in unmask_schedule(run.n_gen, run.steps):
             rec = sampler.step(state, run, w, k_t, (16, 32))
+            records.append(rec)
             computed = ~np.isnan(rec.step_kl)
             assert computed.sum() == rec.computed_rows
             skipped_rows += 32 - rec.computed_rows
             np.testing.assert_array_equal(np.isnan(rec.uncert), ~computed)
-            np.testing.assert_array_equal(state.last_uncertainty[computed], rec.uncert[computed])
             for obj in (state, rec):
                 for name, value in vars(obj).items():
                     assert not isinstance(value, (dict, set)), name
                     if isinstance(value, np.ndarray) and name not in ("log_post",):
                         assert value.shape == (32,), name
         assert skipped_rows > 0
+        for event in state.events:
+            rec = records[event.step - 1]
+            assert event.kind in ("lock", "relock")
+            assert (event.step_kl, event.uncertainty) == (rec.step_kl[event.position], rec.uncert[event.position])
+        assert bool(state.events) == (mode == "hybrid")
 
     def test_temperature_does_not_move_lock_steps(self, toy):
         """With every masked posterior peaked the same way, lock decisions
