@@ -115,8 +115,9 @@ def _build(args, points=({},)):
     if weights_path is not None and not isinstance(weights_path, str):
         raise ConfigError(f"weights_path must be a string, got {weights_path!r}")
     if weights_path:
-        if "model" in doc:  # a weight file carries its own model config
-            raise ConfigError("config keys 'model' and 'weights_path' are alternatives; set one")
+        for key in ("model", "weights_seed"):  # a weight file carries its own model config and values
+            if key in doc:
+                raise ConfigError(f"config keys {key!r} and 'weights_path' are alternatives; set one")
         w = load_weights(weights_path)
     else:
         try:
@@ -134,19 +135,15 @@ def _build(args, points=({},)):
     if scale != 1.0:
         w = w.scaled(float(scale))
 
-    # flags, like points, set RunConfig/LockPolicy fields; a run flag's dest is its field name
-    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "policy"}
-    flags.update(epsilon=args.eps, percentile=args.percentile, hybrid_fraction=args.fraction,
-                 gate_enabled=False if args.no_gate else None, unlock_enabled=True if args.unlock else None)
+    # flags, like points, set RunConfig/LockPolicy fields; a flag's dest is its field name, and a
+    # command without the flag leaves the field to the file
+    flags = {f.name: getattr(args, f.name, None) for cls in (RunConfig, LockPolicy) for f in fields(cls)}
     file_run = _merge(DEFAULT_RUN, _section(doc, "run"))
     file_policy = _section(doc, "policy")
 
-    if "prompt_tokens" in doc:
-        fixed_prompt = _prompt_tokens(doc["prompt_tokens"])
-    elif args.prompt:
+    fixed_prompt = _prompt_tokens(doc["prompt_tokens"]) if "prompt_tokens" in doc else None
+    if args.prompt is not None:
         fixed_prompt = _prompt_tokens(_parse_list(args.prompt, int, "--prompt"), "--prompt")
-    else:
-        fixed_prompt = None
 
     policy_fields = {f.name for f in fields(LockPolicy)}
     runs = []
@@ -364,15 +361,21 @@ def _load_trajectories(path: str) -> list[analysis.Trajectory]:
 
 
 def cmd_verify_bound(args) -> int:
+    if np.isnan(args.eps):
+        raise ConfigError("--eps must be a number or inf, got nan")
     if args.trajectories:
+        # every input besides --trajectories, --eps and --out configures the fresh run
+        unused = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
+                  if v is not None and k not in ("command", "fn", "trajectories", "eps", "out")]
+        if unused:
+            raise ConfigError(f"--trajectories replaces the fresh run; cannot use {', '.join(unused)}")
         trajs = _load_trajectories(args.trajectories)
     else:
         w, _, [(run, prompt, _)] = _build(args, [{"mode": "baseline"}])
         result = run_sampler(run, w, prompt, record_trajectories=True)
         trajs = analysis.trajectories_from_history(result.history, result.history_valid)
 
-    eps = float("inf") if args.eps is None else args.eps
-    reports = [analysis.check_lock_bound(t, eps) for t in trajs]
+    reports = [analysis.check_lock_bound(t, args.eps) for t in trajs]
     applicable = [r for r in reports if r.status == "ok"]
     held = [r for r in applicable if r.holds]
     violated = [r for r in applicable if not r.holds]
@@ -457,14 +460,20 @@ def cmd_flops_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_policy_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that sample with a lock policy; each dest is its field name."""
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--eps", type=float, dest="epsilon", help="KL lock threshold")
+    p.add_argument("--percentile", type=float, help="confidence gate percentile")
+    p.add_argument("--no-gate", action="store_false", dest="gate_enabled", default=None,
+                   help="disable the confidence gate")
+    p.add_argument("--fraction", type=float, dest="hybrid_fraction", help="computed fraction for selection/hybrid")
+    p.add_argument("--unlock", action="store_true", dest="unlock_enabled", default=None,
+                   help="enable the unlock protocol")
+
+
 def _add_model_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--eps", type=float, help="KL lock threshold")
-    p.add_argument("--percentile", type=float, help="confidence gate percentile")
-    p.add_argument("--no-gate", action="store_true", help="disable the confidence gate")
-    p.add_argument("--fraction", type=float, help="computed fraction for selection/hybrid")
-    p.add_argument("--unlock", action="store_true", help="enable the unlock protocol")
     p.add_argument("--n-prompt", type=int, dest="n_prompt")
     p.add_argument("--n-gen", type=int, dest="n_gen")
     p.add_argument("--steps", type=int)
@@ -481,12 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one sampler configuration")
     _add_model_run_flags(p)
+    _add_policy_flags(p)
     p.add_argument("--out", help="output directory (default: config output_dir or ./out)")
     p.add_argument("--record-trajectories", action="store_true")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep", help="grid of runs, one CSV row per point")
     _add_model_run_flags(p)
+    _add_policy_flags(p)
     p.add_argument("--eps-list", dest="eps_list")
     p.add_argument("--m-list", dest="m_list")
     p.add_argument("--steps-list", dest="steps_list")
@@ -497,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bound", help="lock-bound check on trajectories")
     _add_model_run_flags(p)
-    p.add_argument("--trajectories", help="trajectories.json from a recorded run")
+    p.add_argument("--trajectories", help="trajectories.json from a recorded run, instead of a fresh one")
+    p.add_argument("--eps", type=float, default=float("inf"), help="the bound's lock threshold (default: inf)")
     p.add_argument("--out", help="write per-trajectory reports here")
     p.set_defaults(fn=cmd_verify_bound)
 

@@ -105,7 +105,6 @@ def select_compute_rows(active: np.ndarray, last_step_kl: np.ndarray, fraction: 
 
 def update_mask(
     log_post: np.ndarray,
-    scored: np.ndarray,
     mask_flags: np.ndarray,
     k_t: int,
     block: tuple[int, int],
@@ -115,8 +114,7 @@ def update_mask(
 ) -> tuple[list[int], list[int]]:
     """Choose the k_t highest-confidence masked in-block positions, in
     ascending order, and the token committed at each (argmax at temperature
-    0, tempered categorical draw otherwise); only rows ``scored`` marks
-    have a posterior to rank. Ties break toward the lowest
+    0, tempered categorical draw otherwise). Ties break toward the lowest
     position index; draws happen in ascending position order. The mask id
     is an absorbing-state marker, not vocabulary, so it is never committed:
     confidence and draws range over the other ids. A tempered distribution
@@ -124,20 +122,15 @@ def update_mask(
     input."""
     lo, hi = block
     in_block = lo + np.flatnonzero(mask_flags[lo:hi])
-    scorable = in_block[scored[in_block]]
     if k_t > in_block.size:
         raise InvalidStateError(f"asked to unmask {k_t} of {in_block.size} masked positions")
-    if k_t > scorable.size:
-        raise InvalidStateError(
-            f"only {scorable.size} of {in_block.size} masked positions have posteriors; need {k_t}"
-        )
     ids = np.arange(log_post.shape[1])
     if mask_id is not None:
         ids = ids[ids != mask_id]
-    restricted = log_post[np.ix_(scorable, ids)]
+    restricted = log_post[np.ix_(in_block, ids)]
     confidence = np.exp(restricted.max(axis=1))
-    picked = np.sort(np.lexsort((scorable, -confidence))[:k_t])
-    chosen = scorable[picked].tolist()
+    picked = np.sort(np.lexsort((in_block, -confidence))[:k_t])
+    chosen = in_block[picked].tolist()
 
     if temperature == 0.0:
         tokens = ids[np.argmax(restricted[picked], axis=1)].tolist()
@@ -315,7 +308,7 @@ def step(
     state.last_step_kl[computed] = kl_vals
 
     newly_unmasked, committed = update_mask(
-        state.log_post, state.kv.valid, state.mask_flags, k_t, block,
+        state.log_post, state.mask_flags, k_t, block,
         run.temperature, state.rng, mask_id=cfg.mask_id,
     )
     state.tokens[newly_unmasked] = committed

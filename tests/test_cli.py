@@ -82,9 +82,12 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
 
     def test_non_integer_prompt_is_config_error(self, tmp_path, config_file, capsys):
-        assert main(["run", "--config", config_file, "--prompt", "a,b",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "config error:" in capsys.readouterr().err
+        """An empty --prompt is an error too, not a request for the random prompt."""
+        for prompt in ("a,b", ""):
+            assert main(["run", "--config", config_file, "--prompt", prompt,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_nan_temperature_is_config_error(self, tmp_path, config_file, capsys):
         assert main(["run", "--config", config_file, "--temperature", "nan",
@@ -163,16 +166,28 @@ class TestRunCommand:
         assert "config error:" in capsys.readouterr().err
 
     def test_model_and_weights_path_are_exclusive(self, tmp_path, capsys, monkeypatch):
-        """Both keys set exit 2, naming both, before the weight file is read."""
+        """A weight file replaces both the model section and the weights
+        seed: either key set with it exits 2, naming both, before the weight
+        file is read."""
         monkeypatch.setattr(cli, "load_weights", lambda path: pytest.fail("weight file read"))
         weights = tmp_path / "w.json"
         save_weights(init_weights(ModelConfig.from_dict(cli.DEFAULT_MODEL), 0), weights)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"weights_path": str(weights), "model": {"vocab_size": 64}}))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and "'model'" in err and "'weights_path'" in err
-        assert not (tmp_path / "o").exists()
+        for key, value in (("model", {"vocab_size": 64}), ("weights_seed", 5)):
+            path.write_text(json.dumps({"weights_path": str(weights), key: value}))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "config error:" in err and repr(key) in err and "'weights_path'" in err
+            assert not (tmp_path / "o").exists()
+
+    def test_prompt_flag_beats_config_prompt(self, tmp_path):
+        """--prompt overrides ``prompt_tokens`` as any flag overrides the file."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY, "prompt_tokens": [1, 2, 3, 4]}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--prompt", "5,6,7,8", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["prompt_tokens"] == summary["tokens"][:4] == [5, 6, 7, 8]
 
 
 class TestSweepCommand:
@@ -262,6 +277,19 @@ class TestVerifyAndSimulate:
         out = capsys.readouterr().out
         assert "trajectories" in out
 
+    def test_verify_bound_eps_is_only_the_bound_threshold(self, tmp_path, config_file):
+        """inf, the default, writes the same reports as no --eps; NaN is
+        refused for a fresh run and for stored trajectories alike."""
+        reports = [tmp_path / "default.json", tmp_path / "inf.json"]
+        for report, eps in zip(reports, ([], ["--eps", "inf"])):
+            assert main(["verify-bound", "--config", config_file, *eps, "--out", str(report)]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_file, "--record-trajectories", "--out", str(out)]) == 0
+        for source in (["--config", config_file], ["--trajectories", str(out / "trajectories.json")]):
+            assert main(["verify-bound", *source, "--eps", "nan", "--out", str(tmp_path / "nan.json")]) == 2
+        assert not (tmp_path / "nan.json").exists()
+
     def test_verify_bound_stored_trajectories(self, tmp_path, config_file):
         out = tmp_path / "out"
         assert main(["run", "--config", config_file, "--record-trajectories",
@@ -289,6 +317,34 @@ class TestVerifyBoundInputErrors:
         captured = capsys.readouterr()
         assert "config error:" in captured.err
         assert "not applicable" not in captured.out
+
+    def test_trajectories_refuse_fresh_run_inputs(self, tmp_path, config_file, capsys):
+        """Stored trajectories leave nothing for the run inputs to set; each
+        given one is named."""
+        out = tmp_path / "out"
+        assert main(["run", "--config", config_file, "--record-trajectories", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify-bound", "--trajectories", str(out / "trajectories.json"), "--config",
+                     str(tmp_path / "missing.json"), "--seed", "3", "--weight-scale", "9"]) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--config", "--seed", "--weight-scale"))
+
+
+class TestPolicyFlags:
+    @pytest.mark.parametrize("command,flag", [
+        pytest.param(command, flag, id=f"{command}{flag[0]}")
+        for command in ("verify-bound", "constants")
+        for flag in (["--mode", "baseline"], ["--eps", "0.05"], ["--percentile", "50"], ["--no-gate"],
+                     ["--fraction", "0.5"], ["--unlock"])
+        if flag[0] != "--eps" or command == "constants"  # verify-bound's own --eps is the bound's threshold
+    ])
+    def test_commands_without_a_lock_policy_reject_its_flags(self, config_file, command, flag):
+        """Only run and sweep sample with a lock policy; elsewhere its flags
+        would change nothing, so argparse refuses them."""
+        extra = ["--samples", "20"] if command == "constants" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_file, *extra, *flag])
+        assert exc.value.code == 2
 
 
 class TestConstantsCommand:

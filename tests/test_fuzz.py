@@ -122,12 +122,16 @@ MODEL_JUNK = st.one_of(SMALL_JUNK, st.integers(MAX_PARAMS + 1, 2**80))
 JUNK = st.one_of(SMALL_JUNK, st.sampled_from([2**70, -(2**70)]))
 FLAG_VALUES = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e9", "1e80",
                                "2,3", "1,,2", "99999999999999999999999"])
-COMMON_FLAGS = ["--mode", "--eps", "--percentile", "--fraction", "--n-prompt", "--n-gen", "--steps",
-                "--block-length", "--temperature", "--seed", "--weight-scale", "--prompt"]
+COMMON_FLAGS = ["--n-prompt", "--n-gen", "--steps", "--block-length", "--temperature", "--seed", "--weight-scale",
+                "--prompt"]
+# only the sampling commands take the lock policy; any other command would
+# stop at argparse's rejection
+POLICY_FLAGS = ["--mode", "--eps", "--percentile", "--fraction"]
+POLICY_SWITCHES = ["--no-gate", "--unlock"]
 COMMAND_FLAGS = {
-    "run": [],
-    "sweep": ["--eps-list", "--m-list", "--steps-list", "--ngen-list", "--seeds"],
-    "verify-bound": ["--trajectories"],
+    "run": POLICY_FLAGS,
+    "sweep": [*POLICY_FLAGS, "--eps-list", "--m-list", "--steps-list", "--ngen-list", "--seeds"],
+    "verify-bound": ["--trajectories", "--eps"],
     "constants": ["--radius", "--kappa"],
 }
 COMMANDS = list(COMMAND_FLAGS)
@@ -180,7 +184,7 @@ def test_malformed_flags_keep_the_exit_code_contract(data, command):
         argv += [flag, data.draw(FLAG_VALUES)]
     if command == "constants":
         argv += ["--samples", data.draw(st.sampled_from(["-1", "0", "1", "x", "20"]))]
-    for switch in ("--no-gate", "--unlock"):
+    for switch in POLICY_SWITCHES if command in ("run", "sweep") else []:
         if data.draw(st.booleans()):
             argv.append(switch)
     assert run_cli(argv, TINY) in (0, 2, 3)

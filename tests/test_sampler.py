@@ -53,23 +53,22 @@ def make_log_post(n, v, peaked=None):
 class TestUpdateMask:
     def test_single_candidate_argmax(self):
         lp = make_log_post(3, 10, {2: (7, 0.9)})
-        valid = np.array([True, True, True])
         masked = np.array([False, False, True])
-        newly, committed = update_mask(lp, valid, masked, 1, (0, 3), 0.0, SplitMix64(0))
+        newly, committed = update_mask(lp, masked, 1, (0, 3), 0.0, SplitMix64(0))
         assert newly == [2]
         assert committed == [7]
 
     def test_confidence_ordering(self):
         lp = make_log_post(2, 10, {0: (1, 0.9), 1: (2, 0.6)})
         masked = np.array([True, True])
-        newly, _ = update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 0.0, SplitMix64(0))
+        newly, _ = update_mask(lp, masked, 1, (0, 2), 0.0, SplitMix64(0))
         assert newly == [0]
 
     def test_tie_breaks_to_lowest_index(self):
         lp = make_log_post(6, 10, {3: (4, 0.8), 5: (9, 0.8)})
         masked = np.zeros(6, bool)
         masked[[3, 5]] = True
-        newly, committed = update_mask(lp, np.ones(6, bool), masked, 1, (0, 6), 0.0, SplitMix64(0))
+        newly, committed = update_mask(lp, masked, 1, (0, 6), 0.0, SplitMix64(0))
         assert newly == [3]
         assert committed == [4]
 
@@ -77,7 +76,7 @@ class TestUpdateMask:
         lp = make_log_post(8, 10, {1: (3, 0.99), 6: (2, 0.5)})
         masked = np.zeros(8, bool)
         masked[[1, 6]] = True
-        newly, _ = update_mask(lp, np.ones(8, bool), masked, 1, (4, 8), 0.0, SplitMix64(0))
+        newly, _ = update_mask(lp, masked, 1, (4, 8), 0.0, SplitMix64(0))
         assert newly == [6]  # position 1 is confident but outside the block
 
     def test_too_many_requested(self):
@@ -85,23 +84,22 @@ class TestUpdateMask:
         masked = np.zeros(4, bool)
         masked[0] = True
         with pytest.raises(InvalidStateError):
-            update_mask(lp, np.ones(4, bool), masked, 2, (0, 4), 0.0, SplitMix64(0))
+            update_mask(lp, masked, 2, (0, 4), 0.0, SplitMix64(0))
 
     def test_temperature_changes_draw_not_choice(self):
         lp = make_log_post(4, 6, {1: (2, 0.95), 2: (3, 0.6)})
         masked = np.zeros(4, bool)
         masked[[1, 2]] = True
-        valid = np.ones(4, bool)
-        cold, cold_tok = update_mask(lp, valid, masked, 1, (0, 4), 0.0, SplitMix64(0))
-        hot, hot_tok = update_mask(lp, valid, masked, 1, (0, 4), 5.0, SplitMix64(12))
+        cold, cold_tok = update_mask(lp, masked, 1, (0, 4), 0.0, SplitMix64(0))
+        hot, hot_tok = update_mask(lp, masked, 1, (0, 4), 5.0, SplitMix64(12))
         assert cold == hot == [1]  # selection is temperature-free
         assert cold_tok == [2]  # argmax at temperature zero
 
     def test_hot_draw_is_seed_deterministic(self):
         lp = make_log_post(2, 6, {0: (1, 0.5)})
         masked = np.array([True, False])
-        a = update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1.7, SplitMix64(5))
-        b = update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1.7, SplitMix64(5))
+        a = update_mask(lp, masked, 1, (0, 2), 1.7, SplitMix64(5))
+        b = update_mask(lp, masked, 1, (0, 2), 1.7, SplitMix64(5))
         assert a == b
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -111,14 +109,14 @@ class TestUpdateMask:
         lp = make_log_post(2, 6, {0: (1, 0.5)})
         masked = np.array([True, False])
         with pytest.raises(NonFiniteError):
-            update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1e-310, SplitMix64(5))
-        assert update_mask(lp, np.ones(2, bool), masked, 1, (0, 2), 1e-3, SplitMix64(5)) == ([0], [1])
+            update_mask(lp, masked, 1, (0, 2), 1e-310, SplitMix64(5))
+        assert update_mask(lp, masked, 1, (0, 2), 1e-3, SplitMix64(5)) == ([0], [1])
 
 
-def update_mask_reference(log_post, log_post_valid, mask_flags, k_t, block, temperature, rng, mask_id):
+def update_mask_reference(log_post, mask_flags, k_t, block, temperature, rng, mask_id):
     """Position-at-a-time reference for update_mask (no error checks)."""
     lo, hi = block
-    scorable = [i for i in range(lo, hi) if mask_flags[i] and log_post_valid[i]]
+    scorable = [i for i in range(lo, hi) if mask_flags[i]]
     ids = np.array([j for j in range(log_post.shape[1]) if j != mask_id])
     confidence = {i: float(np.exp(log_post[i, ids].max())) for i in scorable}
     chosen = sorted(sorted(scorable, key=lambda i: (-confidence[i], i))[:k_t])
@@ -145,15 +143,14 @@ def test_update_mask_matches_reference(n, v, levels, temperature, seed):
     rng = np.random.default_rng(seed)
     log_post = kernels.log_softmax_rows(rng.integers(0, levels, size=(n, v)).astype(float))
     mask_flags = rng.random(n) < 0.7
-    valid = rng.random(n) < 0.8
     lo = int(rng.integers(0, n))
     hi = int(rng.integers(lo + 1, n + 1))
-    scorable = int((mask_flags[lo:hi] & valid[lo:hi]).sum())
+    scorable = int(mask_flags[lo:hi].sum())
     k_t = int(rng.integers(0, scorable + 1))
     mask_id = int(rng.integers(0, v))
     draws_a, draws_b = SplitMix64(seed), SplitMix64(seed)
-    got = update_mask(log_post, valid, mask_flags, k_t, (lo, hi), temperature, draws_a, mask_id=mask_id)
-    want = update_mask_reference(log_post, valid, mask_flags, k_t, (lo, hi), temperature, draws_b, mask_id)
+    got = update_mask(log_post, mask_flags, k_t, (lo, hi), temperature, draws_a, mask_id=mask_id)
+    want = update_mask_reference(log_post, mask_flags, k_t, (lo, hi), temperature, draws_b, mask_id)
     assert got == want
     assert draws_a.next_u64() == draws_b.next_u64()
 
