@@ -11,7 +11,6 @@ from .analysis import (
     ConstantsReport,
     Trajectory,
     check_lock_bound,
-    estimate_contraction,
     estimate_smoothness,
     lipschitz_constants,
     simulate_trajectory,
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "ConstantsReport", "Trajectory", "check_lock_bound",
-    "estimate_contraction", "estimate_smoothness", "lipschitz_constants",
+    "estimate_smoothness", "lipschitz_constants",
     "simulate_trajectory", "tail_gain",
     "GemmCounter", "active_step_flops", "baseline_step_flops",
     "LockEvent", "LockPolicy", "apply_locks", "evaluate_locks", "probe_unlock",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,14 +65,10 @@ class Trajectory:
         traj = cls(logits=logits, step_kl=np.full(len(logits), np.inf), position=position, source=source)
         if len(logits) > 1:
             lp = kernels.log_softmax_rows(logits)
+            if not np.isfinite(lp).all():
+                raise InvalidInputError(f"trajectory at position {position}: log-softmax overflows")
             traj.step_kl[1:] = kl_from_log_probs_rows(lp[1:], lp[:-1])
         return traj
-
-
-class TailEstimate(NamedTuple):
-    value: float
-    pairs_used: int
-    degenerate: bool  # every usable tail pair was 0 -> 0
 
 
 def _tail_ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,27 +79,15 @@ def _tail_ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ratios, nonzero | (num != 0.0)
 
 
-def _max_ratio(ratios: np.ndarray, used: np.ndarray, lock_step: int) -> TailEstimate:
-    """Largest counted ratio; 0 and degenerate if every pair was skipped."""
+def _max_ratio(ratios: np.ndarray, used: np.ndarray, lock_step: int) -> float:
+    """Largest counted ratio; 0 if every pair was skipped."""
     if ratios.size == 0:
         raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
     kept = ratios[used]
-    return TailEstimate(float(kept.max()), kept.size, False) if kept.size else TailEstimate(0.0, 0, True)
+    return float(kept.max()) if kept.size else 0.0
 
 
-def estimate_contraction(traj: Trajectory, lock_step: int) -> TailEstimate:
-    """Largest ratio of consecutive tail KLs after ``lock_step`` (1-based).
-
-    The whole tail is evaluated at once. Pairs where both KLs are zero are
-    skipped; a zero KL followed by a positive one yields infinity (the
-    geometric-decay premise fails). If every pair was skipped the estimate
-    is 0 with the degenerate flag set.
-    """
-    kl = traj.step_kl
-    return _max_ratio(*_tail_ratios(kl[lock_step:], kl[lock_step - 1 : -1]), lock_step)
-
-
-def estimate_smoothness(traj: Trajectory, lock_step: int) -> TailEstimate:
+def estimate_smoothness(traj: Trajectory, lock_step: int) -> float:
     """Largest tail ratio of logit movement to sqrt of the prior step KL.
 
     The whole tail is evaluated at once; the per-step movement comes from
@@ -130,6 +113,8 @@ def tail_gain(log_softmax_lip: float, smoothness: float, contraction: float) -> 
 class BoundReport:
     """Outcome of the lock-bound check on one trajectory.
 
+    ``contraction`` is the largest ratio of consecutive tail KLs after the
+    lock step (0 -> 0 pairs skipped; 0 -> positive is infinite).
     ``growth_step`` is set only on an ``inapplicable`` report: the first
     tail step whose KL is at least the step before's (ratio >= 1).
     """
@@ -152,31 +137,26 @@ class BoundReport:
         return asdict(self)
 
 
-def check_lock_bound(
-    traj: Trajectory,
-    epsilon: float,
-    log_softmax_lip: float = LOG_SOFTMAX_LIPSCHITZ,
-) -> BoundReport:
+def check_lock_bound(traj: Trajectory, epsilon: float) -> BoundReport:
     """Verify the terminal-deviation bound at the first qualifying lock step.
 
     The lock step is the first step >= 2 whose KL is at most ``epsilon``.
     The tail constants are measured from the trajectory itself, so whenever
-    the measured contraction is below 1 the reported bound must hold.
+    the measured contraction is below 1 the reported bound must hold; an
+    infinite gain gives an infinite right-hand side.
     """
     if traj.n_steps < 3:
         raise InvalidInputError("need at least 3 steps to check the bound")
     kl, z = traj.step_kl, traj.logits
     hits = np.flatnonzero(kl[1:] <= epsilon)
     if hits.size == 0:
-        return BoundReport(status="no_lock", log_softmax_lip=log_softmax_lip,
-                           position=traj.position, source=traj.source)
+        return BoundReport(status="no_lock", position=traj.position, source=traj.source)
     lock_step = int(hits[0]) + 2
 
     lock_kl = float(kl[lock_step - 1])
     lp = kernels.log_softmax_rows(z[[lock_step - 1, traj.n_steps - 1]])
     lhs = float(np.max(np.abs(lp[1] - lp[0])))
-    common = {"lock_step": lock_step, "lock_kl": lock_kl, "log_softmax_lip": log_softmax_lip,
-             "lhs": lhs, "position": traj.position, "source": traj.source}
+    common = {"lock_step": lock_step, "lock_kl": lock_kl, "lhs": lhs, "position": traj.position, "source": traj.source}
     if lock_step == traj.n_steps:
         # locking at the terminal step: the deviation is identically zero
         return BoundReport(status="ok", contraction=0.0, smoothness=0.0, gain=0.0, rhs=0.0,
@@ -185,14 +165,14 @@ def check_lock_bound(
     kl_ratios, kl_used = _tail_ratios(kl[lock_step:], kl[lock_step - 1 : -1])
     rho = _max_ratio(kl_ratios, kl_used, lock_step)
     lsm = estimate_smoothness(traj, lock_step)
-    if not rho.value < 1.0:
+    if not rho < 1.0:
         growth = np.flatnonzero(kl_used & (kl_ratios >= 1.0))
-        return BoundReport(status="inapplicable", contraction=rho.value, smoothness=lsm.value,
+        return BoundReport(status="inapplicable", contraction=rho, smoothness=lsm,
                            growth_step=lock_step + 1 + int(growth[0]) if growth.size else None,
                            **common)
-    gain = tail_gain(log_softmax_lip, lsm.value, rho.value) if np.isfinite(lsm.value) else np.inf
-    rhs = gain * math.sqrt(lock_kl)
-    return BoundReport(status="ok", contraction=rho.value, smoothness=lsm.value, gain=gain,
+    gain = tail_gain(LOG_SOFTMAX_LIPSCHITZ, lsm, rho) if np.isfinite(lsm) else np.inf
+    rhs = gain * math.sqrt(lock_kl) if np.isfinite(gain) else np.inf  # inf * sqrt(0) would be NaN
+    return BoundReport(status="ok", contraction=rho, smoothness=lsm, gain=gain,
                        rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_SLACK), **common)
 
 

@@ -142,7 +142,7 @@ def _build(args, points=({},)):
     file_policy = _section(doc, "policy")
 
     fixed_prompt = _prompt_tokens(doc["prompt_tokens"]) if "prompt_tokens" in doc else None
-    if args.prompt is not None:
+    if getattr(args, "prompt", None) is not None:
         fixed_prompt = _prompt_tokens(_parse_list(args.prompt, int, "--prompt"), "--prompt")
 
     policy_fields = {f.name for f in fields(LockPolicy)}
@@ -363,7 +363,7 @@ def _load_trajectories(path: str) -> list[analysis.Trajectory]:
 def cmd_verify_bound(args) -> int:
     if np.isnan(args.eps):
         raise ConfigError("--eps must be a number or inf, got nan")
-    if args.trajectories:
+    if args.trajectories is not None:
         # every input besides --trajectories, --eps and --out configures the fresh run
         unused = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
                   if v is not None and k not in ("command", "fn", "trajectories", "eps", "out")]
@@ -472,16 +472,18 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
                    help="enable the unlock protocol")
 
 
-def _add_model_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_run_flags(p: argparse.ArgumentParser, sampling: bool = True) -> None:
+    """The model and run-shape flags; ``sampling`` adds the ones only a sampling run reads."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--n-prompt", type=int, dest="n_prompt")
     p.add_argument("--n-gen", type=int, dest="n_gen")
     p.add_argument("--steps", type=int)
-    p.add_argument("--block-length", type=int, dest="block_length")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--weight-scale", type=float, dest="weight_scale")
-    p.add_argument("--prompt", help="comma-separated prompt token ids")
+    if sampling:
+        p.add_argument("--block-length", type=int, dest="block_length")
+        p.add_argument("--temperature", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--prompt", help="comma-separated prompt token ids")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("constants", help="model Lipschitz constants report")
-    _add_model_run_flags(p)
+    _add_model_run_flags(p, sampling=False)
     p.add_argument("--radius", type=float, help="input radius; default: the layer-norm output bound")
     p.add_argument("--kappa", type=float, default=0.0, help="tail attribution share")
     p.add_argument("--samples", type=int, default=10_000)

@@ -11,8 +11,12 @@ every step of every mode.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import InvalidInputError
-from .model import ModelConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .model import ModelConfig
 
 
 class GemmCounter:

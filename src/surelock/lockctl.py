@@ -92,21 +92,20 @@ def evaluate_locks(
     policy: LockPolicy,
     t: int,
     cooldown_until: np.ndarray,
-    ever_unlocked: np.ndarray,
 ) -> list[int]:
     """Positions among ``candidates`` that pass the lock test at step ``t``,
-    in ascending order. The four arrays are (N,) and indexed by position.
+    in ascending order. The three arrays are (N,) and indexed by position.
 
     The gate threshold is the nearest-rank percentile of candidate
     uncertainties. Positions still inside a re-lock cooldown are excluded
-    outright; previously unlocked positions must meet the tightened KL
-    threshold.
+    outright; previously unlocked positions (``cooldown_until >= 0``) must
+    meet the tightened KL threshold.
     """
     candidates = np.unique(np.asarray(candidates, dtype=np.intp))
     if candidates.size == 0:
         return []
     u = uncert[candidates]
-    eps = np.where(ever_unlocked[candidates], policy.epsilon * policy.relock_tightening, policy.epsilon)
+    eps = np.where(cooldown_until[candidates] >= 0, policy.epsilon * policy.relock_tightening, policy.epsilon)
     passed = (step_kl[candidates] <= eps) & (t > cooldown_until[candidates])
     if policy.gate_enabled:
         passed &= u <= percentile_nearest_rank(u, policy.percentile)
@@ -120,7 +119,7 @@ def apply_locks(
     step_kl: np.ndarray,
     uncert: np.ndarray,
 ) -> None:
-    """Set lock bits and record lock events, each carrying its row's entry
+    """Set lock steps and record lock events, each carrying its row's entry
     of this step's (N,) ``step_kl`` and ``uncert``.
 
     Every position must be among this step's ``computed`` rows, so the
@@ -137,11 +136,10 @@ def apply_locks(
             raise InvalidStateError(f"cannot lock positions {to_lock[refused].tolist()}: {why}")
 
     t = state.t
-    state.lock[to_lock] = True
     state.lock_step[to_lock] = t
     for i in to_lock.tolist():
         state.events.append(LockEvent(
-            position=i, step=t, kind="relock" if state.ever_unlocked[i] else "lock",
+            position=i, step=t, kind="relock" if state.cooldown_until[i] >= 0 else "lock",
             step_kl=float(step_kl[i]), uncertainty=float(uncert[i]),
         ))
 

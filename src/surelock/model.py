@@ -21,9 +21,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, InvalidInputError, NoWorkError, StateCorruptionError, require_int
+from .flops import GemmCounter
 from .prng import normals
 
-LN_EPS = 1e-6
 # the largest model a config may ask for: 128 MiB of float64 weights, drawn
 # in about 1.4 s, 22 times the benchmark's 0.76M-parameter model
 MAX_PARAMS = 2**24
@@ -267,9 +267,9 @@ def forward_partial(
     rows are written into ``kv`` in place, layer by layer, and marked valid.
     Every other position must already hold a valid row; it supplies K/V to
     attention and is otherwise untouched, so changing a skipped position's
-    token id cannot change any output. ``counter`` receives one
-    gemm(m, n, k) call per matrix multiply and one gemm_head call for the
-    output head.
+    token id cannot change any output. ``counter`` (a fresh ``GemmCounter``
+    when none is given) receives one gemm(m, n, k) call per matrix multiply
+    and one gemm_head call for the output head.
     """
     cfg = w.config
     n = len(tokens)
@@ -290,6 +290,7 @@ def forward_partial(
         bad = np.flatnonzero(skipped & ~kv.valid)
         raise StateCorruptionError(f"no stored K/V for skipped rows {bad.tolist()}")
 
+    counter = GemmCounter() if counter is None else counter
     c = active.size
     d, h, dh, kv_dim = cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.kv_dim
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
@@ -297,49 +298,42 @@ def forward_partial(
     x = w.embedding[tokens[active]] + w.positional[active]  # (C, d); skipped rows live only in kv
 
     for li, layer in enumerate(w.layers):
-        hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias, LN_EPS)
+        hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias)
 
         q = hid @ layer.wq
-        if counter is not None:
-            counter.gemm(c, d, d)
+        counter.gemm(c, d, d)
         k = hid @ layer.wk
         v = hid @ layer.wv
-        if counter is not None:
-            counter.gemm(c, kv_dim, d)
-            counter.gemm(c, kv_dim, d)
+        counter.gemm(c, kv_dim, d)
+        counter.gemm(c, kv_dim, d)
 
         k3, v3 = kv.keys(li), kv.values(li)
         k3[active] = k.reshape(c, cfg.n_kv_heads, dh)
         v3[active] = v.reshape(c, cfg.n_kv_heads, dh)
         q3 = q.reshape(c, h, dh)
         attn = kernels.attention_rows(q3, k3, v3, inv_sqrt_dh, cfg.group_size)
-        if counter is not None:
-            # per head: scores (C x N from dh) and weighted values (C x dh from N)
-            for _ in range(h):
-                counter.gemm(c, n, dh)
-                counter.gemm(c, dh, n)
+        # per head: scores (C x N from dh) and weighted values (C x dh from N)
+        for _ in range(h):
+            counter.gemm(c, n, dh)
+            counter.gemm(c, dh, n)
 
         out = attn.reshape(c, d) @ layer.wo
-        if counter is not None:
-            counter.gemm(c, d, d)
+        counter.gemm(c, d, d)
         x = x + out
 
-        hid2 = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias, LN_EPS)
+        hid2 = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias)
         up = hid2 @ layer.w_up
         gate = hid2 @ layer.w_gate
-        if counter is not None:
-            counter.gemm(c, cfg.d_ff, d)
-            counter.gemm(c, cfg.d_ff, d)
+        counter.gemm(c, cfg.d_ff, d)
+        counter.gemm(c, cfg.d_ff, d)
         act = gate / (1.0 + np.exp(-gate)) * up
         down = act @ layer.w_down
-        if counter is not None:
-            counter.gemm(c, d, cfg.d_ff)
+        counter.gemm(c, d, cfg.d_ff)
         x = x + down
     kv.valid[active] = True
 
     logits = x @ w.head
-    if counter is not None:
-        counter.gemm_head(c, cfg.vocab_size, d)
+    counter.gemm_head(c, cfg.vocab_size, d)
     return logits
 
 

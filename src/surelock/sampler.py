@@ -154,13 +154,11 @@ class SamplerState:
 
     tokens: np.ndarray  # (N,) token ids; masked positions carry mask_id
     mask_flags: np.ndarray  # (N,) bool, True while masked
-    lock: np.ndarray  # (N,) bool
-    lock_step: np.ndarray  # (N,) int, -1 when not locked
+    lock_step: np.ndarray  # (N,) int, the step a locked row locked at; -1 when not locked
     kv: KVStore  # every row's last computed K/V, written by each forward; kv.valid also marks log_post's rows
     log_post: np.ndarray  # (N, V) latest reported log-posteriors
     last_step_kl: np.ndarray  # (N,) latest step KL; +inf until scored and again after a release
-    cooldown_until: np.ndarray  # (N,) int, last step of a re-lock cooldown; -1 when none
-    ever_unlocked: np.ndarray  # (N,) bool
+    cooldown_until: np.ndarray  # (N,) int, last step of the latest re-lock cooldown; -1 until first released
     probe_drift: np.ndarray  # (N,) the latest probe's drift; NaN on rows it did not probe
     probe_uncertainty: np.ndarray  # (N,) the latest probe's proxy uncertainty; NaN likewise
     events: list[LockEvent]
@@ -188,13 +186,11 @@ class SamplerState:
         return cls(
             tokens=tokens,
             mask_flags=mask_flags,
-            lock=np.zeros(n, dtype=bool),
             lock_step=np.full(n, -1, dtype=np.int64),
             kv=KVStore.empty(cfg, n),
             log_post=np.full((n, cfg.vocab_size), np.nan),
             last_step_kl=np.full(n, np.inf),
             cooldown_until=np.full(n, -1, dtype=np.int64),
-            ever_unlocked=np.zeros(n, dtype=bool),
             probe_drift=np.full(n, np.nan),
             probe_uncertainty=np.full(n, np.nan),
             events=[],
@@ -204,6 +200,13 @@ class SamplerState:
     @property
     def n(self) -> int:
         return len(self.tokens)
+
+    @property
+    def lock(self) -> np.ndarray:
+        """(N,) bool, True while locked: a read-only view of ``lock_step``."""
+        lock = self.lock_step >= 0
+        lock.flags.writeable = False
+        return lock
 
     def stale_view(self) -> KVStore:
         """A private copy of the K/V store, for a forward whose K/V must not
@@ -218,10 +221,8 @@ class SamplerState:
         rows = np.asarray(rows, dtype=np.intp)
         if not self.lock[rows].all():
             raise InvalidStateError(f"cannot unlock positions {rows[~self.lock[rows]].tolist()}: not locked")
-        self.lock[rows] = False
         self.lock_step[rows] = -1
         self.cooldown_until[rows] = self.t + policy.relock_cooldown
-        self.ever_unlocked[rows] = True
         self.last_step_kl[rows] = np.inf  # rank as unscored if selection resumes
         for i in rows.tolist():
             self.events.append(LockEvent(position=i, step=self.t, kind="unlock",
@@ -275,14 +276,10 @@ def step(
 
     active = np.flatnonzero(~state.lock)
     m_t = int(active.size)
-    if run.mode in SELECTING_MODES:
-        selected = select_compute_rows(active, state.last_step_kl, policy.hybrid_fraction)
-        # a row with no prior computation has nothing to reuse, so it is
-        # always computed; after the first step the fraction rule is exact
-        never_computed = active[~state.kv.valid[active]]
-        computed = np.union1d(selected, never_computed)
-    else:
-        computed = active
+    fraction = policy.hybrid_fraction if run.mode in SELECTING_MODES else 1.0
+    # a row never computed (not kv.valid) has nothing to reuse, so it is always
+    # computed; at fraction 1 the rule returns ``active`` itself
+    computed = np.union1d(select_compute_rows(active, state.last_step_kl, fraction), active[~state.kv.valid[active]])
 
     # read before the forward marks every computed row valid
     had_prev = state.kv.valid[computed]
@@ -319,7 +316,7 @@ def step(
         candidates = computed[~state.mask_flags[computed]]
         newly_locked = evaluate_locks(
             candidates, step_kl, uncert, policy,
-            t=t, cooldown_until=state.cooldown_until, ever_unlocked=state.ever_unlocked,
+            t=t, cooldown_until=state.cooldown_until,
         )
         apply_locks(state, newly_locked, computed, step_kl, uncert)
 

@@ -290,13 +290,10 @@ def test_criterion_09_unlock_protocol():
     pos = released[0]
     assert state.cooldown_until[pos] == state.t + 4
     zeros = np.zeros(state.n)
-    assert evaluate_locks([pos], zeros, zeros, policy, state.t + 4,
-                          state.cooldown_until, np.zeros(state.n, bool)) == []
+    assert evaluate_locks([pos], zeros, zeros, policy, state.t + 4, state.cooldown_until) == []
     tight = LockPolicy(epsilon=1e-3, gate_enabled=False, relock_tightening=0.5)
-    assert evaluate_locks([pos], np.full(state.n, 7e-4), zeros, tight, state.t + 9,
-                          state.cooldown_until, state.ever_unlocked) == []
-    assert evaluate_locks([pos], np.full(state.n, 4e-4), zeros, tight, state.t + 9,
-                          state.cooldown_until, state.ever_unlocked) == [pos]
+    assert evaluate_locks([pos], np.full(state.n, 7e-4), zeros, tight, state.t + 9, state.cooldown_until) == []
+    assert evaluate_locks([pos], np.full(state.n, 4e-4), zeros, tight, state.t + 9, state.cooldown_until) == [pos]
 
     # released rows go through the ordinary forward path bit-for-bit
     snapshot = copy.deepcopy(state)

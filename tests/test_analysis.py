@@ -18,12 +18,10 @@ from surelock import (
 from surelock.analysis import (
     BOUND_SLACK,
     BoundReport,
-    TailEstimate,
     Trajectory,
     battery_steps,
     check_lock_bound,
     embedding_gain,
-    estimate_contraction,
     estimate_smoothness,
     input_radius_bound,
     lipschitz_constants,
@@ -65,40 +63,34 @@ def traj_from_kl_series(kl_series, v=6):
 
 
 class TestEstimateContraction:
+    """The contraction ``check_lock_bound`` reports; at epsilon infinity the
+    lock step is 2."""
+
     def test_hand_series(self):
         traj = traj_from_kl_series([0.4, 0.1, 0.025])
         # lock at first KL step: ratios 0.1/0.4 and 0.025/0.1
-        got = estimate_contraction(traj, 2)
-        assert abs(got.value - 0.25) < 1e-6
-        assert got.pairs_used == 2
+        got = check_lock_bound(traj, np.inf).contraction
+        assert abs(got - 0.25) < 1e-6
 
     def test_constant_tail_is_one(self):
         traj = traj_from_kl_series([0.2, 0.2, 0.2])
-        got = estimate_contraction(traj, 2)
-        assert abs(got.value - 1.0) < 1e-6
+        got = check_lock_bound(traj, np.inf).contraction
+        assert abs(got - 1.0) < 1e-6
 
     def test_frozen_tail_is_degenerate_zero(self):
         z = np.zeros((5, 4))
         traj = Trajectory.from_logits(z)
-        got = estimate_contraction(traj, 2)
-        assert got.value == 0.0 and got.degenerate
+        assert check_lock_bound(traj, np.inf).contraction == 0.0
 
     def test_zero_to_positive_is_infinite(self):
         traj = traj_from_kl_series([0.1, 0.0, 0.05])
-        got = estimate_contraction(traj, 2)
-        assert got.value == np.inf
-
-    def test_empty_tail_raises(self):
-        traj = traj_from_kl_series([0.1])
-        with pytest.raises(EstimateUndefinedError):
-            estimate_contraction(traj, 2)
+        assert check_lock_bound(traj, np.inf).contraction == np.inf
 
 
 class TestEstimateSmoothness:
     def test_frozen_trajectory_zero(self):
         traj = Trajectory.from_logits(np.ones((6, 4)))
-        got = estimate_smoothness(traj, 2)
-        assert got.value == 0.0 and got.degenerate
+        assert estimate_smoothness(traj, 2) == 0.0
 
     def test_known_ratio_construction(self):
         """Build steps with logit movement exactly r * sqrt(prior KL)."""
@@ -113,14 +105,14 @@ class TestEstimateSmoothness:
             logits.append(logits[-1] + direction * r * math.sqrt(d_prev))
         traj = Trajectory.from_logits(np.stack(logits))
         got = estimate_smoothness(traj, 2)
-        assert abs(got.value - r) < 1e-9
+        assert abs(got - r) < 1e-9
 
     def test_movement_with_zero_prior_kl_is_infinite(self):
         z = np.zeros((4, 4))
         z[3, 0] = 1.0  # movement after a frozen pair
         traj = Trajectory.from_logits(z)
         got = estimate_smoothness(traj, 2)
-        assert got.value == np.inf
+        assert got == np.inf
 
     def test_empty_tail_raises(self):
         traj = traj_from_kl_series([0.1])
@@ -169,9 +161,12 @@ class TestCheckLockBound:
         rep = check_lock_bound(traj, 1e-9)
         assert rep.status == "no_lock"
 
-    def test_no_lock_report_carries_the_callers_lipschitz_constant(self):
-        traj = traj_from_kl_series([0.5, 0.4, 0.3])
-        assert check_lock_bound(traj, -1.0, log_softmax_lip=3.0).log_softmax_lip == 3.0
+    def test_infinite_gain_gives_infinite_rhs(self):
+        """A zero lock-time KL followed by logit movement makes the gain
+        infinite; the right-hand side is then infinity, never inf * 0 = NaN."""
+        rep = check_lock_bound(simulate_trajectory(3, 8, 24, 0.9, 1e4), float("inf"))
+        assert (rep.status, rep.lock_kl, rep.smoothness, rep.gain) == ("ok", 0.0, np.inf, np.inf)
+        assert rep.rhs == np.inf and rep.holds
 
     def test_infinite_epsilon_locks_at_step_two(self):
         for seed in range(10):
@@ -431,7 +426,7 @@ class TestStepwiseKLCurve:
 
 
 def reference_estimate_contraction(traj, lock_step):
-    """Loop reference for estimate_contraction."""
+    """Loop reference for the contraction ``check_lock_bound`` reports."""
     ratios = []
     skipped = 0
     for s in range(lock_step + 1, traj.n_steps + 1):
@@ -445,9 +440,9 @@ def reference_estimate_contraction(traj, lock_step):
             ratios.append(d_cur / d_prev)
     if not ratios:
         if skipped:
-            return TailEstimate(0.0, 0, True)
+            return 0.0
         raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
-    return TailEstimate(float(max(ratios)), len(ratios), False)
+    return float(max(ratios))
 
 
 def reference_estimate_smoothness(traj, lock_step):
@@ -466,9 +461,9 @@ def reference_estimate_smoothness(traj, lock_step):
             ratios.append(dz / math.sqrt(d_prev))
     if not ratios:
         if skipped:
-            return TailEstimate(0.0, 0, True)
+            return 0.0
         raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
-    return TailEstimate(float(max(ratios)), len(ratios), False)
+    return float(max(ratios))
 
 
 def reference_lock_step(traj, epsilon):
@@ -482,9 +477,9 @@ REPORT_FIELDS = ("status", "lock_step", "lock_kl", "contraction", "smoothness",
                  "log_softmax_lip", "gain", "lhs", "rhs", "holds", "position", "source")
 
 
-def reference_check_lock_bound(traj, epsilon, log_softmax_lip=LOG_SOFTMAX_LIPSCHITZ):
+def reference_check_lock_bound(traj, epsilon):
     """Loop reference for check_lock_bound (without ``growth_step``)."""
-    where = {"log_softmax_lip": log_softmax_lip, "position": traj.position, "source": traj.source}
+    where = {"position": traj.position, "source": traj.source}
     lock_step = reference_lock_step(traj, epsilon)
     if lock_step is None:
         return BoundReport(status="no_lock", **where)
@@ -496,13 +491,13 @@ def reference_check_lock_bound(traj, epsilon, log_softmax_lip=LOG_SOFTMAX_LIPSCH
                            smoothness=0.0, gain=0.0, lhs=lhs, rhs=0.0, holds=True, **where)
     rho = reference_estimate_contraction(traj, lock_step)
     lsm = reference_estimate_smoothness(traj, lock_step)
-    if not rho.value < 1.0:
+    if not rho < 1.0:
         return BoundReport(status="inapplicable", lock_step=lock_step, lock_kl=lock_kl,
-                           contraction=rho.value, smoothness=lsm.value, lhs=lhs, **where)
-    gain = tail_gain(log_softmax_lip, lsm.value, rho.value) if np.isfinite(lsm.value) else np.inf
-    rhs = gain * math.sqrt(lock_kl)
-    return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=rho.value,
-                       smoothness=lsm.value, gain=gain, lhs=lhs, rhs=float(rhs),
+                           contraction=rho, smoothness=lsm, lhs=lhs, **where)
+    gain = tail_gain(LOG_SOFTMAX_LIPSCHITZ, lsm, rho) if np.isfinite(lsm) else np.inf
+    rhs = gain * math.sqrt(lock_kl) if np.isfinite(gain) else np.inf
+    return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=rho,
+                       smoothness=lsm, gain=gain, lhs=lhs, rhs=float(rhs),
                        holds=bool(lhs <= rhs + BOUND_SLACK), **where)
 
 
@@ -581,5 +576,9 @@ def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions,
     else:
         assert got.growth_step is None
     for lock_step in range(2, t):
-        assert repr(estimate_contraction(traj, lock_step)) == repr(reference_estimate_contraction(traj, lock_step))
+        # the trajectory from step lock_step - 1 on locks at its own step 2 at
+        # epsilon infinity and has the same tail KLs
+        tail = Trajectory.from_logits(traj.logits[lock_step - 2 :])
+        contraction = check_lock_bound(tail, np.inf).contraction
+        assert repr(contraction) == repr(reference_estimate_contraction(traj, lock_step))
         assert repr(estimate_smoothness(traj, lock_step)) == repr(reference_estimate_smoothness(traj, lock_step))

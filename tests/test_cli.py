@@ -267,6 +267,15 @@ class TestVerifyAndSimulate:
         out = capsys.readouterr().out
         assert "200/200 bound holds" in out
 
+    def test_simulate_infinite_gain_is_not_nan(self, tmp_path, capsys):
+        """Large magnitudes give trajectories with a zero lock-time KL and an
+        infinite gain; their right-hand side is infinity and the bound holds."""
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--count", "20", "--magnitude", "1e4", "--out", str(out)]) == 0
+        assert "3/20 bound holds (3 applicable of 20)" in capsys.readouterr().out
+        rows = json.loads(out.read_text())
+        assert "NaN" not in out.read_text() and any(r["rhs"] == float("inf") for r in rows)
+
     @pytest.mark.parametrize("flag", ["--rho-targets", "--vocab-sizes"])
     def test_empty_simulate_list_is_config_error(self, flag, capsys):
         assert main(["simulate", "--count", "3", flag, ""]) == 2
@@ -309,7 +318,9 @@ class TestVerifyBoundInputErrors:
         json.dumps([{"position": 0}]),  # an item without log_probs
         json.dumps([{"log_probs": [[0.0, 1.0], [0.5], [1.0, 0.0]]}]),  # ragged rows
         json.dumps([{"log_probs": [[0.0, 1.0], [float("nan"), 0.0], [1.0, 0.0]]}]),  # NaN logits
-    ], ids=["not-json", "missing-log-probs", "ragged", "nan"])
+        json.dumps([{"position": 0, "log_probs": [[1e308, -1e308]] * 4}]),  # log-softmax overflows
+    ], ids=["not-json", "missing-log-probs", "ragged", "nan", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_bad_trajectories_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "trajectories.json"
         path.write_text(text)
@@ -317,6 +328,12 @@ class TestVerifyBoundInputErrors:
         captured = capsys.readouterr()
         assert "config error:" in captured.err
         assert "not applicable" not in captured.out
+
+    def test_empty_trajectories_path_is_config_error(self, capsys):
+        """An empty path names no file, as an empty ``--prompt`` names no ids."""
+        assert main(["verify-bound", "--trajectories", ""]) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and "trajectories" not in captured.out
 
     def test_trajectories_refuse_fresh_run_inputs(self, tmp_path, config_file, capsys):
         """Stored trajectories leave nothing for the run inputs to set; each
@@ -344,6 +361,15 @@ class TestPolicyFlags:
         extra = ["--samples", "20"] if command == "constants" else []
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", config_file, *extra, *flag])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--block-length", "4"], ["--temperature", "0.9"], ["--seed", "7"],
+                                      ["--prompt", "1,2,3"]])
+    def test_constants_rejects_sampling_flags(self, config_file, flag):
+        """The constants report samples nothing, so the flags that only
+        change a sampling run are refused."""
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--config", config_file, "--samples", "20", *flag])
         assert exc.value.code == 2
 
 

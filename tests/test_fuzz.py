@@ -122,16 +122,17 @@ MODEL_JUNK = st.one_of(SMALL_JUNK, st.integers(MAX_PARAMS + 1, 2**80))
 JUNK = st.one_of(SMALL_JUNK, st.sampled_from([2**70, -(2**70)]))
 FLAG_VALUES = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e9", "1e80",
                                "2,3", "1,,2", "99999999999999999999999"])
-COMMON_FLAGS = ["--n-prompt", "--n-gen", "--steps", "--block-length", "--temperature", "--seed", "--weight-scale",
-                "--prompt"]
-# only the sampling commands take the lock policy; any other command would
-# stop at argparse's rejection
+COMMON_FLAGS = ["--n-prompt", "--n-gen", "--steps", "--weight-scale"]
+# only the sampling commands take the sampling flags and, apart from
+# verify-bound, the lock policy; any other command would stop at argparse's
+# rejection
+SAMPLING_FLAGS = ["--block-length", "--temperature", "--seed", "--prompt"]
 POLICY_FLAGS = ["--mode", "--eps", "--percentile", "--fraction"]
 POLICY_SWITCHES = ["--no-gate", "--unlock"]
 COMMAND_FLAGS = {
-    "run": POLICY_FLAGS,
-    "sweep": [*POLICY_FLAGS, "--eps-list", "--m-list", "--steps-list", "--ngen-list", "--seeds"],
-    "verify-bound": ["--trajectories", "--eps"],
+    "run": [*SAMPLING_FLAGS, *POLICY_FLAGS],
+    "sweep": [*SAMPLING_FLAGS, *POLICY_FLAGS, "--eps-list", "--m-list", "--steps-list", "--ngen-list", "--seeds"],
+    "verify-bound": [*SAMPLING_FLAGS, "--trajectories", "--eps"],
     "constants": ["--radius", "--kappa"],
 }
 COMMANDS = list(COMMAND_FLAGS)

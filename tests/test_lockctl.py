@@ -52,14 +52,13 @@ class TestPolicyValidation:
             LockPolicy(**bad)
 
 
-def locks(candidates, step_kl, uncert, policy, t=0, cooldown_until=None, ever_unlocked=None):
-    """``evaluate_locks`` on per-position arrays; by default no position is
-    in a cooldown or was ever unlocked."""
+def locks(candidates, step_kl, uncert, policy, t=0, cooldown_until=None):
+    """``evaluate_locks`` on per-position arrays; by default no position
+    was ever unlocked, so none has a cooldown."""
     n = len(step_kl)
     cooldown_until = np.full(n, -1) if cooldown_until is None else np.asarray(cooldown_until)
-    ever_unlocked = np.zeros(n, bool) if ever_unlocked is None else np.asarray(ever_unlocked)
     return evaluate_locks(np.asarray(candidates, dtype=np.intp), np.asarray(step_kl, dtype=float),
-                          np.asarray(uncert, dtype=float), policy, t, cooldown_until, ever_unlocked)
+                          np.asarray(uncert, dtype=float), policy, t, cooldown_until)
 
 
 class TestEvaluateLocks:
@@ -94,17 +93,18 @@ class TestEvaluateLocks:
 
     def test_tightened_threshold_after_unlock(self):
         policy = LockPolicy(epsilon=1e-3, gate_enabled=False, relock_tightening=0.5)
-        unlocked = np.arange(8) == 7
+        cooldown = np.where(np.arange(8) == 7, 2, -1)  # row 7 was released; its cooldown has run out
         kl = np.full(8, nan)
         kl[7] = 7e-4
-        assert locks([7], kl, np.full(8, 0.1), policy, ever_unlocked=unlocked) == []
+        assert locks([7], kl, np.full(8, 0.1), policy, t=5, cooldown_until=cooldown) == []
         kl[7] = 4e-4
-        assert locks([7], kl, np.full(8, 0.1), policy, ever_unlocked=unlocked) == [7]
+        assert locks([7], kl, np.full(8, 0.1), policy, t=5, cooldown_until=cooldown) == [7]
 
 
-def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until, ever_unlocked):
-    """The position-at-a-time lock test over dicts and a set, as the sampler
-    kept its state before it held one array per quantity."""
+def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until):
+    """The position-at-a-time lock test over dicts, as the sampler kept its
+    state before it held one array per quantity; a released row is one with
+    a cooldown entry."""
     candidates = sorted(candidates)
     if not candidates:
         return []
@@ -113,7 +113,7 @@ def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_un
     for i in candidates:
         if t <= cooldown_until.get(i, -1):
             continue
-        eps = policy.epsilon * (policy.relock_tightening if i in ever_unlocked else 1.0)
+        eps = policy.epsilon * (policy.relock_tightening if i in cooldown_until else 1.0)
         if step_kl[i] <= eps and (not policy.gate_enabled or uncert[i] <= theta):
             locked.append(i)
     return locked
@@ -143,15 +143,13 @@ def test_evaluate_locks_matches_reference(n, kl_levels, u_levels, epsilon, perce
     step_kl[candidates] = rng.choice(kl_levels, size=candidates.size)
     uncert[candidates] = rng.integers(0, u_levels, size=candidates.size) / 4.0
     cooldown_until = np.where(rng.random(n) < 0.3, rng.integers(0, 10, size=n), -1)
-    ever_unlocked = rng.random(n) < 0.3
-    got = evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until, ever_unlocked)
+    got = evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until)
     want = reference_evaluate_locks(
         candidates.tolist(),
         {i: float(step_kl[i]) for i in candidates.tolist()},
         {i: float(uncert[i]) for i in candidates.tolist()},
         policy, t,
         {i: int(c) for i, c in enumerate(cooldown_until) if c >= 0},
-        set(np.flatnonzero(ever_unlocked).tolist()),
     )
     assert got == want
 
@@ -342,16 +340,14 @@ class TestProbeUnlock:
         np.testing.assert_array_equal(state.kv.v, kv_before.v)
         assert state.kv.valid[pos]
         assert state.cooldown_until[pos] == state.t + 4
-        assert state.ever_unlocked[pos]
         assert state.last_step_kl[pos] == np.inf  # ranks as unscored again
-        # cooldown refusal: the lock test rejects the row until the timer runs out
+        # cooldown refusal: the lock test rejects the row until the timer runs
+        # out, and then holds it to the tightened threshold
         zeros = np.zeros(state.n)
-        assert evaluate_locks(
-            [pos], zeros, zeros, policy, state.t + 4, state.cooldown_until, np.zeros(state.n, bool),
-        ) == []
-        assert evaluate_locks(
-            [pos], zeros, zeros, policy, state.t + 5, state.cooldown_until, state.ever_unlocked,
-        ) == [pos]
+        assert evaluate_locks([pos], zeros, zeros, policy, state.t + 4, state.cooldown_until) == []
+        above_tightened = np.full(state.n, 0.7 * policy.epsilon)
+        assert evaluate_locks([pos], above_tightened, zeros, policy, state.t + 5, state.cooldown_until) == []
+        assert evaluate_locks([pos], zeros, zeros, policy, state.t + 5, state.cooldown_until) == [pos]
 
     def test_post_unlock_row_uses_the_standard_subgraph(self):
         """The next step computes a released row exactly like any active row."""

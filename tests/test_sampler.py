@@ -281,6 +281,21 @@ class TestRunSampler:
             for t in range(t_star, len(res.trace) + 1):
                 np.testing.assert_array_equal(res.history[t - 1, pos], frozen)
 
+    def test_lock_is_a_read_only_view_of_lock_step(self, toy):
+        """``lock`` is derived from ``lock_step``, so a write into it raises
+        instead of being silently dropped."""
+        _, w, prompt = toy
+        run = toy_run("surelock")
+        state = sampler.SamplerState.fresh(run, w, prompt)
+        for k_t in unmask_schedule(run.n_gen, run.steps)[:4]:
+            sampler.step(state, run, w, k_t, (16, 32))
+        assert state.lock.any()
+        np.testing.assert_array_equal(state.lock, state.lock_step >= 0)
+        with pytest.raises(ValueError):
+            state.lock[0] = True
+        with pytest.raises(ValueError):
+            state.lock[:] = False
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_logits_raise_invariant_error(self, toy):
         """Overflowing weights stop the run at the first step, with an error
