@@ -33,6 +33,11 @@ from .prng import normals, uniforms
 
 BOUND_SLACK = 1e-9
 
+#: the most logits (steps x vocabulary) one synthetic trajectory may have:
+#: a trajectory is built whole, and its logits, log-probabilities and KL
+#: temporaries are each 32 MiB at the cap
+MAX_TRAJECTORY_LOGITS = 2**22
+
 
 @dataclass
 class Trajectory:
@@ -61,14 +66,34 @@ class Trajectory:
 
     @classmethod
     def from_logits(cls, logits: np.ndarray, position: int = -1, source: str = "synthetic") -> "Trajectory":
-        logits = np.asarray(logits, dtype=np.float64)
-        traj = cls(logits=logits, step_kl=np.full(len(logits), np.inf), position=position, source=source)
-        if len(logits) > 1:
-            lp = kernels.log_softmax_rows(logits)
-            if not np.isfinite(lp).all():
-                raise InvalidInputError(f"trajectory at position {position}: log-softmax overflows")
-            traj.step_kl[1:] = kl_from_log_probs_rows(lp[1:], lp[:-1])
+        """The batch of one of ``from_logit_batch``; ``logits`` is (T, V)."""
+        [traj] = cls.from_logit_batch(np.asarray(logits, dtype=np.float64)[None], [position], source)
         return traj
+
+    @classmethod
+    def from_logit_batch(cls, logits: np.ndarray, positions=None, source: str = "synthetic") -> list["Trajectory"]:
+        """One trajectory per (T, V) slab of a (B, T, V) stack, each a view of it.
+
+        The step KLs of the whole batch come from one log-softmax over the
+        stacked B*T rows and one row-wise KL; both are per-row operations,
+        so each trajectory's ``step_kl`` is bit for bit its own batch of one.
+        """
+        logits = np.asarray(logits, dtype=np.float64)
+        if logits.ndim != 3:
+            raise InvalidInputError("trajectory arrays are inconsistent")
+        b, t, v = logits.shape
+        positions = [-1] * b if positions is None else positions
+        step_kl = np.full((b, t), np.inf)
+        trajs = [cls(logits=z, step_kl=kl, position=p, source=source) for z, kl, p in zip(logits, step_kl, positions)]
+        if t > 1:
+            lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
+            finite = np.isfinite(lp).all(axis=(1, 2))
+            if not finite.all():
+                bad = positions[int(np.flatnonzero(~finite)[0])]
+                raise InvalidInputError(f"trajectory at position {bad}: log-softmax overflows")
+            step_kl[:, 1:] = kl_from_log_probs_rows(
+                lp[:, 1:].reshape(-1, v), lp[:, :-1].reshape(-1, v)).reshape(b, t - 1)
+        return trajs
 
 
 def _tail_ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,24 +201,45 @@ def check_lock_bound(traj: Trajectory, epsilon: float) -> BoundReport:
                        rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_SLACK), **common)
 
 
-def simulate_trajectory(seed: int, vocab_size: int, n_steps: int, contraction_target: float, magnitude: float) -> Trajectory:
-    """Synthetic logit path z_s = anchor + magnitude * target^(s/2) * dir.
-
-    Consecutive logit differences decay geometrically with ratio exactly
-    sqrt(target); for small magnitudes the KL tail then contracts at about
-    ``target`` (KL is locally quadratic in the logit gap).
-    """
+def validate_synthetic(vocab_size: int, n_steps: int, contraction_target: float) -> None:
+    """Refuse a synthetic trajectory shape before anything is drawn."""
     if not 0.0 < contraction_target < 1.0:
         raise InvalidInputError("contraction_target must lie in (0, 1)")
     if n_steps < 4:
         raise InvalidInputError("need at least 4 steps")
-    anchor = normals(seed, vocab_size)
-    direction = normals(seed ^ 0xD1FF, vocab_size)
-    direction /= np.linalg.norm(direction)
-    steps = np.arange(1, n_steps + 1)
-    offsets = magnitude * contraction_target ** (steps / 2.0)
-    logits = anchor[None, :] + offsets[:, None] * direction[None, :]
-    return Trajectory.from_logits(logits, source="synthetic")
+    if vocab_size < 1:
+        raise InvalidInputError(f"vocab_size must be at least 1, got {vocab_size}")
+    if n_steps * vocab_size > MAX_TRAJECTORY_LOGITS:
+        raise InvalidInputError(f"a trajectory of {n_steps} steps x {vocab_size} logits exceeds the cap of "
+                                f"{MAX_TRAJECTORY_LOGITS} logits")
+
+
+def simulate_trajectories(seeds, vocab_size: int, n_steps: int, contraction_target: float,
+                          magnitude: float) -> list[Trajectory]:
+    """Synthetic logit paths z_s = anchor + magnitude * target^(s/2) * dir, one per seed.
+
+    Consecutive logit differences decay geometrically with ratio exactly
+    sqrt(target); for small magnitudes the KL tail then contracts at about
+    ``target`` (KL is locally quadratic in the logit gap). Seed ``s`` draws
+    its anchor from stream ``s`` and its direction from ``s ^ 0xD1FF``; the
+    whole batch is one draw, one log-softmax and one KL pass, and each
+    trajectory equals ``simulate_trajectory(s, ...)`` bit for bit.
+    """
+    validate_synthetic(vocab_size, n_steps, contraction_target)
+    seeds = list(seeds)
+    draws = normals([*seeds, *(s ^ 0xD1FF for s in seeds)], vocab_size)
+    anchor, direction = draws[: len(seeds)], draws[len(seeds) :]
+    # row_norms matches np.linalg.norm of each row bit for bit; norm(axis=1) does not
+    direction /= row_norms(direction)[:, None]
+    offsets = magnitude * contraction_target ** (np.arange(1, n_steps + 1) / 2.0)
+    logits = anchor[:, None, :] + offsets[None, :, None] * direction[:, None, :]
+    return Trajectory.from_logit_batch(logits, source="synthetic")
+
+
+def simulate_trajectory(seed: int, vocab_size: int, n_steps: int, contraction_target: float, magnitude: float) -> Trajectory:
+    """The batch of one of ``simulate_trajectories``."""
+    [traj] = simulate_trajectories([seed], vocab_size, n_steps, contraction_target, magnitude)
+    return traj
 
 
 def battery_steps(contraction_target: float) -> int:
@@ -218,7 +264,9 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
     """
     # each trajectory is a view of the history, not a copy. ``run_sampler``
     # records it position-major, so every view is one contiguous (steps, V)
-    # block: the checks read whole rows, and the history is held only once
+    # block: the checks read whole rows, and the history is held only once.
+    # Positions are scored one at a time: one batch over the whole history
+    # would hold a second history-sized array of log-probabilities
     return [
         Trajectory.from_logits(history[:, i, :], position=i, source="sampled")
         for i in np.flatnonzero(valid.all(axis=0)).tolist()
@@ -231,15 +279,20 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
 
 @dataclass
 class ConstantsReport:
-    """Operator-norm and empirical Lipschitz constants of a weight set."""
+    """Operator-norm bounds and sampled Lipschitz estimates of a weight set.
+
+    The embedding, head and attention gains are bounds. The FFN and
+    layer-norm gains are maxima over sampled input pairs: estimates from
+    below, not bounds, and so is every gain composed from them.
+    """
 
     embedding_gain: float  # sqrt(2) * ||E||_2: posterior drift -> input drift
     head_norm: float
     per_layer: list[dict]
     attention_gain: float  # worst layer A_mha
-    ffn_gain: float  # worst layer empirical FFN Lipschitz
-    layernorm_gain: float  # worst layer empirical LN Lipschitz
-    block_gain: float  # worst layer 1 + ffn * mha * ln
+    ffn_gain: float  # worst layer sampled FFN estimate
+    layernorm_gain: float  # worst layer sampled LN estimate (max of its two layer norms)
+    block_gain: float  # worst layer (1 + mha * ln) * (1 + ffn * ln)
     network_gain: float  # head_norm * block_gain ** n_layers
     overall_gain: float  # network_gain * embedding_gain
     smoothness_bound: float  # overall_gain * (1 + tail_share)
@@ -260,7 +313,8 @@ def embedding_gain(embedding: np.ndarray) -> tuple[float, bool]:
 
 
 def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -> float:
-    """Max output/input distance ratio over seeded point pairs in a ball."""
+    """Max output/input distance ratio over seeded point pairs in a ball: a
+    sampled estimate of the Lipschitz constant there, from below."""
     # points: radius-scaled gaussian directions; pairs are consecutive rows
     raw = normals(seed, 2 * samples * dim).reshape(2 * samples, dim)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -292,12 +346,16 @@ def lipschitz_constants(
     samples: int = 10_000,
     seed: int = 0,
 ) -> ConstantsReport:
-    """Compose per-layer constants into a network-wide smoothness bound.
+    """Compose per-layer constants into a network-wide smoothness estimate.
 
     Attention gains come from weight operator norms (power iteration); the
     gated feed-forward and layer norm are not globally Lipschitz, so their
-    gains are measured empirically over ``samples`` seeded input pairs
-    inside the given radius. ``tail_share`` is the assumed ratio of other
+    gains are sampled estimates: the largest ratio over ``samples`` seeded
+    input pairs inside the given radius, which can fall short of the true
+    constant. A layer computes ``x += MHA(LN1 x)`` and then
+    ``x += FFN(LN2 x)``, each with a residual, so its gain composes as
+    ``(1 + mha * ln) * (1 + ffn * ln)`` with ``ln`` the larger of its two
+    layer-norm estimates. ``tail_share`` is the assumed ratio of other
     positions' posterior movement to this position's own (0 attributes the
     whole step to one position). A report with a field that overflowed or
     is not finite raises ``NonFiniteError``.
@@ -355,7 +413,7 @@ def lipschitz_constants(
             "attention_gain": mha_gain,
             "ffn_gain": ffn_gain,
             "layernorm_gain": ln_gain,
-            "block_gain": 1.0 + ffn_gain * mha_gain * ln_gain,
+            "block_gain": (1.0 + mha_gain * ln_gain) * (1.0 + ffn_gain * ln_gain),
         })
 
     att = max(p["attention_gain"] for p in per_layer)

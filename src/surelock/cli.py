@@ -20,7 +20,9 @@ import argparse
 import csv
 import json
 import sys
+from collections import deque
 from dataclasses import fields
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,12 @@ DEFAULT_MODEL = {
     "max_seq": 64,
 }
 DEFAULT_RUN = {"n_prompt": 16, "n_gen": 16, "steps": 16, "mode": "baseline", "seed": 0}
+# the most trajectories one ``simulate`` battery may check: every report is
+# kept for the summary line and --out, about 3 KB each while --out is written
+MAX_BATTERY = 100_000
+# a battery round's logits stay under this many bytes (or one trajectory per
+# cell), so the battery's memory does not grow with --count
+BATTERY_BATCH_BYTES = 2**20
 CONFIG_KEYS = ("model", "run", "policy", "weights_path", "weights_seed", "weight_scale",
                "prompt_tokens", "output_dir")
 
@@ -390,16 +398,43 @@ def cmd_verify_bound(args) -> int:
     return EXIT_OK
 
 
+def _battery(cells: list[tuple[float, int, int]], count: int, seed: int, magnitude: float):
+    """The battery's ``count`` synthetic trajectories in index order.
+
+    Trajectory ``i`` has seed ``seed + i`` and the (rho, vocab, steps) of
+    cell ``i % len(cells)``. Indices are taken in rounds that give every
+    cell the same number of trajectories, as many as keep a round's logits
+    under ``BATTERY_BATCH_BYTES`` (at least one); each cell's share of a
+    round is one ``simulate_trajectories`` batch, built when its first index
+    is reached and released trajectory by trajectory as they are yielded, so
+    memory does not grow with ``count`` (nor with the number of cells when
+    a round holds one trajectory per cell).
+    """
+    n = len(cells)
+    per_round = n * max(1, BATTERY_BATCH_BYTES // (8 * sum(vocab * steps for _, vocab, steps in cells)))
+    for start in range(0, count, per_round):
+        stop = min(count, start + per_round)
+        pending: list[deque | None] = [None] * n
+        for i in range(start, stop):
+            if pending[i % n] is None:
+                rho, vocab, steps = cells[i % n]
+                pending[i % n] = deque(analysis.simulate_trajectories(
+                    [seed + j for j in range(i, stop, n)], vocab, steps, rho, magnitude))
+            yield pending[i % n].popleft()
+
+
 def cmd_simulate(args) -> int:
     rho_targets = _parse_list(args.rho_targets, float, "--rho-targets")
     vocab_sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
-    cells = [(r, v) for r in rho_targets for v in vocab_sizes]
-    reports = []
-    for i in range(args.count):
-        rho, vocab = cells[i % len(cells)]
-        steps = args.steps if args.steps is not None else analysis.battery_steps(rho)
-        traj = analysis.simulate_trajectory(args.seed + i, vocab, steps, rho, args.magnitude)
-        reports.append(analysis.check_lock_bound(traj, float("inf")))
+    if not 1 <= args.count <= MAX_BATTERY:
+        raise ConfigError(f"--count must lie in [1, {MAX_BATTERY}], got {args.count}")
+    # only the first ``count`` cells are used; each is checked before any is drawn
+    cells = [(rho, vocab, args.steps if args.steps is not None else analysis.battery_steps(rho))
+             for rho, vocab in islice(product(rho_targets, vocab_sizes), args.count)]
+    for rho, vocab, steps in cells:
+        analysis.validate_synthetic(vocab, steps, rho)
+    reports = [analysis.check_lock_bound(traj, float("inf"))
+               for traj in _battery(cells, args.count, args.seed, args.magnitude)]
     applicable = [r for r in reports if r.status == "ok"]
     held = sum(1 for r in applicable if r.holds)
     print(f"simulate: {held}/{args.count} bound holds "

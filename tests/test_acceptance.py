@@ -325,8 +325,9 @@ def test_criterion_10_constants(toy_weights):
     assert abs(rep.embedding_gain - want_emb) <= 1e-6
     want_head = np.linalg.svd(toy_weights.head, compute_uv=False)[0]
     assert abs(rep.head_norm - want_head) <= 1e-6
-    for entry in rep.per_layer:
-        hand = 1.0 + entry["ffn_gain"] * entry["attention_gain"] * entry["layernorm_gain"]
+    for entry in rep.per_layer:  # one residual per sublayer
+        ln = entry["layernorm_gain"]
+        hand = (1.0 + entry["attention_gain"] * ln) * (1.0 + entry["ffn_gain"] * ln)
         assert abs(entry["block_gain"] - hand) <= 1e-12
     blk = max(e["block_gain"] for e in rep.per_layer)
     assert abs(rep.network_gain - rep.head_norm * blk**TOY.n_layers) <= 1e-9

@@ -17,6 +17,7 @@ from surelock import (
 )
 from surelock.analysis import (
     BOUND_SLACK,
+    MAX_TRAJECTORY_LOGITS,
     BoundReport,
     Trajectory,
     battery_steps,
@@ -25,14 +26,17 @@ from surelock.analysis import (
     estimate_smoothness,
     input_radius_bound,
     lipschitz_constants,
+    simulate_trajectories,
     simulate_trajectory,
     softmax_jacobian_sup,
     tail_gain,
     trajectories_from_history,
+    validate_synthetic,
 )
 from surelock.cli import random_prompt
 from surelock.errors import EstimateUndefinedError, InvalidInputError
 from surelock.numkit import LOG_SOFTMAX_LIPSCHITZ, row_norms
+from surelock.prng import normals
 
 DATA = Path(__file__).parent / "data"
 
@@ -252,6 +256,28 @@ class TestSimulateTrajectory:
         with pytest.raises(InvalidInputError):
             simulate_trajectory(0, 8, 10, 1.0, 0.1)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seeds=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6), vocab=st.integers(1, 300),
+           steps=st.integers(4, 20), rho=st.floats(0.05, 0.95), magnitude=st.sampled_from([0.01, 0.25, 1e4]))
+    def test_batch_equals_batches_of_one(self, seeds, vocab, steps, rho, magnitude):
+        """A batch draws, normalises and scores each seed's trajectory bit for
+        bit as a batch of one does, from the masked seed's two streams."""
+        draws = normals(seeds, vocab)
+        for row, seed in zip(draws, seeds):
+            np.testing.assert_array_equal(row, normals(seed % 2**64, vocab))
+        for seed, traj in zip(seeds, simulate_trajectories(seeds, vocab, steps, rho, magnitude)):
+            one = simulate_trajectory(seed, vocab, steps, rho, magnitude)
+            np.testing.assert_array_equal(traj.logits, one.logits)
+            np.testing.assert_array_equal(traj.step_kl, one.step_kl)
+            stacked = Trajectory.from_logit_batch(np.stack([one.logits, traj.logits]))[1]
+            np.testing.assert_array_equal(stacked.step_kl, one.step_kl)
+
+    def test_trajectory_cap_is_checked_before_drawing(self):
+        validate_synthetic(MAX_TRAJECTORY_LOGITS // 4, 4, 0.5)
+        for vocab, steps in ((MAX_TRAJECTORY_LOGITS // 4 + 1, 4), (0, 10), (-4, 10), (8, 10**23)):
+            with pytest.raises(InvalidInputError):
+                simulate_trajectories([0], vocab, steps, 0.5, 0.1)
+
 
 @pytest.fixture(scope="module")
 def small_model():
@@ -332,17 +358,62 @@ class TestConstants:
         assert report.head_norm == pytest.approx(want_head, abs=1e-6)
 
     def test_block_and_network_composition(self, small_model):
+        """Each sublayer adds a residual, so a layer's gain is the product of
+        one (1 + sublayer * layer norm) factor per sublayer."""
         _, w = small_model
         rep = lipschitz_constants(w, input_radius=2.0, samples=1000)
         for entry in rep.per_layer:
-            assert entry["block_gain"] == pytest.approx(
-                1.0 + entry["ffn_gain"] * entry["attention_gain"] * entry["layernorm_gain"]
-            )
+            ln = entry["layernorm_gain"]
+            hand = (1.0 + entry["attention_gain"] * ln) * (1.0 + entry["ffn_gain"] * ln)
+            assert abs(entry["block_gain"] - hand) <= 1e-12
         blk = max(e["block_gain"] for e in rep.per_layer)
         assert rep.block_gain == pytest.approx(blk)
         assert rep.network_gain == pytest.approx(rep.head_norm * blk ** w.config.n_layers)
         assert rep.overall_gain == pytest.approx(rep.network_gain * rep.embedding_gain)
         assert rep.smoothness_bound == pytest.approx(rep.overall_gain)  # tail share 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(heads=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2)]), head_dim=st.integers(4, 6),
+           d_ff=st.integers(1, 24), n=st.integers(1, 8), scale=st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_block_gain_covers_measured_block_ratio(self, heads, head_dim, d_ff, n, scale, seed):
+        """Layer 0 applied to n rows inside the report's input radius, and to
+        the same rows perturbed, moves them by at most ``block_gain`` times
+        the perturbation, from round-off-sized to radius-sized steps. The
+        FFN and layer-norm gains are sampled estimates, so this is a check
+        of the composition, not a proof; the residual-free composition
+        ``1 + ffn * mha * ln`` fails it. Widths start at 4: at width 2 a
+        layer norm is nearly a sign function, whose steep points sampled
+        pairs miss."""
+        n_heads, n_kv = heads
+        cfg = ModelConfig(vocab_size=5, d_model=n_heads * head_dim, n_layers=1, n_heads=n_heads,
+                          n_kv_heads=n_kv, d_ff=d_ff, max_seq=8)
+        w = init_weights(cfg, seed).scaled(scale)
+        rep = lipschitz_constants(w, input_radius_bound(w), seq_len=n, samples=200)
+        radius, gain = rep.input_radius, rep.per_layer[0]["block_gain"]
+        rng = np.random.default_rng(seed)
+
+        def in_ball(x):
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
+            return np.where(norms > radius, x / norms * radius, x)
+
+        def block(x):
+            layer, dh = w.layers[0], cfg.head_dim
+            hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias)
+            q, k, v = ((hid @ m).reshape(n, -1, dh) for m in (layer.wq, layer.wk, layer.wv))
+            x = x + kernels.attention_rows(q, k, v, 1.0 / math.sqrt(dh), cfg.group_size).reshape(n, -1) @ layer.wo
+            hid = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias)
+            gate = hid @ layer.w_gate
+            return x + (gate / (1.0 + np.exp(-gate)) * (hid @ layer.w_up)) @ layer.w_down
+
+        for _ in range(10):
+            # uniform in the ball, as the report samples its pairs
+            z = rng.normal(size=(n, cfg.d_model))
+            x = z / np.linalg.norm(z, axis=1, keepdims=True) * radius * rng.uniform(size=(n, 1)) ** (1 / cfg.d_model)
+            for step in (1e-6, 1e-3, 1e-1, 1.0):
+                y = in_ball(x + step * radius * rng.normal(size=x.shape))
+                ratio = np.linalg.norm(block(y) - block(x)) / np.linalg.norm(y - x)
+                assert ratio <= gain * (1.0 + 1e-12), (ratio, rep.per_layer[0])
 
     def test_tail_share_scales_smoothness(self, small_model):
         _, w = small_model

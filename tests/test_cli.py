@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -261,7 +262,67 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "s")]) == 2
 
 
+# sha256 of each bound command's --out file, taken before the battery was
+# built in batches; the batched battery must write the same bytes
+BOUND_FILE_PINS = [
+    (["simulate", "--count", "200"], "41058d51e396923e1767fb9bac6e79bfb38e59dcdd32cb4d0a38fd177484333a"),
+    (["simulate", "--count", "20", "--magnitude", "1e4"],
+     "7474e3988114266eafd8ec13ad749da1ad1b6a17f2ceb5ea3fec54be3d5480f2"),
+    (["simulate", "--count", "60", "--rho-targets", "0.2,0.5", "--vocab-sizes", "16,256", "--steps", "30"],
+     "7ca8f5f76970673ae7a3e6644b82bbd88c586aa8aee60b998b8990a3fe4fca85"),
+    (["verify-bound"], "206fe3c6f4409067c22d07ab594c4f92b8574ceb1f5a4cdf005a95382c93e24a"),
+]
+
+
+def out_sha256(argv, path) -> str:
+    assert main([*argv, "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestVerifyAndSimulate:
+    @pytest.mark.parametrize("argv,digest", BOUND_FILE_PINS, ids=["default", "magnitude", "cells", "verify"])
+    def test_bound_files_are_pinned(self, tmp_path, argv, digest):
+        assert out_sha256(argv, tmp_path / "reports.json") == digest
+
+    @pytest.mark.parametrize("budget", [1, 600_000])
+    def test_battery_bytes_do_not_depend_on_the_batch_budget(self, tmp_path, monkeypatch, budget):
+        """One trajectory per cell per round, or a few: the same reports as
+        the default budget, from batches whose logits stay within it."""
+        batches = []
+        simulate = cli.analysis.simulate_trajectories
+
+        def recorded(seeds, vocab, steps, *args):
+            batches.append((len(seeds), 8 * len(seeds) * vocab * steps))
+            return simulate(seeds, vocab, steps, *args)
+
+        monkeypatch.setattr(cli.analysis, "simulate_trajectories", recorded)
+        monkeypatch.setattr(cli, "BATTERY_BATCH_BYTES", budget)
+        argv, digest = BOUND_FILE_PINS[2]
+        assert out_sha256(argv, tmp_path / "reports.json") == digest
+        assert sum(n for n, _ in batches) == 60
+        assert all(n == 1 or size <= budget for n, size in batches)
+        # a round gives each of the four (rho, vocab) cells the same number of trajectories
+        assert max(n for n, _ in batches) == max(1, budget // (8 * 30 * 2 * (16 + 256)))
+
+    @pytest.mark.parametrize("flags", [
+        ["--count", "0"],
+        ["--count", "-3"],
+        ["--count", str(cli.MAX_BATTERY + 1)],
+        ["--vocab-sizes", "0"],
+        ["--vocab-sizes", "8,-4"],
+        ["--vocab-sizes", "99999999999999999999999", "--count", "1"],
+        ["--steps", "99999999999999999999999", "--count", "1"],
+        ["--steps", "100000000", "--count", "5"],
+    ])
+    def test_simulate_refuses_bad_sizes_before_drawing(self, monkeypatch, capsys, flags):
+        """A count below 1 or above the battery cap, a vocabulary below 1 and
+        a trajectory above the logit cap exit 2 before anything is drawn."""
+        drawn = []
+        monkeypatch.setattr(cli.analysis, "simulate_trajectories", lambda *args: drawn.append(args))
+        assert main(["simulate", *flags]) == 2
+        assert drawn == []
+        assert "config error:" in capsys.readouterr().err
+
     def test_simulate_full_battery(self, capsys):
         assert main(["simulate", "--count", "200"]) == 0
         out = capsys.readouterr().out

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler
@@ -130,12 +130,15 @@ SAMPLING_FLAGS = ["--block-length", "--temperature", "--seed", "--prompt"]
 POLICY_FLAGS = ["--mode", "--eps", "--percentile", "--fraction"]
 POLICY_SWITCHES = ["--no-gate", "--unlock"]
 COMMAND_FLAGS = {
-    "run": [*SAMPLING_FLAGS, *POLICY_FLAGS],
-    "sweep": [*SAMPLING_FLAGS, *POLICY_FLAGS, "--eps-list", "--m-list", "--steps-list", "--ngen-list", "--seeds"],
-    "verify-bound": [*SAMPLING_FLAGS, "--trajectories", "--eps"],
-    "constants": ["--radius", "--kappa"],
+    "run": [*COMMON_FLAGS, *SAMPLING_FLAGS, *POLICY_FLAGS],
+    "sweep": [*COMMON_FLAGS, *SAMPLING_FLAGS, *POLICY_FLAGS, "--eps-list", "--m-list", "--steps-list",
+              "--ngen-list", "--seeds"],
+    "verify-bound": [*COMMON_FLAGS, *SAMPLING_FLAGS, "--trajectories", "--eps"],
+    "constants": [*COMMON_FLAGS, "--radius", "--kappa"],
+    # simulate reads no config file, so it takes only its own flags and runs without --config
+    "simulate": ["--count", "--rho-targets", "--vocab-sizes", "--steps", "--magnitude", "--seed"],
 }
-COMMANDS = list(COMMAND_FLAGS)
+CONFIG_COMMANDS = [command for command in COMMAND_FLAGS if command != "simulate"]
 
 
 @st.composite
@@ -168,24 +171,35 @@ def run_cli(argv, doc=None) -> int:
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning",
                             "ignore:divide by zero:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
-@given(command=st.sampled_from(COMMANDS), doc=config_documents())
+@given(command=st.sampled_from(CONFIG_COMMANDS), doc=config_documents())
 def test_malformed_config_keeps_the_exit_code_contract(command, doc):
     extra = ["--samples", "20"] if command == "constants" else []
     assert run_cli([command, *extra], doc) in (0, 2, 3)
 
 
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3, unique=True))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(FLAG_VALUES)]
+    if command == "constants":
+        argv += ["--samples", draw(st.sampled_from(["-1", "0", "1", "x", "20"]))]
+    for switch in POLICY_SWITCHES if command in ("run", "sweep") else []:
+        if draw(st.booleans()):
+            argv.append(switch)
+    return argv
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning",
                             "ignore:divide by zero:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), command=st.sampled_from(COMMANDS))
-def test_malformed_flags_keep_the_exit_code_contract(data, command):
-    flags = data.draw(st.lists(st.sampled_from(COMMON_FLAGS + COMMAND_FLAGS[command]), max_size=3, unique=True))
-    argv = [command]
-    for flag in flags:
-        argv += [flag, data.draw(FLAG_VALUES)]
-    if command == "constants":
-        argv += ["--samples", data.draw(st.sampled_from(["-1", "0", "1", "x", "20"]))]
-    for switch in POLICY_SWITCHES if command in ("run", "sweep") else []:
-        if data.draw(st.booleans()):
-            argv.append(switch)
-    assert run_cli(argv, TINY) in (0, 2, 3)
+@given(argv=command_lines())
+# simulate's sizes once ended in tracebacks: an empty or negative vocabulary,
+# and a trajectory too large to shape
+@example(argv=["simulate", "--vocab-sizes", "0"])
+@example(argv=["simulate", "--vocab-sizes", "-1"])
+@example(argv=["simulate", "--steps", "99999999999999999999999", "--count", "1"])
+def test_malformed_flags_keep_the_exit_code_contract(argv):
+    assert run_cli(argv, None if argv[0] == "simulate" else TINY) in (0, 2, 3)
