@@ -41,21 +41,33 @@ MAX_TRAJECTORY_LOGITS = 2**22
 
 @dataclass
 class Trajectory:
-    """Per-step logit (or log-posterior) vectors for one position.
+    """Per-step logit (or log-posterior) vectors for one position, with the
+    per-step facts the lock-bound check reads.
 
-    ``step_kl[s]`` is the KL between steps s and s-1 (0-based arrays;
-    step_kl[0] is infinity). Feeding log-posteriors instead of raw logits is
-    equivalent: log-softmax is idempotent and KL only sees the normalized
-    form.
+    0-based arrays over steps s:
+
+    - ``step_kl[s]`` is the KL between steps s and s-1;
+    - ``step_move[s]`` is the logit movement ``||z_s - z_{s-1}||_2``;
+    - ``terminal_gap[s]`` is the sup-norm gap ``max_v |lp_{T-1} - lp_s|``
+      of the log-posteriors to the terminal step's (0 at s = T-1).
+
+    ``step_kl[0]`` and ``step_move[0]`` are infinity: step 0 has no step
+    before it. Feeding log-posteriors instead of raw logits leaves
+    ``step_kl`` and ``terminal_gap`` unchanged (log-softmax is idempotent
+    and both only see the normalized form); ``step_move`` measures the
+    vectors fed.
     """
 
     logits: np.ndarray  # (T, V)
     step_kl: np.ndarray  # (T,)
+    step_move: np.ndarray  # (T,)
+    terminal_gap: np.ndarray  # (T,)
     position: int = -1
     source: str = "synthetic"
 
     def __post_init__(self):
-        if self.logits.ndim != 2 or len(self.logits) != len(self.step_kl):
+        if self.logits.ndim != 2 or any(len(a) != len(self.logits)
+                                        for a in (self.step_kl, self.step_move, self.terminal_gap)):
             raise InvalidInputError("trajectory arrays are inconsistent")
         if not np.isfinite(self.logits).all():
             raise InvalidInputError("trajectory logits contain non-finite values")
@@ -74,17 +86,21 @@ class Trajectory:
     def from_logit_batch(cls, logits: np.ndarray, positions=None, source: str = "synthetic") -> list["Trajectory"]:
         """One trajectory per (T, V) slab of a (B, T, V) stack, each a view of it.
 
-        The step KLs of the whole batch come from one log-softmax over the
-        stacked B*T rows and one row-wise KL; both are per-row operations,
-        so each trajectory's ``step_kl`` is bit for bit its own batch of one.
+        The whole batch takes one log-softmax over the stacked B*T rows, one
+        row-wise KL, one logit difference with its ``row_norms`` and one
+        in-place terminal gap on the log-probabilities. Each is a per-row
+        operation, so every trajectory's per-step arrays are bit for bit its
+        own batch of one, and equal to what a check would compute from the
+        two rows it compares.
         """
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 3:
             raise InvalidInputError("trajectory arrays are inconsistent")
         b, t, v = logits.shape
         positions = [-1] * b if positions is None else positions
-        step_kl = np.full((b, t), np.inf)
-        trajs = [cls(logits=z, step_kl=kl, position=p, source=source) for z, kl, p in zip(logits, step_kl, positions)]
+        step_kl, step_move, terminal_gap = np.full((b, t), np.inf), np.full((b, t), np.inf), np.zeros((b, t))
+        trajs = [cls(logits=z, step_kl=kl, step_move=mv, terminal_gap=gap, position=p, source=source)
+                 for z, kl, mv, gap, p in zip(logits, step_kl, step_move, terminal_gap, positions)]
         if t > 1:
             lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
             finite = np.isfinite(lp).all(axis=(1, 2))
@@ -93,6 +109,12 @@ class Trajectory:
                 raise InvalidInputError(f"trajectory at position {bad}: log-softmax overflows")
             step_kl[:, 1:] = kl_from_log_probs_rows(
                 lp[:, 1:].reshape(-1, v), lp[:, :-1].reshape(-1, v)).reshape(b, t - 1)
+            step_move[:, 1:] = row_norms((logits[:, 1:] - logits[:, :-1]).reshape(-1, v)).reshape(b, t - 1)
+            # lp_s - lp_{T-1} has the magnitude of lp_{T-1} - lp_s exactly; the terminal row's gap stays 0
+            gap = lp[:, :-1]
+            gap -= lp[:, -1:]
+            np.abs(gap, out=gap)
+            terminal_gap[:, :-1] = gap.max(axis=2)
         return trajs
 
 
@@ -115,14 +137,11 @@ def _max_ratio(ratios: np.ndarray, used: np.ndarray, lock_step: int) -> float:
 def estimate_smoothness(traj: Trajectory, lock_step: int) -> float:
     """Largest tail ratio of logit movement to sqrt of the prior step KL.
 
-    The whole tail is evaluated at once; the per-step movement comes from
-    ``row_norms``, which matches ``np.linalg.norm`` of each step bit for bit.
-    A zero prior KL demands zero logit movement; otherwise the estimate is
-    infinity (flagging a smoothness violation).
+    Both come from the trajectory's per-step arrays, so the estimate is one
+    pass over (T,) slices. A zero prior KL demands zero logit movement;
+    otherwise the estimate is infinity (flagging a smoothness violation).
     """
-    z = traj.logits
-    movement = row_norms(z[lock_step:] - z[lock_step - 1 : -1])
-    return _max_ratio(*_tail_ratios(movement, np.sqrt(traj.step_kl[lock_step - 1 : -1])), lock_step)
+    return _max_ratio(*_tail_ratios(traj.step_move[lock_step:], np.sqrt(traj.step_kl[lock_step - 1 : -1])), lock_step)
 
 
 def tail_gain(log_softmax_lip: float, smoothness: float, contraction: float) -> float:
@@ -168,19 +187,20 @@ def check_lock_bound(traj: Trajectory, epsilon: float) -> BoundReport:
     The lock step is the first step >= 2 whose KL is at most ``epsilon``.
     The tail constants are measured from the trajectory itself, so whenever
     the measured contraction is below 1 the reported bound must hold; an
-    infinite gain gives an infinite right-hand side.
+    infinite gain gives an infinite right-hand side. Every statistic is
+    read from the trajectory's (T,) per-step arrays: a check does no
+    per-token work.
     """
     if traj.n_steps < 3:
         raise InvalidInputError("need at least 3 steps to check the bound")
-    kl, z = traj.step_kl, traj.logits
+    kl = traj.step_kl
     hits = np.flatnonzero(kl[1:] <= epsilon)
     if hits.size == 0:
         return BoundReport(status="no_lock", position=traj.position, source=traj.source)
     lock_step = int(hits[0]) + 2
 
     lock_kl = float(kl[lock_step - 1])
-    lp = kernels.log_softmax_rows(z[[lock_step - 1, traj.n_steps - 1]])
-    lhs = float(np.max(np.abs(lp[1] - lp[0])))
+    lhs = float(traj.terminal_gap[lock_step - 1])
     common = {"lock_step": lock_step, "lock_kl": lock_kl, "lhs": lhs, "position": traj.position, "source": traj.source}
     if lock_step == traj.n_steps:
         # locking at the terminal step: the deviation is identically zero
@@ -195,8 +215,8 @@ def check_lock_bound(traj: Trajectory, epsilon: float) -> BoundReport:
         return BoundReport(status="inapplicable", contraction=rho, smoothness=lsm,
                            growth_step=lock_step + 1 + int(growth[0]) if growth.size else None,
                            **common)
-    gain = tail_gain(LOG_SOFTMAX_LIPSCHITZ, lsm, rho) if np.isfinite(lsm) else np.inf
-    rhs = gain * math.sqrt(lock_kl) if np.isfinite(gain) else np.inf  # inf * sqrt(0) would be NaN
+    gain = tail_gain(LOG_SOFTMAX_LIPSCHITZ, lsm, rho) if math.isfinite(lsm) else np.inf
+    rhs = gain * math.sqrt(lock_kl) if math.isfinite(gain) else np.inf  # inf * sqrt(0) would be NaN
     return BoundReport(status="ok", contraction=rho, smoothness=lsm, gain=gain,
                        rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_SLACK), **common)
 
@@ -281,15 +301,19 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
 class ConstantsReport:
     """Operator-norm bounds and sampled Lipschitz estimates of a weight set.
 
-    The embedding, head and attention gains are bounds. The FFN and
-    layer-norm gains are maxima over sampled input pairs: estimates from
-    below, not bounds, and so is every gain composed from them.
+    The embedding, head and attention gains are bounds. A layer's attention
+    gain is ``||Wo|| * sqrt(sum_h A_h^2)`` over its heads' gains ``A_h``:
+    the heads' outputs are concatenated before ``Wo``, so their movements
+    add in quadrature, and the largest head alone can fall short by a
+    factor of up to sqrt(H). The FFN and layer-norm gains are maxima over
+    sampled input pairs: estimates from below, not bounds, and so is every
+    gain composed from them.
     """
 
     embedding_gain: float  # sqrt(2) * ||E||_2: posterior drift -> input drift
     head_norm: float
     per_layer: list[dict]
-    attention_gain: float  # worst layer A_mha
+    attention_gain: float  # worst layer A_mha = ||Wo|| * sqrt(sum_h A_h^2)
     ffn_gain: float  # worst layer sampled FFN estimate
     layernorm_gain: float  # worst layer sampled LN estimate (max of its two layer norms)
     block_gain: float  # worst layer (1 + mha * ln) * (1 + ffn * ln)
@@ -348,17 +372,18 @@ def lipschitz_constants(
 ) -> ConstantsReport:
     """Compose per-layer constants into a network-wide smoothness estimate.
 
-    Attention gains come from weight operator norms (power iteration); the
-    gated feed-forward and layer norm are not globally Lipschitz, so their
-    gains are sampled estimates: the largest ratio over ``samples`` seeded
-    input pairs inside the given radius, which can fall short of the true
-    constant. A layer computes ``x += MHA(LN1 x)`` and then
-    ``x += FFN(LN2 x)``, each with a residual, so its gain composes as
-    ``(1 + mha * ln) * (1 + ffn * ln)`` with ``ln`` the larger of its two
-    layer-norm estimates. ``tail_share`` is the assumed ratio of other
-    positions' posterior movement to this position's own (0 attributes the
-    whole step to one position). A report with a field that overflowed or
-    is not finite raises ``NonFiniteError``.
+    Attention gains come from weight operator norms (power iteration): a
+    head's gain bounds its own output, and a layer's bounds its heads'
+    concatenated outputs under ``Wo``. The gated feed-forward and layer
+    norm are not globally Lipschitz, so their gains are sampled estimates:
+    the largest ratio over ``samples`` seeded input pairs inside the given
+    radius, which can fall short of the true constant. A layer computes
+    ``x += MHA(LN1 x)`` and then ``x += FFN(LN2 x)``, each with a residual,
+    so its gain composes as ``(1 + mha * ln) * (1 + ffn * ln)`` with ``ln``
+    the larger of its two layer-norm estimates. ``tail_share`` is the
+    assumed ratio of other positions' posterior movement to this position's
+    own (0 attributes the whole step to one position). A report with a
+    field that overflowed or is not finite raises ``NonFiniteError``.
     """
     if not 0.0 < input_radius < math.inf:
         raise InvalidInputError(f"input_radius must be positive and finite, got {input_radius}")
@@ -391,7 +416,7 @@ def lipschitz_constants(
             converged &= ok
         wo_sn = spectral_norm(layer.wo)
         converged &= wo_sn.converged
-        mha_gain = wo_sn.value * max(head_gains)
+        mha_gain = wo_sn.value * math.hypot(*head_gains)  # concatenated heads: root sum of squares
 
         def ffn(x, layer=layer):
             gate = x @ layer.w_gate

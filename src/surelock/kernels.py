@@ -71,11 +71,14 @@ def log_softmax_rows(z: np.ndarray) -> np.ndarray:
     """Numerically stable log-softmax along the last axis of a 2-D array."""
     z = np.ascontiguousarray(z, dtype=np.float64)
     shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 def kl_rows(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
     """Row-wise KL(p||q) from two aligned log-probability arrays (unclamped)."""
     lp = np.ascontiguousarray(lp, dtype=np.float64)
     lq = np.ascontiguousarray(lq, dtype=np.float64)
-    return (np.exp(lp) * (lp - lq)).sum(axis=1)
+    terms = np.exp(lp)
+    terms *= lp - lq
+    return terms.sum(axis=1)

@@ -415,6 +415,39 @@ class TestConstants:
                 ratio = np.linalg.norm(block(y) - block(x)) / np.linalg.norm(y - x)
                 assert ratio <= gain * (1.0 + 1e-12), (ratio, rep.per_layer[0])
 
+    @pytest.mark.parametrize("n_heads", [2, 4])
+    def test_attention_gain_bounds_concatenated_heads(self, n_heads):
+        """H identical heads with Wq = 0 attend uniformly, so each outputs the
+        row mean through its Wv_h, a linear map of gain g = ||Wv_h||. With
+        Wo = I and every row moved along Wv_h's top singular direction, the
+        concatenated heads move sqrt(H) * g per unit of input movement: more
+        than the largest head alone, ||Wo|| * max_h g_h, and at most the
+        reported root sum of squares (power iteration approaches each norm
+        from below, within its tolerance)."""
+        dh, n = 3, 5
+        cfg = ModelConfig(vocab_size=5, d_model=n_heads * dh, n_layers=1, n_heads=n_heads, d_ff=4, max_seq=8)
+        w = init_weights(cfg, 7)
+        layer = w.layers[0]
+        layer.wq = np.zeros_like(layer.wq)
+        layer.wo = np.eye(cfg.d_model)
+        layer.wk = np.tile(layer.wk[:, :dh], n_heads)
+        layer.wv = np.tile(layer.wv[:, :dh], n_heads)
+        u, sv, _ = np.linalg.svd(layer.wv[:, :dh])
+        g = sv[0]
+
+        def mha(x):
+            q, k, v = ((x @ m).reshape(n, -1, dh) for m in (layer.wq, layer.wk, layer.wv))
+            return kernels.attention_rows(q, k, v, 1.0 / math.sqrt(dh), cfg.group_size).reshape(n, -1) @ layer.wo
+
+        x = np.random.default_rng(3).normal(size=(n, cfg.d_model))
+        y = x + 0.1 * u[:, 0]
+        ratio = np.linalg.norm(mha(y) - mha(x)) / np.linalg.norm(y - x)
+        assert ratio == pytest.approx(math.sqrt(n_heads) * g, rel=1e-9)
+        rep = lipschitz_constants(w, input_radius=1.0, seq_len=n, samples=50)
+        largest_head = np.linalg.norm(layer.wo, 2) * g
+        assert largest_head * 1.01 < ratio <= rep.per_layer[0]["attention_gain"] * (1.0 + 1e-9)
+        assert rep.per_layer[0]["attention_gain"] == pytest.approx(math.sqrt(n_heads) * g, rel=1e-9)
+
     def test_tail_share_scales_smoothness(self, small_model):
         _, w = small_model
         a = lipschitz_constants(w, input_radius=1.0, samples=200)
@@ -653,3 +686,80 @@ def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions,
         contraction = check_lock_bound(tail, np.inf).contraction
         assert repr(contraction) == repr(reference_estimate_contraction(traj, lock_step))
         assert repr(estimate_smoothness(traj, lock_step)) == repr(reference_estimate_smoothness(traj, lock_step))
+
+
+# ---------------------------------------------------------------------------
+# the per-step arrays a trajectory carries for the lock-bound check
+
+
+def assert_per_step_facts(traj):
+    """``step_move`` is np.linalg.norm of each step's logit difference and
+    ``terminal_gap`` the two-row log-softmax gap a check would compute, both
+    bit for bit; the trajectory equals its own batch of one; and its checks
+    are repr-identical to the loop reference at epsilon -1, infinity and
+    every finite step KL."""
+    z, t = traj.logits, traj.n_steps
+    move = np.array([np.inf] + [np.linalg.norm(z[s] - z[s - 1]) for s in range(1, t)])
+    assert traj.step_move.tobytes() == move.tobytes()
+    gap = []
+    for s in range(t):
+        lp = kernels.log_softmax_rows(z[[s, t - 1]])
+        gap.append(np.max(np.abs(lp[1] - lp[0])))
+    assert traj.terminal_gap.tobytes() == np.array(gap).tobytes()
+    one = Trajectory.from_logits(np.array(z), position=traj.position, source=traj.source)
+    for name in ("step_kl", "step_move", "terminal_gap"):
+        assert getattr(traj, name).tobytes() == getattr(one, name).tobytes(), name
+    if t < 3:
+        return
+    for eps in (-1.0, math.inf, *traj.step_kl[np.isfinite(traj.step_kl)].tolist()):
+        got = check_lock_bound(traj, eps)
+        assert repr(report_fields(got)) == repr(report_fields(reference_check_lock_bound(traj, eps)))
+        if got.status == "inapplicable":
+            assert got.growth_step == reference_growth_step(traj, got.lock_step)
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 4), t=st.integers(1, 12), v=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=11, max_size=11),
+       magnitude=st.sampled_from([1.0, 1e4, 1e150]))
+@example(b=2, t=6, v=5, seed=0, kinds=["repeat"] * 11, magnitude=1.0)  # no movement at all
+@example(b=3, t=12, v=17, seed=1, kinds=["decay"] * 11, magnitude=1e150)  # large logits, contracting tail
+def test_per_step_arrays_of_a_batch(b, t, v, seed, kinds, magnitude):
+    """Random (B, T, V) stacks with fresh, repeated (zero-movement), nudged
+    and decaying rows at small and large magnitudes, each slab built as one
+    batch; the last slab repeats the first, so a batch holds equal rows."""
+    slabs = [magnitude * build_logits(t, v, seed + i, kinds[: t - 1]) for i in range(b)]
+    slabs[-1] = slabs[0]
+    trajs = Trajectory.from_logit_batch(np.stack(slabs), positions=list(range(b)))
+    for traj in trajs:
+        assert_per_step_facts(traj)
+
+
+@settings(max_examples=20, deadline=None)
+@given(heads=st.sampled_from([(2, 2), (4, 4), (2, 1), (4, 2)]), n_gen=st.integers(2, 8),
+       steps=st.integers(3, 8), scale=st.sampled_from([1.0, 4.0]), seed=st.integers(0, 2**32 - 1))
+def test_per_step_arrays_of_sampled_histories(heads, n_gen, steps, scale, seed):
+    """Trajectories of recorded MHA and GQA baseline runs, one position at a
+    time as ``trajectories_from_history`` builds them and all positions as
+    one batch, carry the same per-step arrays."""
+    n_heads, n_kv = heads
+    cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv,
+                      d_ff=16, max_seq=16)
+    w = init_weights(cfg, seed).scaled(scale)
+    run = RunConfig(n_prompt=3, n_gen=n_gen, steps=min(steps, n_gen), mode="baseline", seed=seed % 1000)
+    res = run_sampler(run, w, random_prompt(cfg, 3, seed % 1000), record_trajectories=True)
+    trajs = trajectories_from_history(res.history, res.history_valid)
+    batch = Trajectory.from_logit_batch(res.history.transpose(1, 0, 2))
+    assert len(trajs) == len(batch) == 3 + n_gen
+    for traj, whole in zip(trajs, batch):
+        assert_per_step_facts(traj)
+        for name in ("step_kl", "step_move", "terminal_gap"):
+            assert getattr(traj, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_per_step_arrays_must_cover_every_step():
+    traj = Trajectory.from_logits(np.zeros((4, 3)))
+    arrays = {name: getattr(traj, name) for name in ("step_kl", "step_move", "terminal_gap")}
+    for name, full in arrays.items():
+        with pytest.raises(InvalidInputError):
+            Trajectory(logits=traj.logits, **{**arrays, name: full[:-1]})

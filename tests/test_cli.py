@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -262,8 +263,10 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "s")]) == 2
 
 
-# sha256 of each bound command's --out file, taken before the battery was
-# built in batches; the batched battery must write the same bytes
+# sha256 of each bound command's --out file. The simulate pins were taken
+# before the battery was built in batches, the verify-bound pins before a
+# trajectory carried its per-step arrays; neither change may move the bytes.
+# At --eps 6e-13 the default config's positions lock at steps 8 and 13
 BOUND_FILE_PINS = [
     (["simulate", "--count", "200"], "41058d51e396923e1767fb9bac6e79bfb38e59dcdd32cb4d0a38fd177484333a"),
     (["simulate", "--count", "20", "--magnitude", "1e4"],
@@ -271,6 +274,8 @@ BOUND_FILE_PINS = [
     (["simulate", "--count", "60", "--rho-targets", "0.2,0.5", "--vocab-sizes", "16,256", "--steps", "30"],
      "7ca8f5f76970673ae7a3e6644b82bbd88c586aa8aee60b998b8990a3fe4fca85"),
     (["verify-bound"], "206fe3c6f4409067c22d07ab594c4f92b8574ceb1f5a4cdf005a95382c93e24a"),
+    (["verify-bound", "--eps", "inf"], "206fe3c6f4409067c22d07ab594c4f92b8574ceb1f5a4cdf005a95382c93e24a"),
+    (["verify-bound", "--eps", "6e-13"], "0fc657a5bf71474ad708499dbae70110cd9b6c11b03fe789045ba9d496feed08"),
 ]
 
 
@@ -280,7 +285,8 @@ def out_sha256(argv, path) -> str:
 
 
 class TestVerifyAndSimulate:
-    @pytest.mark.parametrize("argv,digest", BOUND_FILE_PINS, ids=["default", "magnitude", "cells", "verify"])
+    @pytest.mark.parametrize("argv,digest", BOUND_FILE_PINS, ids=["default", "magnitude", "cells", "verify",
+                                                                 "verify-inf", "verify-finite"])
     def test_bound_files_are_pinned(self, tmp_path, argv, digest):
         assert out_sha256(argv, tmp_path / "reports.json") == digest
 
@@ -454,6 +460,53 @@ class TestConstantsCommand:
         assert main(["constants", "--weight-scale", scale, "--samples", "100", "--out", str(out)]) == 3
         assert "invariant violation:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserReuse:
+    def test_interleaved_calls_match_fresh_parsers(self, tmp_path, config_file, capsys, monkeypatch):
+        """``main`` parses every call with one parser, built once. A sequence
+        that switches subcommands and sets flags, then leaves them out, gives
+        each call the exit code, output and files a fresh parser gives it: no
+        call's values or defaults reach the next, an argparse refusal
+        included."""
+        out = tmp_path / "out"
+        calls = [
+            ["run", "--config", config_file, "--mode", "hybrid", "--fraction", "0.5", "--eps", "0.05",
+             "--no-gate", "--unlock", "--seed", "3", "--temperature", "0.9", "--out", str(out)],
+            ["run", "--config", config_file, "--out", str(out)],
+            ["simulate", "--count", "6", "--seed", "5", "--magnitude", "1e4", "--steps", "10",
+             "--out", str(out / "sim.json")],
+            ["simulate", "--count", "6", "--out", str(out / "sim.json")],
+            ["verify-bound", "--config", config_file, "--eps", "1e-3", "--weight-scale", "4",
+             "--out", str(out / "bound.json")],
+            ["constants", "--seed", "3"],
+            ["verify-bound", "--config", config_file, "--out", str(out / "bound.json")],
+            ["sweep", "--config", config_file, "--mode", "surelock", "--eps-list", "5e-4,5e-2", "--out", str(out)],
+            ["sweep", "--config", config_file, "--seeds", "0,1", "--out", str(out)],
+            ["constants", "--config", config_file, "--samples", "20", "--kappa", "0.5", "--radius", "2"],
+            ["constants", "--config", config_file, "--samples", "20"],
+            ["verify-bound", "--trajectories", ""],
+        ]
+
+        def outcomes():
+            seen = []
+            for argv in calls:
+                shutil.rmtree(out, ignore_errors=True)
+                out.mkdir()
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse refuses the command line
+                    rc = exc.code
+                captured = capsys.readouterr()
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "timing.json"}
+                seen.append((rc, captured.out, captured.err, files))
+            return seen
+
+        reused = outcomes()
+        assert cli._parser() is cli._parser()
+        assert [rc for rc, *_ in reused] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert outcomes() == reused
 
 
 class TestFlopsCheckCommand:
