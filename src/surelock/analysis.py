@@ -301,11 +301,13 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
 class ConstantsReport:
     """Operator-norm bounds and sampled Lipschitz estimates of a weight set.
 
-    The embedding, head and attention gains are bounds. A layer's attention
-    gain is ``||Wo|| * sqrt(sum_h A_h^2)`` over its heads' gains ``A_h``:
-    the heads' outputs are concatenated before ``Wo``, so their movements
-    add in quadrature, and the largest head alone can fall short by a
-    factor of up to sqrt(H). The FFN and layer-norm gains are maxima over
+    The embedding, head and attention gains are bounds: their spectral
+    norms are exact (one LAPACK SVD each), so no field reports convergence.
+    A layer's attention gain is ``||Wo|| * sqrt(sum_h A_h^2)`` over its
+    heads' gains ``A_h``: the heads' outputs are concatenated before
+    ``Wo``, so their movements add in quadrature, and the largest head
+    alone can fall short by a factor of up to sqrt(H). The FFN and
+    layer-norm gains are maxima over
     sampled input pairs: estimates from below, not bounds, and so is every
     gain composed from them.
     """
@@ -323,22 +325,22 @@ class ConstantsReport:
     input_radius: float
     tail_share: float
     lipschitz_samples: int
-    all_converged: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def embedding_gain(embedding: np.ndarray) -> tuple[float, bool]:
+def embedding_gain(embedding: np.ndarray) -> float:
     """sqrt(2) * spectral norm of the embedding: bounds expected-embedding
     movement by sqrt(KL) of the posterior movement (total variation route)."""
-    sn = spectral_norm(embedding)
-    return math.sqrt(2.0) * sn.value, sn.converged
+    return math.sqrt(2.0) * spectral_norm(embedding)
 
 
 def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -> float:
     """Max output/input distance ratio over seeded point pairs in a ball: a
-    sampled estimate of the Lipschitz constant there, from below."""
+    sampled estimate of the Lipschitz constant there, from below. Pairs
+    closer than ``1e-12 * radius`` are skipped; if none is left the
+    estimate is undefined and ``InvalidInputError`` is raised."""
     # points: radius-scaled gaussian directions; pairs are consecutive rows
     raw = normals(seed, 2 * samples * dim).reshape(2 * samples, dim)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -349,17 +351,18 @@ def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -
     fx, fy = fn(x), fn(y)
     num = np.linalg.norm(fx - fy, axis=1)
     den = np.linalg.norm(x - y, axis=1)
-    keep = den > 1e-12
+    keep = den > 1e-12 * radius
+    if not keep.any():
+        raise InvalidInputError(f"no sampled pair in a ball of radius {radius} is far enough apart to compare")
     return float((num[keep] / den[keep]).max())
 
 
 def attention_head_gain(wq_h: np.ndarray, wk_h: np.ndarray, wv_h: np.ndarray,
-                        seq_len: int, radius: float, head_dim: int) -> tuple[float, bool]:
+                        seq_len: int, radius: float, head_dim: int) -> float:
     """Single-head attention Lipschitz bound from weight operator norms:
     ||Wv|| * (1 + ||Wq|| ||Wk|| / 2 * n * R^2 / sqrt(d_k))."""
     sq, sk, sv = spectral_norm(wq_h), spectral_norm(wk_h), spectral_norm(wv_h)
-    gain = sv.value * (1.0 + sq.value * sk.value / 2.0 * seq_len * radius * radius / math.sqrt(head_dim))
-    return gain, sq.converged and sk.converged and sv.converged
+    return sv * (1.0 + sq * sk / 2.0 * seq_len * radius * radius / math.sqrt(head_dim))
 
 
 def lipschitz_constants(
@@ -372,7 +375,7 @@ def lipschitz_constants(
 ) -> ConstantsReport:
     """Compose per-layer constants into a network-wide smoothness estimate.
 
-    Attention gains come from weight operator norms (power iteration): a
+    Attention gains come from exact weight operator norms (SVD): a
     head's gain bounds its own output, and a layer's bounds its heads'
     concatenated outputs under ``Wo``. The gated feed-forward and layer
     norm are not globally Lipschitz, so their gains are sampled estimates:
@@ -394,29 +397,22 @@ def lipschitz_constants(
     cfg = w.config
     n = seq_len if seq_len is not None else cfg.max_seq
     dh = cfg.head_dim
-    converged = True
 
-    emb_gain, ok = embedding_gain(w.embedding)
-    converged &= ok
-    head_sn = spectral_norm(w.head)
-    converged &= head_sn.converged
+    emb_gain = embedding_gain(w.embedding)
+    head_norm = spectral_norm(w.head)
 
     per_layer = []
     for li, layer in enumerate(w.layers):
         head_gains = []
         for h in range(cfg.n_heads):
             g = h // cfg.group_size
-            gain, ok = attention_head_gain(
+            head_gains.append(attention_head_gain(
                 layer.wq[:, h * dh : (h + 1) * dh],
                 layer.wk[:, g * dh : (g + 1) * dh],
                 layer.wv[:, g * dh : (g + 1) * dh],
                 n, input_radius, dh,
-            )
-            head_gains.append(gain)
-            converged &= ok
-        wo_sn = spectral_norm(layer.wo)
-        converged &= wo_sn.converged
-        mha_gain = wo_sn.value * math.hypot(*head_gains)  # concatenated heads: root sum of squares
+            ))
+        mha_gain = spectral_norm(layer.wo) * math.hypot(*head_gains)  # concatenated heads: root sum of squares
 
         def ffn(x, layer=layer):
             gate = x @ layer.w_gate
@@ -446,13 +442,13 @@ def lipschitz_constants(
     ln_g = max(p["layernorm_gain"] for p in per_layer)
     blk = max(p["block_gain"] for p in per_layer)
     try:
-        net = head_sn.value * blk**cfg.n_layers
+        net = head_norm * blk**cfg.n_layers
     except OverflowError:  # a float power raises where a product gives inf
         net = math.inf
     overall = net * emb_gain
     report = ConstantsReport(
         embedding_gain=emb_gain,
-        head_norm=head_sn.value,
+        head_norm=head_norm,
         per_layer=per_layer,
         attention_gain=att,
         ffn_gain=ffn_g,
@@ -464,7 +460,6 @@ def lipschitz_constants(
         input_radius=input_radius,
         tail_share=tail_share,
         lipschitz_samples=samples,
-        all_converged=bool(converged),
     )
     fields = {**report.to_dict(), **{f"per_layer[{p['layer']}].{k}": v for p in per_layer for k, v in p.items()}}
     bad = [name for name, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]

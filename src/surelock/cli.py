@@ -21,7 +21,6 @@ import csv
 import functools
 import json
 import sys
-from collections import deque
 from dataclasses import fields
 from itertools import islice, product
 from pathlib import Path
@@ -52,8 +51,8 @@ DEFAULT_RUN = {"n_prompt": 16, "n_gen": 16, "steps": 16, "mode": "baseline", "se
 # the most trajectories one ``simulate`` battery may check: every report is
 # kept for the summary line and --out, about 3 KB each while --out is written
 MAX_BATTERY = 100_000
-# a battery round's logits stay under this many bytes (or one trajectory per
-# cell), so the battery's memory does not grow with --count
+# a battery batch's logits stay under this many bytes (or one trajectory), so
+# the battery's memory does not grow with --count
 BATTERY_BATCH_BYTES = 2**20
 CONFIG_KEYS = ("model", "run", "policy", "weights_path", "weights_seed", "weight_scale",
                "prompt_tokens", "output_dir")
@@ -399,29 +398,27 @@ def cmd_verify_bound(args) -> int:
     return EXIT_OK
 
 
-def _battery(cells: list[tuple[float, int, int]], count: int, seed: int, magnitude: float):
-    """The battery's ``count`` synthetic trajectories in index order.
+def _battery(cells: list[tuple[float, int, int]], count: int, seed: int,
+             magnitude: float) -> list[analysis.BoundReport]:
+    """The bound reports of the battery's ``count`` synthetic trajectories, in index order.
 
     Trajectory ``i`` has seed ``seed + i`` and the (rho, vocab, steps) of
-    cell ``i % len(cells)``. Indices are taken in rounds that give every
-    cell the same number of trajectories, as many as keep a round's logits
-    under ``BATTERY_BATCH_BYTES`` (at least one); each cell's share of a
-    round is one ``simulate_trajectories`` batch, built when its first index
-    is reached and released trajectory by trajectory as they are yielded, so
-    memory does not grow with ``count`` (nor with the number of cells when
-    a round holds one trajectory per cell).
+    cell ``i % len(cells)``. Each cell's indices are built in
+    ``simulate_trajectories`` batches of as many as keep a batch's logits
+    under ``BATTERY_BATCH_BYTES`` (at least one), and each report is written
+    at its index. A trajectory is bit-identical in any batch, so the reports
+    do not depend on the batching, and memory does not grow with ``count``.
     """
-    n = len(cells)
-    per_round = n * max(1, BATTERY_BATCH_BYTES // (8 * sum(vocab * steps for _, vocab, steps in cells)))
-    for start in range(0, count, per_round):
-        stop = min(count, start + per_round)
-        pending: list[deque | None] = [None] * n
-        for i in range(start, stop):
-            if pending[i % n] is None:
-                rho, vocab, steps = cells[i % n]
-                pending[i % n] = deque(analysis.simulate_trajectories(
-                    [seed + j for j in range(i, stop, n)], vocab, steps, rho, magnitude))
-            yield pending[i % n].popleft()
+    reports = [None] * count
+    for c, (rho, vocab, steps) in enumerate(cells):
+        indices = range(c, count, len(cells))
+        per_batch = max(1, BATTERY_BATCH_BYTES // (8 * vocab * steps))
+        for start in range(0, len(indices), per_batch):
+            batch = indices[start : start + per_batch]
+            trajs = analysis.simulate_trajectories([seed + i for i in batch], vocab, steps, rho, magnitude)
+            for i, traj in zip(batch, trajs):
+                reports[i] = analysis.check_lock_bound(traj, float("inf"))
+    return reports
 
 
 def cmd_simulate(args) -> int:
@@ -434,8 +431,7 @@ def cmd_simulate(args) -> int:
              for rho, vocab in islice(product(rho_targets, vocab_sizes), args.count)]
     for rho, vocab, steps in cells:
         analysis.validate_synthetic(vocab, steps, rho)
-    reports = [analysis.check_lock_bound(traj, float("inf"))
-               for traj in _battery(cells, args.count, args.seed, args.magnitude)]
+    reports = _battery(cells, args.count, args.seed, args.magnitude)
     applicable = [r for r in reports if r.status == "ok"]
     held = sum(1 for r in applicable if r.holds)
     print(f"simulate: {held}/{args.count} bound holds "

@@ -111,8 +111,6 @@ class LayerWeights:
     w_gate: np.ndarray  # (d, d_ff)
     w_down: np.ndarray  # (d_ff, d)
 
-    FIELDS = ("wq", "wk", "wv", "wo", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias", "w_up", "w_gate", "w_down")
-
 
 @dataclass
 class Weights:
@@ -128,7 +126,7 @@ class Weights:
         """Weights from arrays named as in ``_tensor_shapes``; a missing name
         raises ``KeyError``."""
         layers = [
-            LayerWeights(**{fld: tensors[f"layers.{i}.{fld}"] for fld in LayerWeights.FIELDS})
+            LayerWeights(**{fld: tensors[f"layers.{i}.{fld}"] for fld in _layer_shapes(cfg)})
             for i in range(cfg.n_layers)
         ]
         return cls(config=cfg, embedding=tensors["embedding"], positional=tensors["positional"],
@@ -152,13 +150,13 @@ class Weights:
         yield "embedding", self.embedding
         yield "positional", self.positional
         for i, layer in enumerate(self.layers):
-            for name in LayerWeights.FIELDS:
+            for name in _layer_shapes(self.config):
                 yield f"layers.{i}.{name}", getattr(layer, name)
         yield "head", self.head
 
 
 def _layer_shapes(cfg: ModelConfig) -> dict[str, tuple]:
-    """One layer's tensor shapes, in ``LayerWeights.FIELDS`` order."""
+    """One layer's tensor shapes by ``LayerWeights`` field name, in stream order."""
     d, kv, dff = cfg.d_model, cfg.kv_dim, cfg.d_ff
     return {
         "wq": (d, d),

@@ -4,19 +4,18 @@ KL divergences are always evaluated in log space from stored logits or
 log-probabilities, never from exponentiated probabilities, so no flooring
 is needed anywhere. Tiny negative KL values caused by round-off (magnitude
 below 1e-12) are clamped to zero; anything more negative is treated as an
-internal bug and raised.
+internal bug and raised. Spectral norms are exact: one LAPACK SVD each.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import InternalConsistencyError, InvalidInputError
-from .prng import normals
 
 KL_ROUNDOFF_TOL = 1e-12
 
@@ -67,47 +66,16 @@ def percentile_nearest_rank(values: Sequence[float] | np.ndarray, m: float) -> f
     return float(np.sort(values)[rank - 1])
 
 
-class SpectralNorm(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value of a non-empty, finite 2-D matrix.
 
-
-def spectral_norm(mat: np.ndarray, max_iters: int = 500, tol: float = 1e-12) -> SpectralNorm:
-    """Largest singular value by power iteration on M^T M.
-
-    Uses a fixed seeded start vector so estimates are reproducible; if the
-    iterate collapses into the null space it restarts from the next seeded
-    direction. A result that moved by >= tol on the final sweep is returned
-    flagged unconverged rather than raised.
+    LAPACK's SVD (``np.linalg.norm(mat, 2)``) rescales its input, so the
+    norm of a tiny or huge matrix does not underflow or overflow in
+    squared terms. A non-finite entry is refused: the SVD would return NaN.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidInputError("spectral norm requires a non-empty 2-D matrix")
     if not np.all(np.isfinite(mat)):
         raise InvalidInputError("matrix contains non-finite entries")
-    if not mat.any():
-        return SpectralNorm(0.0, True, 0)
-
-    n = mat.shape[1]
-    v = normals(0x5EED05EED, n)
-    v /= np.linalg.norm(v)
-
-    sigma = 0.0
-    sigma_prev = np.inf
-    for it in range(1, max_iters + 1):
-        mv = mat @ v
-        sigma = float(np.linalg.norm(mv))
-        if sigma == 0.0:
-            # start vector fell in the null space; take a fresh direction
-            v = normals(0x5EED05EED + it, n)
-            v /= np.linalg.norm(v)
-            sigma_prev = np.inf
-            continue
-        # w = M^T M v is never zero here: (w . v) = |Mv|^2 > 0
-        w = mat.T @ mv
-        v = w / np.linalg.norm(w)
-        if abs(sigma - sigma_prev) < tol:
-            return SpectralNorm(sigma, True, it)
-        sigma_prev = sigma
-    return SpectralNorm(sigma, False, max_iters)
+    return float(np.linalg.norm(mat, 2))

@@ -317,14 +317,14 @@ def test_criterion_10_constants(toy_weights):
     sup = softmax_jacobian_sup(samples=10_000, max_dim=12)
     assert sup <= 0.5 + 1e-6, sup
 
-    gain, ok = embedding_gain(np.eye(2))
-    assert ok and abs(gain - math.sqrt(2.0)) < 1e-12
+    gain = embedding_gain(np.eye(2))
+    assert abs(gain - math.sqrt(2.0)) < 1e-12
 
     rep = lipschitz_constants(toy_weights, input_radius=1.5, samples=2000)
     want_emb = math.sqrt(2.0) * np.linalg.svd(toy_weights.embedding, compute_uv=False)[0]
-    assert abs(rep.embedding_gain - want_emb) <= 1e-6
+    assert rep.embedding_gain == want_emb
     want_head = np.linalg.svd(toy_weights.head, compute_uv=False)[0]
-    assert abs(rep.head_norm - want_head) <= 1e-6
+    assert rep.head_norm == want_head
     for entry in rep.per_layer:  # one residual per sublayer
         ln = entry["layernorm_gain"]
         hand = (1.0 + entry["attention_gain"] * ln) * (1.0 + entry["ffn_gain"] * ln)
@@ -333,4 +333,4 @@ def test_criterion_10_constants(toy_weights):
     assert abs(rep.network_gain - rep.head_norm * blk**TOY.n_layers) <= 1e-9
     assert abs(rep.overall_gain - rep.network_gain * rep.embedding_gain) <= 1e-9
     report(10, f"softmax Jacobian sup {sup:.6f} <= 0.5+1e-6; embedding gain sqrt(2); "
-               "spectral norms match SVD to 1e-6; compositions match by hand")
+               "spectral norms equal SVD exactly; compositions match by hand")

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import math
 import shutil
 
+import numpy as np
 import pytest
 
 from surelock import cli
@@ -292,8 +294,8 @@ class TestVerifyAndSimulate:
 
     @pytest.mark.parametrize("budget", [1, 600_000])
     def test_battery_bytes_do_not_depend_on_the_batch_budget(self, tmp_path, monkeypatch, budget):
-        """One trajectory per cell per round, or a few: the same reports as
-        the default budget, from batches whose logits stay within it."""
+        """One trajectory per batch, or a few: the same reports as the
+        default budget, from batches whose logits stay within it."""
         batches = []
         simulate = cli.analysis.simulate_trajectories
 
@@ -307,8 +309,13 @@ class TestVerifyAndSimulate:
         assert out_sha256(argv, tmp_path / "reports.json") == digest
         assert sum(n for n, _ in batches) == 60
         assert all(n == 1 or size <= budget for n, size in batches)
-        # a round gives each of the four (rho, vocab) cells the same number of trajectories
-        assert max(n for n, _ in batches) == max(1, budget // (8 * 30 * 2 * (16 + 256)))
+        # each of the four (rho, vocab) cells, in order, builds its 15 trajectories in
+        # batches of as many as fit the budget, and at least one
+        want = []
+        for vocab in (16, 256, 16, 256):
+            per_batch = max(1, budget // (8 * 30 * vocab))
+            want += [min(per_batch, 15 - start) for start in range(0, 15, per_batch)]
+        assert [n for n, _ in batches] == want
 
     @pytest.mark.parametrize("flags", [
         ["--count", "0"],
@@ -460,6 +467,31 @@ class TestConstantsCommand:
         assert main(["constants", "--weight-scale", scale, "--samples", "100", "--out", str(out)]) == 3
         assert "invariant violation:" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flags", [["--radius", "1e-13"], ["--weight-scale", "1e-20"]])
+    def test_tiny_ball_is_sampled(self, flags):
+        """Sampled pairs closer than 1e-12 of the radius are skipped, not
+        pairs closer than 1e-12: in a tiny ball, or a default ball that
+        shrinks with tiny weights, pairs remain and the report is written."""
+        assert main(["constants", *flags, "--samples", "50"]) == 0
+
+    def test_ball_without_a_comparable_pair_is_config_error(self, capsys):
+        """At a subnormal radius every sampled distance underflows to zero."""
+        assert main(["constants", "--radius", "1e-320", "--samples", "50"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["1e-150", "1e-200"])
+    def test_tiny_weights_keep_exact_norms(self, tmp_path, scale):
+        """A power iteration's squared iterates underflowed here (0.0 norms at
+        1e-200, NaN at 1e-150); the SVD rescales and keeps every norm."""
+        out = tmp_path / "constants.json"
+        assert main(["constants", "--weight-scale", scale, "--radius", "1", "--samples", "50",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        w = init_weights(ModelConfig(**cli.DEFAULT_MODEL), 1234).scaled(float(scale))
+        assert doc["embedding_gain"] == math.sqrt(2) * np.linalg.svd(w.embedding, compute_uv=False)[0] > 0.0
+        assert doc["head_norm"] == np.linalg.svd(w.head, compute_uv=False)[0] > 0.0
 
 
 class TestParserReuse:

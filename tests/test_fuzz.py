@@ -121,7 +121,7 @@ SMALL_JUNK = st.one_of(
 MODEL_JUNK = st.one_of(SMALL_JUNK, st.integers(MAX_PARAMS + 1, 2**80))
 JUNK = st.one_of(SMALL_JUNK, st.sampled_from([2**70, -(2**70)]))
 FLAG_VALUES = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "1e9", "1e80",
-                               "2,3", "1,,2", "99999999999999999999999"])
+                               "1e-13", "1e-200", "2,3", "1,,2", "99999999999999999999999"])
 COMMON_FLAGS = ["--n-prompt", "--n-gen", "--steps", "--weight-scale"]
 # only the sampling commands take the sampling flags and, apart from
 # verify-bound, the lock policy; any other command would stop at argparse's
@@ -201,5 +201,7 @@ def command_lines(draw):
 @example(argv=["simulate", "--vocab-sizes", "0"])
 @example(argv=["simulate", "--vocab-sizes", "-1"])
 @example(argv=["simulate", "--steps", "99999999999999999999999", "--count", "1"])
+# a constants ball this small once had no sampled pair above an absolute distance floor
+@example(argv=["constants", "--radius", "1e-13", "--samples", "20"])
 def test_malformed_flags_keep_the_exit_code_contract(argv):
     assert run_cli(argv, None if argv[0] == "simulate" else TINY) in (0, 2, 3)

@@ -11,8 +11,8 @@ from surelock.model import (
     INIT_STD,
     MAX_PARAMS,
     KVStore,
-    LayerWeights,
     ModelConfig,
+    _layer_shapes,
     _tensor_shapes,
     forward_partial,
     init_weights,
@@ -132,7 +132,7 @@ def one_stream_init(cfg, seed):
     w = init_weights(cfg, seed)  # only for the tensor names, order and shapes
     named = [("embedding", w.embedding), ("positional", w.positional)]
     named += [(f"layers.{i}.{fld}", getattr(layer, fld))
-              for i, layer in enumerate(w.layers) for fld in LayerWeights.FIELDS]
+              for i, layer in enumerate(w.layers) for fld in _layer_shapes(cfg)]
     named.append(("head", w.head))
     stream = normals(seed, sum(arr.size for _, arr in named)) * INIT_STD
     out, cursor = {}, 0

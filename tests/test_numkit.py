@@ -139,30 +139,32 @@ class TestPercentileNearestRank:
 class TestSpectralNorm:
     def test_identity(self):
         got = spectral_norm(np.eye(2))
-        assert got.converged
-        assert abs(got.value - 1.0) < 1e-9
+        assert abs(got - 1.0) < 1e-9
 
     def test_diagonal(self):
         got = spectral_norm(np.diag([3.0, 1.0]))
-        assert abs(got.value - 3.0) < 1e-9
+        assert abs(got - 3.0) < 1e-9
 
     def test_zero_matrix(self):
         got = spectral_norm(np.zeros((3, 2)))
-        assert got.value == 0.0 and got.converged
+        assert got == 0.0
 
     def test_matches_svd_oracle(self, rng):
         for shape in [(3, 3), (5, 2), (2, 7), (10, 10)]:
             m = rng.normal(size=shape)
-            got = spectral_norm(m, max_iters=2000, tol=1e-14)
+            got = spectral_norm(m)
             want = np.linalg.svd(m, compute_uv=False)[0]
-            assert abs(got.value - want) < 1e-6, shape
+            assert abs(got - want) < 1e-6, shape
 
-    def test_unconverged_flagged(self):
-        # two equal singular values converge immediately; force the flag with
-        # a near-degenerate spectrum and a one-iteration budget
-        m = np.diag([1.0, 1.0 - 1e-9])
-        got = spectral_norm(m, max_iters=1, tol=0.0)
-        assert not got.converged
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 40), k=st.integers(-200, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_svd_at_every_scale(self, rows, cols, k, seed):
+        """Bit for bit the largest singular value, from 1x1 to 40x40 and over
+        400 decades of scale, where a power iteration's squared iterates
+        underflow to 0 or overflow to NaN."""
+        m = np.random.default_rng(seed).normal(size=(rows, cols)) * 10.0**k
+        assert spectral_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
