@@ -11,6 +11,8 @@ movement per sqrt(KL), and L_sm the logit-to-log-probability Lipschitz
 constant. When rho and L are taken as the measured maxima over the same
 tail, the bound holds unconditionally, so the verifier must report it
 satisfied on every trajectory with rho < 1 - any violation is a bug.
+A trajectory is reduced to three (T,) per-step arrays when it is built,
+and the check reads nothing else.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ MAX_TRAJECTORY_LOGITS = 2**22
 
 @dataclass
 class Trajectory:
-    """Per-step logit (or log-posterior) vectors for one position, with the
-    per-step facts the lock-bound check reads.
+    """The per-step facts the lock-bound check reads for one position.
 
-    0-based arrays over steps s:
+    0-based (T,) arrays over steps s:
 
     - ``step_kl[s]`` is the KL between steps s and s-1;
     - ``step_move[s]`` is the logit movement ``||z_s - z_{s-1}||_2``;
@@ -52,13 +53,13 @@ class Trajectory:
       of the log-posteriors to the terminal step's (0 at s = T-1).
 
     ``step_kl[0]`` and ``step_move[0]`` are infinity: step 0 has no step
-    before it. Feeding log-posteriors instead of raw logits leaves
-    ``step_kl`` and ``terminal_gap`` unchanged (log-softmax is idempotent
-    and both only see the normalized form); ``step_move`` measures the
-    vectors fed.
+    before it. A trajectory keeps no (T, V) logits: ``from_logit_batch``
+    reduces them to these arrays and holds no reference to them. Feeding
+    log-posteriors instead of raw logits leaves ``step_kl`` and
+    ``terminal_gap`` unchanged (log-softmax is idempotent and both only
+    see the normalized form); ``step_move`` measures the vectors fed.
     """
 
-    logits: np.ndarray  # (T, V)
     step_kl: np.ndarray  # (T,)
     step_move: np.ndarray  # (T,)
     terminal_gap: np.ndarray  # (T,)
@@ -66,15 +67,12 @@ class Trajectory:
     source: str = "synthetic"
 
     def __post_init__(self):
-        if self.logits.ndim != 2 or any(len(a) != len(self.logits)
-                                        for a in (self.step_kl, self.step_move, self.terminal_gap)):
+        if any(a.ndim != 1 or len(a) != len(self.step_kl) for a in (self.step_kl, self.step_move, self.terminal_gap)):
             raise InvalidInputError("trajectory arrays are inconsistent")
-        if not np.isfinite(self.logits).all():
-            raise InvalidInputError("trajectory logits contain non-finite values")
 
     @property
     def n_steps(self) -> int:
-        return len(self.logits)
+        return len(self.step_kl)
 
     @classmethod
     def from_logits(cls, logits: np.ndarray, position: int = -1, source: str = "synthetic") -> "Trajectory":
@@ -84,29 +82,28 @@ class Trajectory:
 
     @classmethod
     def from_logit_batch(cls, logits: np.ndarray, positions=None, source: str = "synthetic") -> list["Trajectory"]:
-        """One trajectory per (T, V) slab of a (B, T, V) stack, each a view of it.
+        """One trajectory per (T, V) slab of a (B, T, V) stack.
 
         The whole batch takes one log-softmax over the stacked B*T rows, one
         row-wise KL, one logit difference with its ``row_norms`` and one
         in-place terminal gap on the log-probabilities. Each is a per-row
         operation, so every trajectory's per-step arrays are bit for bit its
         own batch of one, and equal to what a check would compute from the
-        two rows it compares.
+        two rows it compares. Any non-finite log-probability, from a
+        non-finite logit or an overflowing log-softmax, is refused.
         """
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 3:
             raise InvalidInputError("trajectory arrays are inconsistent")
         b, t, v = logits.shape
         positions = [-1] * b if positions is None else positions
+        lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
+        finite = np.isfinite(lp).all(axis=(1, 2))
+        if not finite.all():
+            bad = positions[int(np.flatnonzero(~finite)[0])]
+            raise InvalidInputError(f"trajectory at position {bad}: logits are not finite or log-softmax overflows")
         step_kl, step_move, terminal_gap = np.full((b, t), np.inf), np.full((b, t), np.inf), np.zeros((b, t))
-        trajs = [cls(logits=z, step_kl=kl, step_move=mv, terminal_gap=gap, position=p, source=source)
-                 for z, kl, mv, gap, p in zip(logits, step_kl, step_move, terminal_gap, positions)]
         if t > 1:
-            lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
-            finite = np.isfinite(lp).all(axis=(1, 2))
-            if not finite.all():
-                bad = positions[int(np.flatnonzero(~finite)[0])]
-                raise InvalidInputError(f"trajectory at position {bad}: log-softmax overflows")
             step_kl[:, 1:] = kl_from_log_probs_rows(
                 lp[:, 1:].reshape(-1, v), lp[:, :-1].reshape(-1, v)).reshape(b, t - 1)
             step_move[:, 1:] = row_norms((logits[:, 1:] - logits[:, :-1]).reshape(-1, v)).reshape(b, t - 1)
@@ -115,7 +112,8 @@ class Trajectory:
             gap -= lp[:, -1:]
             np.abs(gap, out=gap)
             terminal_gap[:, :-1] = gap.max(axis=2)
-        return trajs
+        return [cls(kl, mv, gap, position=p, source=source)
+                for kl, mv, gap, p in zip(step_kl, step_move, terminal_gap, positions)]
 
 
 def _tail_ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,16 +232,15 @@ def validate_synthetic(vocab_size: int, n_steps: int, contraction_target: float)
                                 f"{MAX_TRAJECTORY_LOGITS} logits")
 
 
-def simulate_trajectories(seeds, vocab_size: int, n_steps: int, contraction_target: float,
-                          magnitude: float) -> list[Trajectory]:
-    """Synthetic logit paths z_s = anchor + magnitude * target^(s/2) * dir, one per seed.
+def synthetic_logits(seeds, vocab_size: int, n_steps: int, contraction_target: float,
+                     magnitude: float) -> np.ndarray:
+    """(B, T, V) synthetic logit paths z_s = anchor + magnitude * target^(s/2) * dir, one per seed.
 
     Consecutive logit differences decay geometrically with ratio exactly
     sqrt(target); for small magnitudes the KL tail then contracts at about
     ``target`` (KL is locally quadratic in the logit gap). Seed ``s`` draws
-    its anchor from stream ``s`` and its direction from ``s ^ 0xD1FF``; the
-    whole batch is one draw, one log-softmax and one KL pass, and each
-    trajectory equals ``simulate_trajectory(s, ...)`` bit for bit.
+    its anchor from stream ``s`` and its direction from ``s ^ 0xD1FF``, in
+    one draw for the whole batch; each slab equals the batch of one's.
     """
     validate_synthetic(vocab_size, n_steps, contraction_target)
     seeds = list(seeds)
@@ -252,8 +249,13 @@ def simulate_trajectories(seeds, vocab_size: int, n_steps: int, contraction_targ
     # row_norms matches np.linalg.norm of each row bit for bit; norm(axis=1) does not
     direction /= row_norms(direction)[:, None]
     offsets = magnitude * contraction_target ** (np.arange(1, n_steps + 1) / 2.0)
-    logits = anchor[:, None, :] + offsets[None, :, None] * direction[:, None, :]
-    return Trajectory.from_logit_batch(logits, source="synthetic")
+    return anchor[:, None, :] + offsets[None, :, None] * direction[:, None, :]
+
+
+def simulate_trajectories(seeds, vocab_size: int, n_steps: int, contraction_target: float,
+                          magnitude: float) -> list[Trajectory]:
+    """``synthetic_logits`` scored as one batch; each equals ``simulate_trajectory(s, ...)`` bit for bit."""
+    return Trajectory.from_logit_batch(synthetic_logits(seeds, vocab_size, n_steps, contraction_target, magnitude))
 
 
 def simulate_trajectory(seed: int, vocab_size: int, n_steps: int, contraction_target: float, magnitude: float) -> Trajectory:
@@ -281,12 +283,12 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
 
     Only positions whose posterior is present at every step are returned
     (a baseline run computes every row every step, so that is all of them).
+    ``run_sampler`` records the history position-major, so each position
+    is read as one contiguous (steps, V) block. Positions are scored one at
+    a time, since one batch over the whole history would hold a second
+    history-sized array of log-probabilities, and no trajectory keeps a
+    view of the history.
     """
-    # each trajectory is a view of the history, not a copy. ``run_sampler``
-    # records it position-major, so every view is one contiguous (steps, V)
-    # block: the checks read whole rows, and the history is held only once.
-    # Positions are scored one at a time: one batch over the whole history
-    # would hold a second history-sized array of log-probabilities
     return [
         Trajectory.from_logits(history[:, i, :], position=i, source="sampled")
         for i in np.flatnonzero(valid.all(axis=0)).tolist()

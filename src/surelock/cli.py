@@ -281,10 +281,8 @@ def cmd_run(args) -> int:
     write_summary(result, echo, out_dir)
     write_timing(result, out_dir)
     if args.record_trajectories:
-        doc = [
-            {"position": traj.position, "log_probs": traj.logits.tolist()}
-            for traj in analysis.trajectories_from_history(result.history, result.history_valid)
-        ]
+        doc = [{"position": i, "log_probs": result.history[:, i].tolist()}
+               for i in np.flatnonzero(result.history_valid.all(axis=0)).tolist()]
         (out_dir / "trajectories.json").write_text(json.dumps(doc))
     problems = check_run_invariants(result, run)
     for p in problems:
@@ -358,14 +356,14 @@ def _load_trajectories(path: str) -> list[analysis.Trajectory]:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot read trajectories {path}: {exc}") from exc
+    trajs = []
     try:
-        return [
-            analysis.Trajectory.from_logits(np.asarray(item["log_probs"]),
-                                            position=item.get("position", -1), source="sampled")
-            for item in doc
-        ]
+        for k, item in enumerate(doc):
+            require_int(f"trajectory {k} position", position := item.get("position", -1))
+            trajs.append(analysis.Trajectory.from_logits(np.asarray(item["log_probs"]), position, "sampled"))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:  # missing key, wrong type, ragged rows
         raise ConfigError(f"malformed trajectories in {path}: {exc!r}") from exc
+    return trajs
 
 
 def cmd_verify_bound(args) -> int:

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from surelock import (
     LockPolicy,
     ModelConfig,
     RunConfig,
+    analysis,
     init_weights,
     kernels,
     run_sampler,
@@ -29,6 +32,7 @@ from surelock.analysis import (
     simulate_trajectories,
     simulate_trajectory,
     softmax_jacobian_sup,
+    synthetic_logits,
     tail_gain,
     trajectories_from_history,
     validate_synthetic,
@@ -215,6 +219,16 @@ class TestCheckLockBound:
         with pytest.raises(InvalidInputError):
             Trajectory.from_logits(z)
 
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected_in_short_batches(self, bad, t):
+        """A batch refuses a non-finite logit at every length, one step
+        included, and names the position it belongs to."""
+        z = np.zeros((3, t, 4))
+        z[1, t - 1, 2] = bad
+        with pytest.raises(InvalidInputError, match="position 7"):
+            Trajectory.from_logit_batch(z, positions=[5, 7, 9])
+
     def test_growth_step_names_first_growing_tail_step(self):
         traj = traj_from_kl_series([0.4, 0.1, 0.2, 0.05])
         rep = check_lock_bound(traj, float("inf"))
@@ -226,13 +240,13 @@ class TestCheckLockBound:
 
 class TestSimulateTrajectory:
     def test_deterministic(self):
-        a = simulate_trajectory(3, 8, 10, 0.5, 0.25)
-        b = simulate_trajectory(3, 8, 10, 0.5, 0.25)
-        np.testing.assert_array_equal(a.logits, b.logits)
+        a = synthetic_logits([3], 8, 10, 0.5, 0.25)[0]
+        b = synthetic_logits([3], 8, 10, 0.5, 0.25)[0]
+        np.testing.assert_array_equal(a, b)
 
     def test_logit_steps_decay_at_sqrt_target(self):
-        traj = simulate_trajectory(4, 16, 12, 0.49, 0.5)
-        norms = np.linalg.norm(np.diff(traj.logits, axis=0), axis=1)
+        z = synthetic_logits([4], 16, 12, 0.49, 0.5)[0]
+        norms = np.linalg.norm(np.diff(z, axis=0), axis=1)
         ratios = norms[1:] / norms[:-1]
         np.testing.assert_allclose(ratios, math.sqrt(0.49), rtol=1e-9)
 
@@ -265,11 +279,13 @@ class TestSimulateTrajectory:
         draws = normals(seeds, vocab)
         for row, seed in zip(draws, seeds):
             np.testing.assert_array_equal(row, normals(seed % 2**64, vocab))
-        for seed, traj in zip(seeds, simulate_trajectories(seeds, vocab, steps, rho, magnitude)):
+        stack = synthetic_logits(seeds, vocab, steps, rho, magnitude)
+        for seed, z, traj in zip(seeds, stack, simulate_trajectories(seeds, vocab, steps, rho, magnitude)):
             one = simulate_trajectory(seed, vocab, steps, rho, magnitude)
-            np.testing.assert_array_equal(traj.logits, one.logits)
+            one_z = synthetic_logits([seed], vocab, steps, rho, magnitude)[0]
+            np.testing.assert_array_equal(z, one_z)
             np.testing.assert_array_equal(traj.step_kl, one.step_kl)
-            stacked = Trajectory.from_logit_batch(np.stack([one.logits, traj.logits]))[1]
+            stacked = Trajectory.from_logit_batch(np.stack([one_z, z]))[1]
             np.testing.assert_array_equal(stacked.step_kl, one.step_kl)
 
     def test_trajectory_cap_is_checked_before_drawing(self):
@@ -307,12 +323,41 @@ class TestSamplerTraceBound:
         assert applicable >= 20
 
     def test_trajectories_are_contiguous_views_of_the_history(self, small_model):
+        """Each position's logits are one contiguous block of the history,
+        and no per-step array of its trajectory is a view of the history."""
         cfg, w = small_model
         run = RunConfig(n_prompt=6, n_gen=10, steps=10, mode="baseline", seed=0)
         res = run_sampler(run, w, random_prompt(cfg, 6, 0), record_trajectories=True)
         for traj in trajectories_from_history(res.history, res.history_valid):
-            assert traj.logits.flags.c_contiguous
-            assert np.shares_memory(traj.logits, res.history)
+            z = res.history[:, traj.position]
+            assert z.flags.c_contiguous
+            assert np.shares_memory(z, res.history)
+            for name in ("step_kl", "step_move", "terminal_gap"):
+                assert not np.shares_memory(getattr(traj, name), res.history), name
+
+    def test_trajectories_do_not_keep_their_source_alive(self, small_model, monkeypatch):
+        """Once a run's result is dropped, its history is freed although its
+        trajectories live on; the same holds for the logit stack a synthetic
+        batch is built from."""
+        cfg, w = small_model
+        run = RunConfig(n_prompt=6, n_gen=10, steps=10, mode="baseline", seed=0)
+        res = run_sampler(run, w, random_prompt(cfg, 6, 0), record_trajectories=True)
+        history = weakref.ref(res.history.base)
+        trajs = trajectories_from_history(res.history, res.history_valid)
+        del res
+        gc.collect()
+        assert history() is None and len(trajs) == 16
+        stacks = []
+
+        def recorded(*args):
+            stack = synthetic_logits(*args)
+            stacks.append(weakref.ref(stack))
+            return stack
+
+        monkeypatch.setattr(analysis, "synthetic_logits", recorded)
+        batch = simulate_trajectories(range(4), 16, 10, 0.5, 0.25)
+        gc.collect()
+        assert len(stacks) == 1 and stacks[0]() is None and len(batch) == 4
 
     def test_reports_equal_on_contiguous_and_strided_trajectories(self, small_model):
         """The same trajectories, read as contiguous blocks (the history's
@@ -321,15 +366,15 @@ class TestSamplerTraceBound:
         cfg, w = small_model
         run = RunConfig(n_prompt=6, n_gen=10, steps=10, mode="baseline", seed=1)
         res = run_sampler(run, w, random_prompt(cfg, 6, 1), record_trajectories=True)
-        synthetic = [simulate_trajectory(i, 16, 10, rho, 0.25) for i, rho in enumerate((0.3, 0.6, 0.9))]
-        history = np.concatenate([res.history, np.stack([t.logits for t in synthetic], axis=1)], axis=1)
+        synthetic = [synthetic_logits([i], 16, 10, rho, 0.25)[0] for i, rho in enumerate((0.3, 0.6, 0.9))]
+        history = np.concatenate([res.history, np.stack(synthetic, axis=1)], axis=1)
         step_major = np.ascontiguousarray(history)
         position_major = np.ascontiguousarray(history.transpose(1, 0, 2))
         seen = set()
         for i in range(history.shape[1]):
+            assert position_major[i].flags.c_contiguous and not step_major[:, i].flags.c_contiguous
             fast = Trajectory.from_logits(position_major[i], position=i)
             slow = Trajectory.from_logits(step_major[:, i], position=i)
-            assert fast.logits.flags.c_contiguous and not slow.logits.flags.c_contiguous
             np.testing.assert_array_equal(fast.step_kl, slow.step_kl)
             for eps in (-1.0, math.inf, 1e-2, 1e-4, float(fast.step_kl[-1])):
                 got = check_lock_bound(fast, eps)
@@ -548,13 +593,14 @@ def reference_estimate_contraction(traj, lock_step):
     return float(max(ratios))
 
 
-def reference_estimate_smoothness(traj, lock_step):
-    """Loop reference for estimate_smoothness."""
+def reference_estimate_smoothness(traj, logits, lock_step):
+    """Loop reference for estimate_smoothness; ``logits`` are the (T, V)
+    rows ``traj`` was built from."""
     ratios = []
     skipped = 0
     for s in range(lock_step + 1, traj.n_steps + 1):
         d_prev = traj.step_kl[s - 2]
-        dz = float(np.linalg.norm(traj.logits[s - 1] - traj.logits[s - 2]))
+        dz = float(np.linalg.norm(logits[s - 1] - logits[s - 2]))
         if d_prev == 0.0:
             if dz == 0.0:
                 skipped += 1
@@ -580,20 +626,21 @@ REPORT_FIELDS = ("status", "lock_step", "lock_kl", "contraction", "smoothness",
                  "log_softmax_lip", "gain", "lhs", "rhs", "holds", "position", "source")
 
 
-def reference_check_lock_bound(traj, epsilon):
-    """Loop reference for check_lock_bound (without ``growth_step``)."""
+def reference_check_lock_bound(traj, logits, epsilon):
+    """Loop reference for check_lock_bound (without ``growth_step``) on the
+    trajectory built from the (T, V) ``logits``."""
     where = {"position": traj.position, "source": traj.source}
     lock_step = reference_lock_step(traj, epsilon)
     if lock_step is None:
         return BoundReport(status="no_lock", **where)
     lock_kl = float(traj.step_kl[lock_step - 1])
-    lp = kernels.log_softmax_rows(traj.logits[[lock_step - 1, traj.n_steps - 1]])
+    lp = kernels.log_softmax_rows(logits[[lock_step - 1, traj.n_steps - 1]])
     lhs = float(np.max(np.abs(lp[1] - lp[0])))
     if lock_step == traj.n_steps:
         return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=0.0,
                            smoothness=0.0, gain=0.0, lhs=lhs, rhs=0.0, holds=True, **where)
     rho = reference_estimate_contraction(traj, lock_step)
-    lsm = reference_estimate_smoothness(traj, lock_step)
+    lsm = reference_estimate_smoothness(traj, logits, lock_step)
     if not rho < 1.0:
         return BoundReport(status="inapplicable", lock_step=lock_step, lock_kl=lock_kl,
                            contraction=rho, smoothness=lsm, lhs=lhs, **where)
@@ -669,9 +716,10 @@ def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions,
     history = np.random.default_rng(seed ^ 1).normal(size=(t, n_positions, v))
     position %= n_positions
     history[:, position, :] = logits
-    traj = Trajectory.from_logits(history[:, position, :], position=position, source="sampled")
+    z = history[:, position, :]
+    traj = Trajectory.from_logits(z, position=position, source="sampled")
     eps = epsilon_for(traj, which)
-    want = reference_check_lock_bound(traj, eps)
+    want = reference_check_lock_bound(traj, z, eps)
     got = check_lock_bound(traj, eps)
     assert repr(report_fields(got)) == repr(report_fields(want))
     if got.status == "inapplicable":
@@ -681,23 +729,24 @@ def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions,
     for lock_step in range(2, t):
         # the trajectory from step lock_step - 1 on locks at its own step 2 at
         # epsilon infinity and has the same tail KLs
-        tail = Trajectory.from_logits(traj.logits[lock_step - 2 :])
+        tail = Trajectory.from_logits(z[lock_step - 2 :])
         contraction = check_lock_bound(tail, np.inf).contraction
         assert repr(contraction) == repr(reference_estimate_contraction(traj, lock_step))
-        assert repr(estimate_smoothness(traj, lock_step)) == repr(reference_estimate_smoothness(traj, lock_step))
+        assert repr(estimate_smoothness(traj, lock_step)) == repr(reference_estimate_smoothness(traj, z, lock_step))
 
 
 # ---------------------------------------------------------------------------
 # the per-step arrays a trajectory carries for the lock-bound check
 
 
-def assert_per_step_facts(traj):
-    """``step_move`` is np.linalg.norm of each step's logit difference and
-    ``terminal_gap`` the two-row log-softmax gap a check would compute, both
-    bit for bit; the trajectory equals its own batch of one; and its checks
-    are repr-identical to the loop reference at epsilon -1, infinity and
-    every finite step KL."""
-    z, t = traj.logits, traj.n_steps
+def assert_per_step_facts(traj, z):
+    """For ``traj`` built from the (T, V) logits ``z``: ``step_move`` is
+    np.linalg.norm of each step's logit difference and ``terminal_gap`` the
+    two-row log-softmax gap a check would compute, both bit for bit; the
+    trajectory equals its own batch of one; and its checks are
+    repr-identical to the loop reference at epsilon -1, infinity and every
+    finite step KL."""
+    t = traj.n_steps
     move = np.array([np.inf] + [np.linalg.norm(z[s] - z[s - 1]) for s in range(1, t)])
     assert traj.step_move.tobytes() == move.tobytes()
     gap = []
@@ -712,7 +761,7 @@ def assert_per_step_facts(traj):
         return
     for eps in (-1.0, math.inf, *traj.step_kl[np.isfinite(traj.step_kl)].tolist()):
         got = check_lock_bound(traj, eps)
-        assert repr(report_fields(got)) == repr(report_fields(reference_check_lock_bound(traj, eps)))
+        assert repr(report_fields(got)) == repr(report_fields(reference_check_lock_bound(traj, z, eps)))
         if got.status == "inapplicable":
             assert got.growth_step == reference_growth_step(traj, got.lock_step)
 
@@ -730,8 +779,8 @@ def test_per_step_arrays_of_a_batch(b, t, v, seed, kinds, magnitude):
     slabs = [magnitude * build_logits(t, v, seed + i, kinds[: t - 1]) for i in range(b)]
     slabs[-1] = slabs[0]
     trajs = Trajectory.from_logit_batch(np.stack(slabs), positions=list(range(b)))
-    for traj in trajs:
-        assert_per_step_facts(traj)
+    for traj, z in zip(trajs, slabs):
+        assert_per_step_facts(traj, z)
 
 
 @settings(max_examples=20, deadline=None)
@@ -751,7 +800,7 @@ def test_per_step_arrays_of_sampled_histories(heads, n_gen, steps, scale, seed):
     batch = Trajectory.from_logit_batch(res.history.transpose(1, 0, 2))
     assert len(trajs) == len(batch) == 3 + n_gen
     for traj, whole in zip(trajs, batch):
-        assert_per_step_facts(traj)
+        assert_per_step_facts(traj, res.history[:, traj.position])
         for name in ("step_kl", "step_move", "terminal_gap"):
             assert getattr(traj, name).tobytes() == getattr(whole, name).tobytes(), name
 
@@ -761,4 +810,6 @@ def test_per_step_arrays_must_cover_every_step():
     arrays = {name: getattr(traj, name) for name in ("step_kl", "step_move", "terminal_gap")}
     for name, full in arrays.items():
         with pytest.raises(InvalidInputError):
-            Trajectory(logits=traj.logits, **{**arrays, name: full[:-1]})
+            Trajectory(**{**arrays, name: full[:-1]})
+        with pytest.raises(InvalidInputError):
+            Trajectory(**{**arrays, name: full[:, None]})

@@ -279,6 +279,10 @@ BOUND_FILE_PINS = [
     (["verify-bound", "--eps", "inf"], "206fe3c6f4409067c22d07ab594c4f92b8574ceb1f5a4cdf005a95382c93e24a"),
     (["verify-bound", "--eps", "6e-13"], "0fc657a5bf71474ad708499dbae70110cd9b6c11b03fe789045ba9d496feed08"),
 ]
+# sha256 of the trajectories.json ``run --record-trajectories`` writes on the
+# default config, taken while each trajectory still carried its logits and the
+# file was written from them; writing it from the history may not move the bytes
+RECORDED_TRAJECTORIES_PIN = "85d5b8b2f8e24eb7e0ae142899f9dc015ab7bcd7ea8b72ad50e6c71f6f713523"
 
 
 def out_sha256(argv, path) -> str:
@@ -291,6 +295,10 @@ class TestVerifyAndSimulate:
                                                                  "verify-inf", "verify-finite"])
     def test_bound_files_are_pinned(self, tmp_path, argv, digest):
         assert out_sha256(argv, tmp_path / "reports.json") == digest
+
+    def test_recorded_trajectories_are_pinned(self, tmp_path):
+        assert main(["run", "--record-trajectories", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "trajectories.json").read_bytes()).hexdigest() == RECORDED_TRAJECTORIES_PIN
 
     @pytest.mark.parametrize("budget", [1, 600_000])
     def test_battery_bytes_do_not_depend_on_the_batch_budget(self, tmp_path, monkeypatch, budget):
@@ -393,7 +401,9 @@ class TestVerifyBoundInputErrors:
         json.dumps([{"log_probs": [[0.0, 1.0], [0.5], [1.0, 0.0]]}]),  # ragged rows
         json.dumps([{"log_probs": [[0.0, 1.0], [float("nan"), 0.0], [1.0, 0.0]]}]),  # NaN logits
         json.dumps([{"position": 0, "log_probs": [[1e308, -1e308]] * 4}]),  # log-softmax overflows
-    ], ids=["not-json", "missing-log-probs", "ragged", "nan", "overflow"])
+        *(json.dumps([{"position": p, "log_probs": [[0.0, 1.0]] * 3}]) for p in ("x", True, 2.5, None, [1])),
+    ], ids=["not-json", "missing-log-probs", "ragged", "nan", "overflow",
+            "position-str", "position-bool", "position-float", "position-null", "position-list"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_bad_trajectories_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "trajectories.json"
@@ -402,6 +412,19 @@ class TestVerifyBoundInputErrors:
         captured = capsys.readouterr()
         assert "config error:" in captured.err
         assert "not applicable" not in captured.out
+
+    def test_mistyped_position_names_the_item(self, tmp_path, capsys):
+        good = {"position": 0, "log_probs": [[0.0, 1.0]] * 3}
+        path = tmp_path / "trajectories.json"
+        path.write_text(json.dumps([good, {**good, "position": "x"}]))
+        assert main(["verify-bound", "--trajectories", str(path)]) == 2
+        assert "trajectory 1 position must be an integer, got 'x'" in capsys.readouterr().err
+
+    def test_missing_position_is_minus_one(self, tmp_path):
+        path, report = tmp_path / "trajectories.json", tmp_path / "bound.json"
+        path.write_text(json.dumps([{"log_probs": [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]}]))
+        assert main(["verify-bound", "--trajectories", str(path), "--out", str(report)]) == 0
+        assert [r["position"] for r in json.loads(report.read_text())] == [-1]
 
     def test_empty_trajectories_path_is_config_error(self, capsys):
         """An empty path names no file, as an empty ``--prompt`` names no ids."""
