@@ -17,6 +17,7 @@ from .analysis import (
     tail_gain,
 )
 from .flops import GemmCounter, active_step_flops, baseline_step_flops
+from .kernels import percentile_nearest_rank, spectral_norm
 from .lockctl import (
     LockEvent,
     LockPolicy,
@@ -33,7 +34,6 @@ from .model import (
     load_weights,
     save_weights,
 )
-from .numkit import percentile_nearest_rank, spectral_norm
 from .sampler import (
     RunConfig,
     RunResult,

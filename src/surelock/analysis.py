@@ -12,7 +12,8 @@ constant. When rho and L are taken as the measured maxima over the same
 tail, the bound holds unconditionally, so the verifier must report it
 satisfied on every trajectory with rho < 1 - any violation is a bug.
 A trajectory is reduced to three (T,) per-step arrays when it is built,
-and the check reads nothing else.
+and the check reads nothing else. Each tail maximum is one IEEE division
+and one ``fmax`` reduction: a 0/0 pair is NaN and skipped, x/0 is infinite.
 """
 
 from __future__ import annotations
@@ -24,13 +25,8 @@ import numpy as np
 
 from . import kernels
 from .errors import EstimateUndefinedError, InvalidInputError, NonFiniteError
+from .kernels import LOG_SOFTMAX_LIPSCHITZ, kl_from_log_probs_rows, row_norms, spectral_norm
 from .model import Weights
-from .numkit import (
-    LOG_SOFTMAX_LIPSCHITZ,
-    kl_from_log_probs_rows,
-    row_norms,
-    spectral_norm,
-)
 from .prng import normals, uniforms
 
 BOUND_SLACK = 1e-9
@@ -89,13 +85,16 @@ class Trajectory:
         in-place terminal gap on the log-probabilities. Each is a per-row
         operation, so every trajectory's per-step arrays are bit for bit its
         own batch of one, and equal to what a check would compute from the
-        two rows it compares. Any non-finite log-probability, from a
-        non-finite logit or an overflowing log-softmax, is refused.
+        two rows it compares. An empty vocabulary is refused, and so is any
+        non-finite log-probability, from a non-finite logit or an
+        overflowing log-softmax.
         """
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 3:
             raise InvalidInputError("trajectory arrays are inconsistent")
         b, t, v = logits.shape
+        if v == 0:
+            raise InvalidInputError("trajectory logits have an empty vocabulary")
         positions = [-1] * b if positions is None else positions
         lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
         finite = np.isfinite(lp).all(axis=(1, 2))
@@ -116,20 +115,13 @@ class Trajectory:
                 for kl, mv, gap, p in zip(step_kl, step_move, terminal_gap, positions)]
 
 
-def _tail_ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair ``num / den`` over a tail and the pairs that count: a pair
-    with both terms zero is skipped, a zero denominator alone gives infinity."""
-    nonzero = den != 0.0
-    ratios = np.divide(num, den, out=np.full(num.shape, np.inf), where=nonzero)
-    return ratios, nonzero | (num != 0.0)
-
-
-def _max_ratio(ratios: np.ndarray, used: np.ndarray, lock_step: int) -> float:
-    """Largest counted ratio; 0 if every pair was skipped."""
-    if ratios.size == 0:
+def _max_ratio(num: np.ndarray, den: np.ndarray, lock_step: int) -> float:
+    """Largest per-pair ``num / den`` over a tail, by IEEE division: 0/0 is
+    NaN, which ``fmax`` skips, and x/0 is infinity; 0 if every pair was skipped."""
+    if num.size == 0:
         raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
-    kept = ratios[used]
-    return float(kept.max()) if kept.size else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.fmax.reduce(num / den, initial=0.0))
 
 
 def estimate_smoothness(traj: Trajectory, lock_step: int) -> float:
@@ -139,7 +131,7 @@ def estimate_smoothness(traj: Trajectory, lock_step: int) -> float:
     pass over (T,) slices. A zero prior KL demands zero logit movement;
     otherwise the estimate is infinity (flagging a smoothness violation).
     """
-    return _max_ratio(*_tail_ratios(traj.step_move[lock_step:], np.sqrt(traj.step_kl[lock_step - 1 : -1])), lock_step)
+    return _max_ratio(traj.step_move[lock_step:], np.sqrt(traj.step_kl[lock_step - 1 : -1]), lock_step)
 
 
 def tail_gain(log_softmax_lip: float, smoothness: float, contraction: float) -> float:
@@ -158,7 +150,7 @@ class BoundReport:
     ``contraction`` is the largest ratio of consecutive tail KLs after the
     lock step (0 -> 0 pairs skipped; 0 -> positive is infinite).
     ``growth_step`` is set only on an ``inapplicable`` report: the first
-    tail step whose KL is at least the step before's (ratio >= 1).
+    tail step whose KL is positive and at least the step before's (ratio >= 1).
     """
 
     status: str  # "ok" | "no_lock" | "inapplicable"
@@ -205,15 +197,14 @@ def check_lock_bound(traj: Trajectory, epsilon: float) -> BoundReport:
         return BoundReport(status="ok", contraction=0.0, smoothness=0.0, gain=0.0, rhs=0.0,
                            holds=True, **common)
 
-    kl_ratios, kl_used = _tail_ratios(kl[lock_step:], kl[lock_step - 1 : -1])
-    rho = _max_ratio(kl_ratios, kl_used, lock_step)
+    rho = _max_ratio(kl[lock_step:], kl[lock_step - 1 : -1], lock_step)
     lsm = estimate_smoothness(traj, lock_step)
     if not rho < 1.0:
-        growth = np.flatnonzero(kl_used & (kl_ratios >= 1.0))
+        tail = kl[lock_step - 1 :]
+        growth = np.flatnonzero((tail[1:] >= tail[:-1]) & (tail[1:] > 0.0))
         return BoundReport(status="inapplicable", contraction=rho, smoothness=lsm,
-                           growth_step=lock_step + 1 + int(growth[0]) if growth.size else None,
-                           **common)
-    gain = tail_gain(LOG_SOFTMAX_LIPSCHITZ, lsm, rho) if math.isfinite(lsm) else np.inf
+                           growth_step=lock_step + 1 + int(growth[0]), **common)
+    gain = tail_gain(LOG_SOFTMAX_LIPSCHITZ, lsm, rho)
     rhs = gain * math.sqrt(lock_kl) if math.isfinite(gain) else np.inf  # inf * sqrt(0) would be NaN
     return BoundReport(status="ok", contraction=rho, smoothness=lsm, gain=gain,
                        rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_SLACK), **common)

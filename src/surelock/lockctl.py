@@ -18,8 +18,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, InvalidStateError, require_finite, require_int
+from .kernels import kl_from_log_probs_rows, percentile_nearest_rank
 from .model import Weights, forward_partial
-from .numkit import kl_from_log_probs_rows, percentile_nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampler import SamplerState

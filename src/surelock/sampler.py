@@ -28,9 +28,9 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError, require_finite, require_int
 from .flops import GemmCounter, active_step_flops, baseline_step_flops
+from .kernels import kl_from_log_probs_rows, percentile_nearest_rank
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
 from .model import KVStore, Weights, forward_partial
-from .numkit import kl_from_log_probs_rows, percentile_nearest_rank
 from .prng import SplitMix64
 
 MODES = ("baseline", "surelock", "selection", "hybrid")

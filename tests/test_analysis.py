@@ -39,7 +39,7 @@ from surelock.analysis import (
 )
 from surelock.cli import random_prompt
 from surelock.errors import EstimateUndefinedError, InvalidInputError
-from surelock.numkit import LOG_SOFTMAX_LIPSCHITZ, row_norms
+from surelock.kernels import LOG_SOFTMAX_LIPSCHITZ, row_norms
 from surelock.prng import normals
 
 DATA = Path(__file__).parent / "data"
@@ -228,6 +228,12 @@ class TestCheckLockBound:
         z[1, t - 1, 2] = bad
         with pytest.raises(InvalidInputError, match="position 7"):
             Trajectory.from_logit_batch(z, positions=[5, 7, 9])
+
+    def test_empty_vocabulary_rejected(self):
+        with pytest.raises(InvalidInputError, match="empty vocabulary"):
+            Trajectory.from_logits(np.zeros((3, 0)))
+        with pytest.raises(InvalidInputError, match="empty vocabulary"):
+            Trajectory.from_logit_batch(np.zeros((2, 3, 0)))
 
     def test_growth_step_names_first_growing_tail_step(self):
         traj = traj_from_kl_series([0.4, 0.1, 0.2, 0.05])

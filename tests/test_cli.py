@@ -401,8 +401,9 @@ class TestVerifyBoundInputErrors:
         json.dumps([{"log_probs": [[0.0, 1.0], [0.5], [1.0, 0.0]]}]),  # ragged rows
         json.dumps([{"log_probs": [[0.0, 1.0], [float("nan"), 0.0], [1.0, 0.0]]}]),  # NaN logits
         json.dumps([{"position": 0, "log_probs": [[1e308, -1e308]] * 4}]),  # log-softmax overflows
+        json.dumps([{"position": 0, "log_probs": [[], [], []]}]),  # empty vocabulary
         *(json.dumps([{"position": p, "log_probs": [[0.0, 1.0]] * 3}]) for p in ("x", True, 2.5, None, [1])),
-    ], ids=["not-json", "missing-log-probs", "ragged", "nan", "overflow",
+    ], ids=["not-json", "missing-log-probs", "ragged", "nan", "overflow", "empty-vocabulary",
             "position-str", "position-bool", "position-float", "position-null", "position-list"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_bad_trajectories_file_is_config_error(self, tmp_path, capsys, text):

@@ -13,10 +13,9 @@ from surelock import (
     init_weights,
     run_sampler,
 )
-from surelock.numkit import kl_from_log_probs_rows, percentile_nearest_rank
 from surelock.cli import random_prompt
 from surelock.errors import ConfigError, InvalidStateError
-from surelock.kernels import log_softmax_rows
+from surelock.kernels import kl_from_log_probs_rows, log_softmax_rows, percentile_nearest_rank
 from surelock.lockctl import apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
 from surelock.sampler import SamplerState, step, unmask_schedule
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surelock.errors import InternalConsistencyError, InvalidInputError
-from surelock.kernels import log_softmax_rows
-from surelock.numkit import (
+from surelock.kernels import (
     kl_from_log_probs_rows,
+    log_softmax_rows,
     percentile_nearest_rank,
     spectral_norm,
 )
@@ -106,6 +106,28 @@ class TestKLFromLogits:
     def test_large_negative_raises(self):
         with pytest.raises(InternalConsistencyError):
             kl_from_log_probs_rows(np.log([[0.5, 0.5]]), np.log([[0.5, 0.5]]) + np.array([[1e-6, 1e-6]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 30), vocab=st.integers(1, 60), k=st.integers(-3, 3),
+           kinds=st.lists(st.sampled_from(["fresh", "self", "nudge"]), min_size=1, max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_clamped_textbook_sum_bit_for_bit(self, rows, vocab, k, kinds, seed):
+        """The textbook sum of p * (lp - lq) per row, with negative round-off
+        clamped to +0.0, bit for bit and sign bit included; each q row is a
+        fresh draw, the p row itself, or the p row's logits nudged by 1e-12."""
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(rows, vocab)) * 10.0**k
+        zq = rng.normal(size=(rows, vocab)) * 10.0**k
+        for i in range(rows):
+            kind = kinds[i % len(kinds)]
+            if kind != "fresh":
+                zq[i] = z[i] + (1e-12 * zq[i] if kind == "nudge" else 0.0)
+        lp, lq = log_softmax_rows(z), log_softmax_rows(zq)
+        textbook = (np.exp(lp) * (lp - lq)).sum(axis=1)
+        want = np.where(textbook < 0, 0.0, textbook)
+        got = kl_from_log_probs_rows(lp, lq)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPercentileNearestRank:

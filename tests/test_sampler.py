@@ -18,7 +18,7 @@ from surelock import (
 from surelock import kernels, sampler
 from surelock.cli import random_prompt
 from surelock.errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError
-from surelock.numkit import kl_from_log_probs_rows
+from surelock.kernels import kl_from_log_probs_rows
 from surelock.prng import SplitMix64
 
 
