@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surelock import (
@@ -16,10 +16,11 @@ from surelock import (
     update_mask,
 )
 from surelock import kernels, sampler
+from surelock.sampler import MODES
 from surelock.cli import random_prompt
 from surelock.errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError
 from surelock.kernels import kl_from_log_probs_rows
-from surelock.prng import SplitMix64
+from surelock.prng import SplitMix64, uniforms
 
 
 class TestUnmaskSchedule:
@@ -153,6 +154,21 @@ def test_update_mask_matches_reference(n, v, levels, temperature, seed):
     want = update_mask_reference(log_post, mask_flags, k_t, (lo, hi), temperature, draws_b, mask_id)
     assert got == want
     assert draws_a.next_u64() == draws_b.next_u64()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(-2**80, 2**80), k=st.integers(1, 40))
+@example(seed=0, k=40)
+@example(seed=-1, k=40)
+@example(seed=2**63, k=40)
+@example(seed=2**64 + 5, k=40)
+@example(seed=-2**70, k=40)
+def test_sequential_draws_are_the_uniform_stream(seed, k):
+    """The sampler's sequential draws are the batch stream's uniforms, bit
+    for bit, for any seed (each is taken modulo 2**64)."""
+    draws = SplitMix64(seed)
+    got = np.array([draws.next_uniform() for _ in range(k)])
+    assert got.tobytes() == uniforms(seed, k).tobytes()
 
 
 class TestSelectComputeRows:
@@ -519,3 +535,28 @@ def test_full_fraction_selection_matches_its_base_mode(n_kv_heads, temperature, 
     assert "lock" in kinds and ("unlock" in kinds) == unlock
     assert _run_outputs(out["selection"]) == _run_outputs(out["baseline"])
     assert _run_outputs(out["hybrid"]) == _run_outputs(out["surelock"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(MODES), n_heads=st.sampled_from([1, 2, 4]), group=st.sampled_from([1, 2, 4]),
+    n_prompt=st.integers(0, 6), n_blocks=st.sampled_from([1, 2, 4]), block_len=st.integers(1, 4),
+    fraction=st.sampled_from([0.1, 0.5, 1.0]), unlock=st.booleans(), temperature=st.sampled_from([0.0, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks, block_len, fraction, unlock,
+                                       temperature, seed):
+    """Step 1 computes all N rows in every mode, so from then on every row
+    has a posterior and stored K/V: the recorded validity is all True."""
+    n_kv_heads = max(1, n_heads // group)
+    cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv_heads,
+                      d_ff=8, max_seq=32)
+    w = init_weights(cfg, seed)
+    n_gen = n_blocks * block_len
+    policy = LockPolicy(epsilon=5e-2, hybrid_fraction=fraction, unlock_enabled=unlock, probe_period=1,
+                        epsilon_unlock=0.0, min_locked_duration=1, relock_cooldown=1)
+    run = RunConfig(n_prompt=n_prompt, n_gen=n_gen, steps=n_gen, block_length=block_len, mode=mode,
+                    temperature=temperature, seed=seed, policy=policy)
+    res = run_sampler(run, w, random_prompt(cfg, n_prompt, seed), record_trajectories=True)
+    assert res.trace[0].computed_rows == run.n_positions
+    assert res.history_valid.all()
