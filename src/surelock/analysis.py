@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import EstimateUndefinedError, InvalidInputError, NonFiniteError
+from .errors import InvalidInputError, InvalidStateError
 from .kernels import LOG_SOFTMAX_LIPSCHITZ, kl_from_log_probs_rows, row_norms, spectral_norm
 from .model import Weights
 from .prng import normals, uniforms
@@ -96,7 +96,8 @@ class Trajectory:
         if v == 0:
             raise InvalidInputError("trajectory logits have an empty vocabulary")
         positions = [-1] * b if positions is None else positions
-        lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row is refused just below
+            lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
         finite = np.isfinite(lp).all(axis=(1, 2))
         if not finite.all():
             bad = positions[int(np.flatnonzero(~finite)[0])]
@@ -117,10 +118,11 @@ class Trajectory:
 
 def _max_ratio(num: np.ndarray, den: np.ndarray, lock_step: int) -> float:
     """Largest per-pair ``num / den`` over a tail, by IEEE division: 0/0 is
-    NaN, which ``fmax`` skips, and x/0 is infinity; 0 if every pair was skipped."""
+    NaN, which ``fmax`` skips, and x/0 and an overflowing quotient are
+    infinity; 0 if every pair was skipped."""
     if num.size == 0:
-        raise EstimateUndefinedError(f"no tail steps after lock step {lock_step}")
-    with np.errstate(divide="ignore", invalid="ignore"):
+        raise InvalidInputError(f"no tail steps after lock step {lock_step}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return float(np.fmax.reduce(num / den, initial=0.0))
 
 
@@ -379,7 +381,7 @@ def lipschitz_constants(
     the larger of its two layer-norm estimates. ``tail_share`` is the
     assumed ratio of other positions' posterior movement to this position's
     own (0 attributes the whole step to one position). A report with a
-    field that overflowed or is not finite raises ``NonFiniteError``.
+    field that overflowed or is not finite raises ``InvalidStateError``.
     """
     if not 0.0 < input_radius < math.inf:
         raise InvalidInputError(f"input_radius must be positive and finite, got {input_radius}")
@@ -457,7 +459,7 @@ def lipschitz_constants(
     fields = {**report.to_dict(), **{f"per_layer[{p['layer']}].{k}": v for p in per_layer for k, v in p.items()}}
     bad = [name for name, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]
     if bad:
-        raise NonFiniteError(f"constants report is not finite in {', '.join(bad)}")
+        raise InvalidStateError(f"constants report is not finite in {', '.join(bad)}")
     return report
 
 

@@ -1,4 +1,7 @@
-"""Exception types and configuration type checks shared across the package."""
+"""Exception types and configuration type checks shared across the package.
+
+``ConfigError`` and ``InvalidInputError`` reject a request (the CLI's exit 2);
+``InvalidStateError`` reports a broken invariant or a non-finite result (exit 3)."""
 
 import math
 import numbers
@@ -13,27 +16,8 @@ class ConfigError(ValueError):
 
 
 class InvalidStateError(RuntimeError):
-    """An operation was applied to sampler state it is not valid for."""
-
-
-class StateCorruptionError(InvalidStateError):
-    """Internal bookkeeping (caches, frozen rows) is inconsistent."""
-
-
-class NonFiniteError(InvalidStateError):
-    """A model output that must be finite holds a NaN or an infinity."""
-
-
-class NoWorkError(InvalidStateError):
-    """A computation was requested over an empty row set."""
-
-
-class EstimateUndefinedError(ValueError):
-    """A tail statistic was requested on a trajectory with no usable tail."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A quantity violated a bound it must satisfy up to round-off."""
+    """An invariant does not hold: sampler or cache state an operation is not
+    valid for, a model output that is not finite, or a round-off check."""
 
 
 def require_int(name: str, value) -> None:

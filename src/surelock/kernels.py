@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InvalidInputError, InvalidStateError
 
 KL_ROUNDOFF_TOL = 1e-12
 
@@ -105,7 +105,7 @@ def kl_from_log_probs_rows(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
     if np.any(neg):
         worst = kl[neg].min()
         if worst < -KL_ROUNDOFF_TOL:
-            raise InternalConsistencyError(f"KL evaluated to {worst}, below round-off tolerance")
+            raise InvalidStateError(f"KL evaluated to {worst}, below round-off tolerance")
         kl = np.where(neg, 0.0, kl)
     return kl
 

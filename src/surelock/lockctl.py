@@ -130,7 +130,6 @@ def apply_locks(
         (state.lock[to_lock], "already locked"),
         (state.mask_flags[to_lock], "still masked"),
         (~np.isin(to_lock, computed), "not computed this step"),
-        (~state.kv.valid[to_lock], "no posterior to freeze"),
     ):
         if refused.any():
             raise InvalidStateError(f"cannot lock positions {to_lock[refused].tolist()}: {why}")

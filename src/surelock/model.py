@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, NoWorkError, StateCorruptionError, require_int
+from .errors import ConfigError, InvalidInputError, InvalidStateError, require_int
 from .flops import GemmCounter
 from .prng import normals
 
@@ -216,9 +216,11 @@ class KVStore:
 
     ``forward_partial`` writes the computed rows in place, and attention
     reads every row from here; ``valid`` marks the rows written at least
-    once. A locked row is never computed, so its entry stays at its
-    lock-time K/V until the row is computed again after an unlock. A
-    forward whose K/V must not persist (the unlock probe) runs on ``copy()``.
+    once, so a forward refuses to read a row no forward has written (the
+    sampler's step 1 writes every row). A locked row is never computed, so
+    its entry stays at its lock-time K/V until the row is computed again
+    after an unlock. A forward whose K/V must not persist (the unlock
+    probe) runs on ``copy()``.
 
     Rows are kept per K/V group in the layouts attention's products read
     directly, keys as (head_dim, N) and values as (N, head_dim), so a forward
@@ -275,18 +277,18 @@ def forward_partial(
         raise InvalidInputError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
     active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
-        raise NoWorkError("forward requested with no computed rows")
+        raise InvalidStateError("forward requested with no computed rows")
     if active.size != np.unique(active).size or active.min() < 0 or active.max() >= n:
         raise InvalidInputError("computed row indices must be unique and in range")
     if np.any(tokens[mask_flags] != cfg.mask_id):
         raise InvalidInputError("masked positions must carry the mask token id")
     if kv.v.shape != (cfg.n_layers, cfg.n_kv_heads, n, cfg.head_dim):
-        raise StateCorruptionError(f"K/V store of shape {kv.v.shape} does not fit {n} rows of this model")
+        raise InvalidStateError(f"K/V store of shape {kv.v.shape} does not fit {n} rows of this model")
     skipped = np.ones(n, dtype=bool)
     skipped[active] = False
     if not np.all(kv.valid[skipped]):
         bad = np.flatnonzero(skipped & ~kv.valid)
-        raise StateCorruptionError(f"no stored K/V for skipped rows {bad.tolist()}")
+        raise InvalidStateError(f"no stored K/V for skipped rows {bad.tolist()}")
 
     counter = GemmCounter() if counter is None else counter
     c = active.size

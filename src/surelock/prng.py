@@ -3,7 +3,7 @@
 Every random quantity in the package (weight init, categorical draws,
 synthetic trajectories, property-test batches) comes from these streams so
 that runs are bit-reproducible from a single 64-bit seed, independent of
-numpy's global RNG state.
+numpy's global RNG state. ``SplitMix64`` is a draw counter into the same stream.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _INV_2_53 = float(2.0**-53)
 
 
@@ -70,19 +69,17 @@ def normals(seed, n: int, offset_pairs: int = 0) -> np.ndarray:
 
 
 class SplitMix64:
-    """Sequential stateful view of the same stream, for sampler-side draws."""
+    """Sequential view of ``uniforms(seed, ...)``, for sampler-side draws:
+    the k-th draw is the stream's k-th uniform, bit for bit."""
 
     def __init__(self, seed: int):
-        self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-
-    def next_u64(self) -> int:
-        with np.errstate(over="ignore"):
-            self._state = (self._state + _GOLDEN) & _U64_MASK
-            return int(_mix(self._state))
+        self.seed = seed
+        self.draws = 0
 
     def next_uniform(self) -> float:
         """Uniform in [0, 1)."""
-        return (self.next_u64() >> 11) * _INV_2_53
+        self.draws += 1
+        return float(uniforms(self.seed, 1, offset=self.draws - 1)[0])
 
     def categorical(self, probs: np.ndarray) -> int:
         """Inverse-CDF draw from a probability vector (sums to 1)."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError, require_finite, require_int
+from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
 from .flops import GemmCounter, active_step_flops, baseline_step_flops
 from .kernels import kl_from_log_probs_rows, percentile_nearest_rank
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
@@ -118,7 +118,7 @@ def update_mask(
     position index; draws happen in ascending position order. The mask id
     is an absorbing-state marker, not vocabulary, so it is never committed:
     confidence and draws range over the other ids. A tempered distribution
-    that is not finite raises ``NonFiniteError``. Does not mutate any
+    that is not finite raises ``InvalidStateError``. Does not mutate any
     input."""
     lo, hi = block
     in_block = lo + np.flatnonzero(mask_flags[lo:hi])
@@ -140,7 +140,7 @@ def update_mask(
             tempered = row / temperature
             top = tempered.max()
             if not np.isfinite(top):  # e.g. a temperature so small every logit overflows
-                raise NonFiniteError(f"temperature {temperature} gives a non-finite distribution")
+                raise InvalidStateError(f"temperature {temperature} gives a non-finite distribution")
             probs = np.exp(tempered - top)
             probs /= probs.sum()
             tokens.append(int(ids[rng.categorical(probs)]))
@@ -155,7 +155,7 @@ class SamplerState:
     tokens: np.ndarray  # (N,) token ids; masked positions carry mask_id
     mask_flags: np.ndarray  # (N,) bool, True while masked
     lock_step: np.ndarray  # (N,) int, the step a locked row locked at; -1 when not locked
-    kv: KVStore  # every row's last computed K/V, written by each forward; kv.valid also marks log_post's rows
+    kv: KVStore  # every row's last computed K/V, written by each forward (step 1 writes all rows)
     log_post: np.ndarray  # (N, V) latest reported log-posteriors
     last_step_kl: np.ndarray  # (N,) latest step KL; +inf until scored and again after a release
     cooldown_until: np.ndarray  # (N,) int, last step of the latest re-lock cooldown; -1 until first released
@@ -277,23 +277,17 @@ def step(
     active = np.flatnonzero(~state.lock)
     m_t = int(active.size)
     fraction = policy.hybrid_fraction if run.mode in SELECTING_MODES else 1.0
-    # a row never computed (not kv.valid) has nothing to reuse, so it is always
-    # computed; at fraction 1 the rule returns ``active`` itself
-    computed = np.union1d(select_compute_rows(active, state.last_step_kl, fraction), active[~state.kv.valid[active]])
+    # step 1 computes every row, so each later step has a posterior and K/V
+    # to reuse for any row; at fraction 1 the rule returns ``active`` itself
+    computed = active if t == 1 else select_compute_rows(active, state.last_step_kl, fraction)
 
-    # read before the forward marks every computed row valid
-    had_prev = state.kv.valid[computed]
     logits = forward_partial(w, state.tokens, state.mask_flags, computed, state.kv, counter=counter)
     if not np.isfinite(logits).all():
-        raise NonFiniteError(f"step {t}: the forward produced non-finite logits")
+        raise InvalidStateError(f"step {t}: the forward produced non-finite logits")
     lp = kernels.log_softmax_rows(logits)
 
-    # step KL against each row's previous reported posterior; infinity when
-    # there is none (first step, or first time this row is computed)
-    kl_vals = np.full(computed.size, np.inf)
-    if had_prev.any():
-        idx = np.flatnonzero(had_prev)
-        kl_vals[idx] = kl_from_log_probs_rows(lp[idx], state.log_post[computed[idx]])
+    # step KL against each row's previous reported posterior; there is none at step 1
+    kl_vals = np.full(computed.size, np.inf) if t == 1 else kl_from_log_probs_rows(lp, state.log_post[computed])
     u_vals = uncertainty_rows(lp)
 
     state.log_post[computed] = lp

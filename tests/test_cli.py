@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from surelock import cli
+from surelock import cli, errors
 from surelock.cli import main
 from surelock.model import MAX_PARAMS, ModelConfig, init_weights, save_weights
 
@@ -571,3 +571,21 @@ class TestFlopsCheckCommand:
         out = capsys.readouterr().out
         assert "11264" in out
         assert "MISMATCH" not in out
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, Exception) and c.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_package_error_has_an_exit_code(tmp_path, monkeypatch, capsys, cls):
+    """Each error class the package defines ends in exit 2 (an input family)
+    or exit 3 (``InvalidStateError``) with its message, never a traceback."""
+    def failing_run(*args, **kwargs):
+        raise cls("planted failure")
+
+    monkeypatch.setattr(cli, "run_sampler", failing_run)
+    invariant = issubclass(cls, errors.InvalidStateError)
+    assert main(["run", "--out", str(tmp_path)]) == (cli.EXIT_INVARIANT if invariant else cli.EXIT_CONFIG)
+    prefix = "invariant violation:" if invariant else "config error:"
+    assert capsys.readouterr().err == f"{prefix} planted failure\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surelock.errors import ConfigError, InvalidInputError, NoWorkError, StateCorruptionError
+from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
 from surelock.flops import GemmCounter, active_step_flops
 from surelock.model import (
     INIT_STD,
@@ -263,13 +263,13 @@ class TestForwardPartial:
         n = 6
         tokens, mask_flags = make_tokens(cfg, n, seed=4)
         kv = KVStore.empty(cfg, n)
-        with pytest.raises(StateCorruptionError):
+        with pytest.raises(InvalidStateError, match=r"no stored K/V for skipped rows \[0\]"):
             forward_partial(toy_weights, tokens, mask_flags, np.arange(1, n), kv)
 
     def test_empty_active_raises(self, toy_weights):
         tokens, mask_flags = make_tokens(toy_weights.config, 6, seed=4)
         kv = KVStore.empty(toy_weights.config, 6)
-        with pytest.raises(NoWorkError):
+        with pytest.raises(InvalidStateError, match="forward requested with no computed rows"):
             forward_partial(toy_weights, tokens, mask_flags, np.array([], dtype=int), kv)
 
     def test_mask_id_must_back_masked_positions(self, toy_weights):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surelock.errors import InternalConsistencyError, InvalidInputError
+from surelock.errors import InvalidInputError, InvalidStateError
 from surelock.kernels import (
     kl_from_log_probs_rows,
     log_softmax_rows,
@@ -104,7 +104,7 @@ class TestKLFromLogits:
         assert np.all(lhs <= rhs + 1e-12)
 
     def test_large_negative_raises(self):
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InvalidStateError, match="below round-off tolerance"):
             kl_from_log_probs_rows(np.log([[0.5, 0.5]]), np.log([[0.5, 0.5]]) + np.array([[1e-6, 1e-6]]))
 
     @settings(max_examples=200, deadline=None)

@@ -16,9 +16,8 @@ from surelock import (
     update_mask,
 )
 from surelock import kernels, sampler
-from surelock.sampler import MODES
 from surelock.cli import random_prompt
-from surelock.errors import ConfigError, InvalidInputError, InvalidStateError, NonFiniteError
+from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
 from surelock.kernels import kl_from_log_probs_rows
 from surelock.prng import SplitMix64, uniforms
 
@@ -109,7 +108,7 @@ class TestUpdateMask:
         would be over NaN probabilities; at 1e-3 the row stays finite."""
         lp = make_log_post(2, 6, {0: (1, 0.5)})
         masked = np.array([True, False])
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(InvalidStateError, match="temperature 1e-310 gives a non-finite distribution"):
             update_mask(lp, masked, 1, (0, 2), 1e-310, SplitMix64(5))
         assert update_mask(lp, masked, 1, (0, 2), 1e-3, SplitMix64(5)) == ([0], [1])
 
@@ -153,7 +152,7 @@ def test_update_mask_matches_reference(n, v, levels, temperature, seed):
     got = update_mask(log_post, mask_flags, k_t, (lo, hi), temperature, draws_a, mask_id=mask_id)
     want = update_mask_reference(log_post, mask_flags, k_t, (lo, hi), temperature, draws_b, mask_id)
     assert got == want
-    assert draws_a.next_u64() == draws_b.next_u64()
+    assert draws_a.next_uniform() == draws_b.next_uniform()
 
 
 @settings(max_examples=100, deadline=None)
@@ -317,9 +316,8 @@ class TestRunSampler:
         """Overflowing weights stop the run at the first step, with an error
         the CLI maps to exit 3, instead of sampling from NaN posteriors."""
         _, w, prompt = toy
-        with pytest.raises(NonFiniteError, match="step 1"):
+        with pytest.raises(InvalidStateError, match="step 1: the forward produced non-finite logits"):
             run_sampler(toy_run("surelock"), w.scaled(1e80), prompt)
-        assert issubclass(NonFiniteError, InvalidStateError)
 
     @pytest.mark.parametrize("mode", ["baseline", "hybrid"])
     def test_history_is_each_steps_reported_posterior(self, toy, monkeypatch, mode):
@@ -539,7 +537,7 @@ def test_full_fraction_selection_matches_its_base_mode(n_kv_heads, temperature, 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    mode=st.sampled_from(MODES), n_heads=st.sampled_from([1, 2, 4]), group=st.sampled_from([1, 2, 4]),
+    mode=st.sampled_from(sampler.MODES), n_heads=st.sampled_from([1, 2, 4]), group=st.sampled_from([1, 2, 4]),
     n_prompt=st.integers(0, 6), n_blocks=st.sampled_from([1, 2, 4]), block_len=st.integers(1, 4),
     fraction=st.sampled_from([0.1, 0.5, 1.0]), unlock=st.booleans(), temperature=st.sampled_from([0.0, 1.0]),
     seed=st.integers(0, 2**16),
