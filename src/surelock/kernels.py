@@ -27,6 +27,14 @@ KL_ROUNDOFF_TOL = 1e-12
 #: norm: each Jacobian row is e_i - p, whose 2-norm is at most its 1-norm <= 2.
 LOG_SOFTMAX_LIPSCHITZ = 2.0
 
+#: Byte budget of one attention tile's (groups, group_size, C, N) score
+#: block. On the benchmark's shapes (N = 192, C = 12 to 192, 8 or 2 K/V
+#: groups, BLAS on one thread) 512 KiB and 1 MiB ran within 3 % of each
+#: other; 256 KiB and 128 KiB were up to 10 % and 23 % slower at C <= 96,
+#: and 2 MiB and the untiled kernel up to 9 % slower at C = 192. The smaller
+#: of the two fast budgets bounds the score block best.
+ATTENTION_TILE_BYTES = 512 * 1024
+
 
 def backend_name() -> str:
     """The kernel implementation in use; always ``"numpy"``."""
@@ -64,24 +72,43 @@ def attention_rows(
 ) -> np.ndarray:
     """Softmax attention for C query rows (C, H, dh) over all N key/value
     rows (N, H // group_size, dh); query head h reads group h // group_size.
+    Returns a C-contiguous (C, H, dh) array.
 
     Each K/V group takes part once: its query heads are stacked as
     (group_size, C, dh) and broadcast against one key and one value table,
     with no per-head expansion. Keys are read as (dh, N) and values as
     (N, dh) per group; views of a ``model.KVStore`` already have that
     layout, so they are used without a copy.
+
+    The groups run in tiles of as many groups as fit one score block of
+    ``ATTENTION_TILE_BYTES`` (at least one group), so the scores take at most
+    max(budget, 8 * group_size * C * N) bytes. Every tile reuses one score
+    buffer and writes its weighted values straight into the result. Groups
+    are independent, so each meets the same BLAS products and ufuncs on the
+    same operands as untiled, and the result does not depend on the tile
+    size (the tests pin this against the untiled kernel). Query rows are
+    never split: BLAS may round a product over some of the rows differently
+    from the same rows of the whole product.
     """
     c, h, dh = q.shape
+    n = k_all.shape[0]
     hkv = h // group_size
     q_g = q.transpose(1, 0, 2).reshape(hkv, group_size, c, dh)
     k_t = np.ascontiguousarray(k_all.transpose(1, 2, 0))[:, None]  # (Hkv, 1, dh, N)
     v_g = np.ascontiguousarray(v_all.transpose(1, 0, 2))[:, None]  # (Hkv, 1, N, dh)
-    scores = np.matmul(q_g, k_t)  # (Hkv, G, C, N)
-    scores *= scale
-    scores -= scores.max(axis=3, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=3, keepdims=True)
-    return np.matmul(scores, v_g).reshape(h, c, dh).transpose(1, 0, 2)
+    out = np.empty((c, h, dh))
+    out_g = out.reshape(c, hkv, group_size, dh).transpose(1, 2, 0, 3)  # (Hkv, G, C, dh) view
+    tile = max(1, min(hkv, ATTENTION_TILE_BYTES // (8 * group_size * c * n)))  # float64 scores
+    buf = np.empty((tile, group_size, c, n))
+    for lo in range(0, hkv, tile):
+        hi = min(lo + tile, hkv)
+        scores = np.matmul(q_g[lo:hi], k_t[lo:hi], out=buf[: hi - lo])  # (tile, G, C, N)
+        scores *= scale
+        scores -= scores.max(axis=3, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=3, keepdims=True)
+        np.matmul(scores, v_g[lo:hi], out=out_g[lo:hi])
+    return out
 
 
 def log_softmax_rows(z: np.ndarray) -> np.ndarray:

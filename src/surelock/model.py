@@ -270,6 +270,13 @@ def forward_partial(
     token id cannot change any output. ``counter`` (a fresh ``GemmCounter``
     when none is given) receives one gemm(m, n, k) call per matrix multiply
     and one gemm_head call for the output head.
+
+    The residual stream is one (C, d) array that each layer adds into in
+    place, and a layer's temporaries are freed before the next layer starts,
+    so the forward holds at most one attention score tile (see
+    ``kernels.attention_rows``) or the FFN's three (C, d_ff) arrays, next to
+    a few (C, d) ones, whatever the depth. The values are those of the
+    textbook chain of new arrays, bit for bit (the tests pin this).
     """
     cfg = w.config
     n = len(tokens)
@@ -291,50 +298,72 @@ def forward_partial(
         raise InvalidStateError(f"no stored K/V for skipped rows {bad.tolist()}")
 
     counter = GemmCounter() if counter is None else counter
-    c = active.size
-    d, h, dh, kv_dim = cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.kv_dim
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
     x = w.embedding[tokens[active]] + w.positional[active]  # (C, d); skipped rows live only in kv
 
     for li, layer in enumerate(w.layers):
-        hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias)
-
-        q = hid @ layer.wq
-        counter.gemm(c, d, d)
-        k = hid @ layer.wk
-        v = hid @ layer.wv
-        counter.gemm(c, kv_dim, d)
-        counter.gemm(c, kv_dim, d)
-
-        k3, v3 = kv.keys(li), kv.values(li)
-        k3[active] = k.reshape(c, cfg.n_kv_heads, dh)
-        v3[active] = v.reshape(c, cfg.n_kv_heads, dh)
-        q3 = q.reshape(c, h, dh)
-        attn = kernels.attention_rows(q3, k3, v3, inv_sqrt_dh, cfg.group_size)
-        # per head: scores (C x N from dh) and weighted values (C x dh from N)
-        for _ in range(h):
-            counter.gemm(c, n, dh)
-            counter.gemm(c, dh, n)
-
-        out = attn.reshape(c, d) @ layer.wo
-        counter.gemm(c, d, d)
-        x = x + out
-
-        hid2 = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias)
-        up = hid2 @ layer.w_up
-        gate = hid2 @ layer.w_gate
-        counter.gemm(c, cfg.d_ff, d)
-        counter.gemm(c, cfg.d_ff, d)
-        act = gate / (1.0 + np.exp(-gate)) * up
-        down = act @ layer.w_down
-        counter.gemm(c, d, cfg.d_ff)
-        x = x + down
+        _layer_partial(layer, x, kv.keys(li), kv.values(li), active, cfg, n, counter)
     kv.valid[active] = True
 
     logits = x @ w.head
-    counter.gemm_head(c, cfg.vocab_size, d)
+    counter.gemm_head(active.size, cfg.vocab_size, cfg.d_model)
     return logits
+
+
+def _layer_partial(layer: LayerWeights, x: np.ndarray, k3: np.ndarray, v3: np.ndarray,
+                   active: np.ndarray, cfg: ModelConfig, n: int, counter) -> None:
+    """One layer over the computed rows: adds both residuals into ``x`` in
+    place and writes the rows' K/V through the store views ``k3``/``v3``.
+
+    Every temporary is dropped before the next large one is made, and all of
+    them die on return, so no layer's temporaries live into the next
+    layer's attention.
+    """
+    c = x.shape[0]
+    d, dh, kv_dim = cfg.d_model, cfg.head_dim, cfg.kv_dim
+    hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias)
+    q = hid @ layer.wq
+    counter.gemm(c, d, d)
+    k = hid @ layer.wk
+    v = hid @ layer.wv
+    counter.gemm(c, kv_dim, d)
+    counter.gemm(c, kv_dim, d)
+    del hid
+    k3[active] = k.reshape(c, cfg.n_kv_heads, dh)
+    v3[active] = v.reshape(c, cfg.n_kv_heads, dh)
+    del k, v
+
+    attn = kernels.attention_rows(q.reshape(c, cfg.n_heads, dh), k3, v3, 1.0 / np.sqrt(dh), cfg.group_size)
+    del q
+    # per head: scores (C x N from dh) and weighted values (C x dh from N)
+    for _ in range(cfg.n_heads):
+        counter.gemm(c, n, dh)
+        counter.gemm(c, dh, n)
+    out = attn.reshape(c, d) @ layer.wo
+    counter.gemm(c, d, d)
+    del attn
+    x += out
+    del out
+
+    hid = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias)
+    up = hid @ layer.w_up
+    gate = hid @ layer.w_gate
+    counter.gemm(c, cfg.d_ff, d)
+    counter.gemm(c, cfg.d_ff, d)
+    del hid
+    # SiLU(gate) * up in place, as gate / (1 + exp(-gate)) * up: an exp that
+    # overflows gives gate / inf = -0.0, the exact limit
+    denom = np.negative(gate)
+    with np.errstate(over="ignore"):
+        np.exp(denom, out=denom)
+    denom += 1.0
+    gate /= denom
+    del denom
+    gate *= up
+    del up
+    down = gate @ layer.w_down
+    counter.gemm(c, d, cfg.d_ff)
+    x += down
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,13 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 3
         assert "invariant violation:" in capsys.readouterr().err
 
+    def test_large_finite_weight_scale_runs_without_warning(self, tmp_path, recwarn):
+        """At scale 300 some SiLU gates are below -709, so exp(-gate)
+        overflows to inf and the gate is the exact limit -0.0: the run
+        succeeds with finite output and warns about nothing."""
+        assert main(["run", "--weight-scale", "300", "--out", str(tmp_path / "o")]) == 0
+        assert [str(w.message) for w in recwarn] == []
+
     def test_weights_file_not_json_is_config_error(self, tmp_path, capsys):
         weights = tmp_path / "weights.json"
         weights.write_text("not json")

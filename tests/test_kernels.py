@@ -1,9 +1,10 @@
-"""The attention kernel must match a naive reference and read store views
-without a copy; layer norm must equal its textbook formula bit for bit."""
+"""The attention kernel must match a naive reference, equal the untiled
+kernel bit for bit and read store views without a copy; layer norm must
+equal its textbook formula bit for bit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surelock import kernels
@@ -32,6 +33,47 @@ def test_attention_matches_naive_reference(rng, group_size, c):
     v = rng.normal(size=(n, n_kv, dh))
     got = kernels.attention_rows(q, k, v, 0.3536, group_size)
     np.testing.assert_allclose(got, naive_attention(q, k, v, 0.3536, group_size), rtol=0, atol=1e-12)
+
+
+def reference_attention_rows(q, k_all, v_all, scale, group_size):
+    """The untiled kernel: every K/V group's scores in one block."""
+    c, h, dh = q.shape
+    hkv = h // group_size
+    q_g = q.transpose(1, 0, 2).reshape(hkv, group_size, c, dh)
+    k_t = np.ascontiguousarray(k_all.transpose(1, 2, 0))[:, None]  # (Hkv, 1, dh, N)
+    v_g = np.ascontiguousarray(v_all.transpose(1, 0, 2))[:, None]  # (Hkv, 1, N, dh)
+    scores = np.matmul(q_g, k_t)  # (Hkv, G, C, N)
+    scores *= scale
+    scores -= scores.max(axis=3, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=3, keepdims=True)
+    return np.matmul(scores, v_g).reshape(h, c, dh).transpose(1, 0, 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    c=st.integers(1, 300), n=st.integers(1, 300), n_kv=st.integers(1, 8), group_size=st.integers(1, 4),
+    dh=st.integers(1, 32), store_layout=st.booleans(), seed=st.integers(0, 2**32 - 1),
+)
+# at a 512 KiB budget: one group's 2.9 MB of scores per tile; 180 KB groups
+# two to a tile, the last tile holding one; all eight 2.4 KB groups in one tile
+@example(c=300, n=300, n_kv=8, group_size=4, dh=32, store_layout=True, seed=0)
+@example(c=150, n=150, n_kv=7, group_size=1, dh=16, store_layout=True, seed=1)
+@example(c=1, n=300, n_kv=8, group_size=1, dh=1, store_layout=False, seed=2)
+def test_attention_equals_untiled_kernel_bit_for_bit(c, n, n_kv, group_size, dh, store_layout, seed):
+    """Tiling only splits independent K/V groups, so every output byte equals
+    the untiled kernel's, whether the groups fit one tile, several tiles
+    with a partial last one, or a tile of one group above the budget."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(c, n_kv * group_size, dh))
+    k, v = rng.normal(size=(n, n_kv, dh)), rng.normal(size=(n, n_kv, dh))
+    if store_layout:  # per-group (dh, N) keys and (N, dh) values, as a KVStore holds them
+        k = np.ascontiguousarray(k.transpose(1, 2, 0)).transpose(2, 0, 1)
+        v = np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2)
+    scale = 1.0 / np.sqrt(dh)
+    got = kernels.attention_rows(q, k, v, scale, group_size)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == reference_attention_rows(q, k, v, scale, group_size).tobytes()
 
 
 def test_attention_reads_store_views_without_copy(rng):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surelock import kernels
 from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
 from surelock.flops import GemmCounter, active_step_flops
 from surelock.model import (
@@ -20,6 +22,7 @@ from surelock.model import (
     save_weights,
 )
 from surelock.prng import normals
+from test_kernels import reference_attention_rows
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -309,6 +312,146 @@ def test_partial_forward_equals_full_forward_on_computed_rows(case):
     ref, kv = store_with_rows(w, tokens, mask_flags, lock_set)
     part = forward_partial(w, tokens, mask_flags, active, kv)
     np.testing.assert_allclose(part, ref[active], atol=1e-9, rtol=0)
+
+
+class RecordingCounter(GemmCounter):
+    """A ``GemmCounter`` that also keeps its calls in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def gemm(self, m, n, k):
+        self.calls.append(("gemm", m, n, k))
+        super().gemm(m, n, k)
+
+    def gemm_head(self, m, n, k):
+        self.calls.append(("head", m, n, k))
+        super().gemm_head(m, n, k)
+
+
+def reference_forward_partial(w, tokens, mask_flags, active, kv, counter):
+    """The untiled forward without input checks: new arrays for every
+    residual and activation, the untiled attention kernel."""
+    cfg = w.config
+    n = len(tokens)
+    c = active.size
+    d, h, dh, kv_dim = cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.kv_dim
+    inv_sqrt_dh = 1.0 / np.sqrt(dh)
+    x = w.embedding[tokens[active]] + w.positional[active]
+    for li, layer in enumerate(w.layers):
+        hid = kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias)
+        q = hid @ layer.wq
+        counter.gemm(c, d, d)
+        k = hid @ layer.wk
+        v = hid @ layer.wv
+        counter.gemm(c, kv_dim, d)
+        counter.gemm(c, kv_dim, d)
+        k3, v3 = kv.keys(li), kv.values(li)
+        k3[active] = k.reshape(c, cfg.n_kv_heads, dh)
+        v3[active] = v.reshape(c, cfg.n_kv_heads, dh)
+        attn = reference_attention_rows(q.reshape(c, h, dh), k3, v3, inv_sqrt_dh, cfg.group_size)
+        for _ in range(h):
+            counter.gemm(c, n, dh)
+            counter.gemm(c, dh, n)
+        out = attn.reshape(c, d) @ layer.wo
+        counter.gemm(c, d, d)
+        x = x + out
+        hid2 = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias)
+        up = hid2 @ layer.w_up
+        gate = hid2 @ layer.w_gate
+        counter.gemm(c, cfg.d_ff, d)
+        counter.gemm(c, cfg.d_ff, d)
+        act = gate / (1.0 + np.exp(-gate)) * up
+        down = act @ layer.w_down
+        counter.gemm(c, d, cfg.d_ff)
+        x = x + down
+    kv.valid[active] = True
+    logits = x @ w.head
+    counter.gemm_head(c, cfg.vocab_size, d)
+    return logits
+
+
+@st.composite
+def forward_identity_cases(draw):
+    """A model with grouped heads, lengths up to where one group's scores
+    pass the tile budget, and C = 1, C = N or a subset with skipped rows
+    whose stored K/V come from other tokens."""
+    n_kv_heads = draw(st.integers(1, 4))
+    n_heads = n_kv_heads * draw(st.integers(1, 4))
+    cfg = ModelConfig(
+        vocab_size=draw(st.integers(3, 24)), d_model=n_heads * draw(st.integers(1, 8)),
+        n_layers=draw(st.integers(1, 3)), n_heads=n_heads, n_kv_heads=n_kv_heads,
+        d_ff=draw(st.integers(1, 32)), max_seq=200,
+    )
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["one", "all", "subset"]))
+    if kind == "all":
+        active = np.arange(n)
+    elif kind == "one":
+        active = np.array([draw(st.integers(0, n - 1))])
+    else:
+        active = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+    scale = draw(st.sampled_from([1.0, 300.0]))  # at 300 the SiLU's exp overflows in many draws
+    return cfg, n, active, scale, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forward_identity_cases())
+def test_forward_equals_untiled_reference_bit_for_bit(case):
+    """Tiled attention and in-place layer temporaries move no byte: logits,
+    the whole store and the GEMM call sequence equal the untiled forward's."""
+    cfg, n, active, scale, seed = case
+    w = init_weights(cfg, seed).scaled(scale)
+    stale_tokens, stale_mask = make_tokens(cfg, n, seed=seed + 1)
+    store = KVStore.empty(cfg, n)
+    forward_partial(w, stale_tokens, stale_mask, np.arange(n), store)
+    tokens, mask_flags = make_tokens(cfg, n, seed=seed)
+    got_kv, want_kv = store.copy(), store.copy()
+    got_counter, want_counter = RecordingCounter(), RecordingCounter()
+    got = forward_partial(w, tokens, mask_flags, active, got_kv, counter=got_counter)
+    with np.errstate(over="ignore"):
+        want = reference_forward_partial(w, tokens, mask_flags, active, want_kv, want_counter)
+    assert got.tobytes() == want.tobytes()
+    for name in ("k_t", "v", "valid"):
+        assert getattr(got_kv, name).tobytes() == getattr(want_kv, name).tobytes(), name
+    assert got_counter.calls == want_counter.calls
+
+
+def transient_bound(cfg, c, n):
+    """Bytes a forward over C of N rows may hold at once, by design.
+
+    Attention holds one score tile (the groups that fit the budget, at least
+    one) with x, q and its result; the FFN holds x, up, gate and the SiLU
+    buffer. Their sum, plus the logits, caps both phases."""
+    group = 8 * cfg.group_size * c * n
+    score_tile = group * max(1, min(cfg.n_kv_heads, kernels.ATTENTION_TILE_BYTES // group))
+    rows = 8 * c * (3 * cfg.d_model + 3 * cfg.d_ff)
+    return score_tile + rows + 8 * c * cfg.vocab_size
+
+
+@pytest.mark.parametrize("shape", [
+    # a 2-layer model at N = 1024: one group's scores are 8 MiB, all eight 64 MiB
+    dict(vocab_size=32, d_model=128, n_layers=2, n_heads=8, d_ff=256, max_seq=1024),
+    # the benchmark's mid-modes model at N = 192: about 2.5 MB
+    dict(vocab_size=256, d_model=128, n_layers=4, n_heads=8, d_ff=256, max_seq=192),
+], ids=["n1024", "mid-modes"])
+def test_forward_transient_memory_is_bounded(shape):
+    """A C = N forward's traced peak stays under one score tile plus one
+    layer's row temporaries: the K/V groups are tiled and no layer's
+    temporaries outlive it."""
+    cfg = ModelConfig(**shape)
+    n = cfg.max_seq
+    w = init_weights(cfg, 5)
+    tokens, mask_flags = make_tokens(cfg, n, seed=5)
+    kv = KVStore.empty(cfg, n)
+    tracemalloc.start()
+    try:
+        forward_partial(w, tokens, mask_flags, np.arange(n), kv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < transient_bound(cfg, n, n)
 
 
 class TestGroupedKV:
