@@ -25,8 +25,9 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidInputError, InvalidStateError
-from .kernels import LOG_SOFTMAX_LIPSCHITZ, kl_from_log_probs_rows, row_norms, spectral_norm
-from .model import Weights
+from .flops import GemmCounter
+from .kernels import LOG_SOFTMAX_LIPSCHITZ, SOFTMAX_JACOBIAN_SUP, kl_from_log_probs_rows, row_norms, spectral_norm
+from .model import Weights, feed_forward
 from .prng import normals, uniforms
 
 BOUND_SLACK = 1e-9
@@ -331,11 +332,25 @@ def embedding_gain(embedding: np.ndarray) -> float:
     return math.sqrt(2.0) * spectral_norm(embedding)
 
 
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``a - b``, taken on the row scaled by a
+    power of two near its largest entry, so its squares neither underflow
+    nor overflow. Power-of-two scaling is exact: wherever the unscaled
+    ``np.linalg.norm`` neither underflows nor overflows, the two agree bit
+    for bit. A distance beyond the float range is +inf."""
+    with np.errstate(over="ignore"):
+        diff = a - b
+        _, exp = np.frexp(np.abs(diff).max(axis=1))
+        return np.ldexp(np.linalg.norm(np.ldexp(diff, -exp[:, None]), axis=1), exp)
+
+
 def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -> float:
     """Max output/input distance ratio over seeded point pairs in a ball: a
     sampled estimate of the Lipschitz constant there, from below. Pairs
-    closer than ``1e-12 * radius`` are skipped; if none is left the
-    estimate is undefined and ``InvalidInputError`` is raised."""
+    closer than ``1e-12 * radius`` are skipped; if none is left, or that
+    threshold underflows to 0 (a subnormal ball, whose points carry too few
+    bits to tell a pair from round-off), the estimate is undefined and
+    ``InvalidInputError`` is raised."""
     # points: radius-scaled gaussian directions; pairs are consecutive rows
     raw = normals(seed, 2 * samples * dim).reshape(2 * samples, dim)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -344,20 +359,20 @@ def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -
     pts = raw / norms * radii * radius
     x, y = pts[0::2], pts[1::2]
     fx, fy = fn(x), fn(y)
-    num = np.linalg.norm(fx - fy, axis=1)
-    den = np.linalg.norm(x - y, axis=1)
-    keep = den > 1e-12 * radius
-    if not keep.any():
+    num, den = _pair_distances(fx, fy), _pair_distances(x, y)
+    floor = 1e-12 * radius
+    keep = den > floor
+    if floor == 0.0 or not keep.any():
         raise InvalidInputError(f"no sampled pair in a ball of radius {radius} is far enough apart to compare")
     return float((num[keep] / den[keep]).max())
 
 
 def attention_head_gain(wq_h: np.ndarray, wk_h: np.ndarray, wv_h: np.ndarray,
                         seq_len: int, radius: float, head_dim: int) -> float:
-    """Single-head attention Lipschitz bound from weight operator norms:
-    ||Wv|| * (1 + ||Wq|| ||Wk|| / 2 * n * R^2 / sqrt(d_k))."""
+    """Single-head attention Lipschitz bound from weight operator norms and the
+    softmax Jacobian's sup J = 1/2: ||Wv|| * (1 + ||Wq|| ||Wk|| J n R^2 / sqrt(d_k))."""
     sq, sk, sv = spectral_norm(wq_h), spectral_norm(wk_h), spectral_norm(wv_h)
-    return sv * (1.0 + sq * sk / 2.0 * seq_len * radius * radius / math.sqrt(head_dim))
+    return sv * (1.0 + sq * sk * SOFTMAX_JACOBIAN_SUP * seq_len * radius * radius / math.sqrt(head_dim))
 
 
 def lipschitz_constants(
@@ -372,11 +387,11 @@ def lipschitz_constants(
 
     Attention gains come from exact weight operator norms (SVD): a
     head's gain bounds its own output, and a layer's bounds its heads'
-    concatenated outputs under ``Wo``. The gated feed-forward and layer
-    norm are not globally Lipschitz, so their gains are sampled estimates:
-    the largest ratio over ``samples`` seeded input pairs inside the given
-    radius, which can fall short of the true constant. A layer computes
-    ``x += MHA(LN1 x)`` and then ``x += FFN(LN2 x)``, each with a residual,
+    concatenated outputs under ``Wo``. The gated feed-forward (the forward's
+    own ``model.feed_forward``) and layer norm are not globally Lipschitz, so
+    their gains are sampled estimates: the largest ratio over ``samples``
+    seeded input pairs inside the given radius, which can fall short of the
+    true constant. A layer computes ``x += MHA(LN1 x)`` and then ``x += FFN(LN2 x)``, each with a residual,
     so its gain composes as ``(1 + mha * ln) * (1 + ffn * ln)`` with ``ln``
     the larger of its two layer-norm estimates. ``tail_share`` is the
     assumed ratio of other positions' posterior movement to this position's
@@ -408,12 +423,8 @@ def lipschitz_constants(
                 n, input_radius, dh,
             ))
         mha_gain = spectral_norm(layer.wo) * math.hypot(*head_gains)  # concatenated heads: root sum of squares
-
-        def ffn(x, layer=layer):
-            gate = x @ layer.w_gate
-            return (gate / (1.0 + np.exp(-gate)) * (x @ layer.w_up)) @ layer.w_down
-
-        ffn_gain = _empirical_lipschitz(ffn, cfg.d_model, input_radius, samples, seed + 101 * li)
+        ffn_gain = _empirical_lipschitz(lambda x, layer=layer: feed_forward(layer, x, GemmCounter()),
+                                        cfg.d_model, input_radius, samples, seed + 101 * li)
         ln_gain = max(
             _empirical_lipschitz(
                 lambda x, layer=layer: kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias),
@@ -473,27 +484,4 @@ def input_radius_bound(w: Weights) -> float:
         for layer in w.layers
         for gain, bias in ((layer.ln1_gain, layer.ln1_bias), (layer.ln2_gain, layer.ln2_bias))
     )
-
-
-def softmax_jacobian_sup(samples: int = 10_000, max_dim: int = 16, seed: int = 7) -> float:
-    """Empirical sup of the softmax Jacobian spectral norm over random scores.
-
-    The Jacobian diag(a) - a a^T is symmetric PSD; its largest eigenvalue is
-    analytically at most 1/2, approached at two-point distributions.
-    """
-    sup = 0.0
-    dims = (np.arange(samples) % (max_dim - 1)) + 2
-    for dim in range(2, max_dim + 1):
-        count = int((dims == dim).sum())
-        if count == 0:
-            continue
-        scores = normals(seed + dim, count * dim).reshape(count, dim)
-        # mix in larger scales so near-two-point distributions appear
-        scales = 1.0 + 9.0 * uniforms(seed ^ 0x5CA1E + dim, count)[:, None]
-        alpha = np.exp(scores * scales)
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        jac = alpha[:, :, None] * np.eye(dim)[None, :, :] - alpha[:, :, None] * alpha[:, None, :]
-        eigs = np.linalg.eigvalsh(jac)
-        sup = max(sup, float(eigs[:, -1].max()))
-    return sup
 

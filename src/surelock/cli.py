@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import fields
@@ -28,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
+from .errors import ConfigError, InvalidInputError, InvalidStateError, read_json, require_finite, require_int, write_text
 from .flops import baseline_step_flops
+from .kernels import SOFTMAX_JACOBIAN_SUP
 from .lockctl import LockPolicy
 from .model import ModelConfig, init_weights, load_weights
 from .prng import uniforms
@@ -73,10 +75,7 @@ def random_prompt(cfg: ModelConfig, n_prompt: int, seed: int) -> np.ndarray:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    doc = read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
@@ -183,33 +182,36 @@ def _float_or_none(x):
     return x if np.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV text, with the csv module's \\r\\n line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def emit_trace(result: RunResult, out_dir: Path) -> None:
     """Write trace.jsonl and the plotting CSV; byte-stable across reruns."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "trace.jsonl", "w") as fh:
-        for rec in result.trace:
-            row = {
-                "t": rec.t,
-                "M_t": rec.active_rows,
-                "C_t": rec.computed_rows,
-                "F_base": rec.flops_base,
-                "F_actual": rec.flops_actual,
-                "F_counted": rec.flops_counted,
-                "head_flops": rec.head_flops,
-                "probe_flops": rec.probe_flops,
-                "ratio": rec.ratio,
-                "newly_unmasked": rec.newly_unmasked,
-                "newly_locked": rec.newly_locked,
-                "newly_unlocked": rec.newly_unlocked,
-                "mean_D": _float_or_none(rec.mean_step_kl),
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(out_dir / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "ratio", "M_t", "mean_D"])
-        for rec in result.trace:
-            writer.writerow([rec.t, repr(rec.ratio), rec.active_rows,
-                             "" if rec.mean_step_kl is None else repr(rec.mean_step_kl)])
+    rows = ({
+        "t": rec.t,
+        "M_t": rec.active_rows,
+        "C_t": rec.computed_rows,
+        "F_base": rec.flops_base,
+        "F_actual": rec.flops_actual,
+        "F_counted": rec.flops_counted,
+        "head_flops": rec.head_flops,
+        "probe_flops": rec.probe_flops,
+        "ratio": rec.ratio,
+        "newly_unmasked": rec.newly_unmasked,
+        "newly_locked": rec.newly_locked,
+        "newly_unlocked": rec.newly_unlocked,
+        "mean_D": _float_or_none(rec.mean_step_kl),
+    } for rec in result.trace)
+    write_text(out_dir / "trace.jsonl", "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    write_text(out_dir / "trace.csv", _csv_text([
+        ["t", "ratio", "M_t", "mean_D"],
+        *([rec.t, repr(rec.ratio), rec.active_rows, "" if rec.mean_step_kl is None else repr(rec.mean_step_kl)]
+          for rec in result.trace),
+    ]))
 
 
 def write_summary(result: RunResult, echo: dict, out_dir: Path) -> None:
@@ -220,7 +222,7 @@ def write_summary(result: RunResult, echo: dict, out_dir: Path) -> None:
         "totals": {
             "F_base": result.total_flops_base,
             "F_actual": result.total_flops_actual,
-            "ratio": result.total_flops_actual / result.total_flops_base,
+            "ratio": result.ratio,
             "head_flops": result.total_head_flops,
             "probe_flops": result.total_probe_flops,
         },
@@ -234,7 +236,7 @@ def write_summary(result: RunResult, echo: dict, out_dir: Path) -> None:
         ],
         "counter_matches": result.counter_matches,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
+    write_text(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=1) + "\n")
 
 
 def write_timing(result: RunResult, out_dir: Path) -> None:
@@ -244,7 +246,7 @@ def write_timing(result: RunResult, out_dir: Path) -> None:
         "step_tps": result.step_tps(),
         "step_seconds": [rec.wall_seconds for rec in result.trace],
     }
-    (out_dir / "timing.json").write_text(json.dumps(timing, indent=1) + "\n")
+    write_text(out_dir / "timing.json", json.dumps(timing, indent=1) + "\n")
 
 
 def check_run_invariants(result: RunResult, run: RunConfig) -> list[str]:
@@ -283,12 +285,12 @@ def cmd_run(args) -> int:
     if args.record_trajectories:
         doc = [{"position": i, "log_probs": result.history[:, i].tolist()}
                for i in np.flatnonzero(result.history_valid.all(axis=0)).tolist()]
-        (out_dir / "trajectories.json").write_text(json.dumps(doc))
+        write_text(out_dir / "trajectories.json", json.dumps(doc))
     problems = check_run_invariants(result, run)
     for p in problems:
         print(f"INVARIANT VIOLATION: {p}", file=sys.stderr)
     print(f"run: mode={run.mode} steps={len(result.trace)} "
-          f"F_actual/F_base={result.total_flops_actual / result.total_flops_base:.4f} "
+          f"F_actual/F_base={result.ratio:.4f} "
           f"active_ratio={result.active_ratio:.4f} -> {out_dir}")
     return EXIT_INVARIANT if problems else EXIT_OK
 
@@ -320,7 +322,6 @@ def cmd_sweep(args) -> int:
 
     w, doc, runs = _build(args, points)
     out_dir = _resolve_out(args, doc)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     bad = False
     for run, prompt, _ in runs:
@@ -334,28 +335,21 @@ def cmd_sweep(args) -> int:
             "seed": run.seed,
             "F_base": result.total_flops_base,
             "F_actual": result.total_flops_actual,
-            "ratio": result.total_flops_actual / result.total_flops_base,
+            "ratio": result.ratio,
             "active_ratio": result.active_ratio,
             "locks": sum(1 for e in result.events if e.kind in ("lock", "relock")),
             "unlocks": sum(1 for e in result.events if e.kind == "unlock"),
         })
 
     path = out_dir / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_text(path, _csv_text([list(rows[0]), *(row.values() for row in rows)]))
     print(f"sweep: {len(rows)} points -> {path}")
     return EXIT_INVARIANT if bad else EXIT_OK
 
 
 def _load_trajectories(path: str) -> list[analysis.Trajectory]:
     """Trajectories from a ``run --record-trajectories`` file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-        raise ConfigError(f"cannot read trajectories {path}: {exc}") from exc
+    doc = read_json(path, "trajectories")
     trajs = []
     try:
         for k, item in enumerate(doc):
@@ -388,7 +382,7 @@ def cmd_verify_bound(args) -> int:
     print(f"verify-bound: {len(trajs)} trajectories, {len(applicable)} applicable, "
           f"{len(held)} hold, {len(reports) - len(applicable)} not applicable")
     if args.out:
-        Path(args.out).write_text(json.dumps([r.to_dict() for r in reports], indent=1))
+        write_text(args.out, json.dumps([r.to_dict() for r in reports], indent=1))
     if violated:
         for r in violated[:10]:
             print(f"VIOLATION at position {r.position}: lhs={r.lhs} > rhs={r.rhs}", file=sys.stderr)
@@ -435,7 +429,7 @@ def cmd_simulate(args) -> int:
     print(f"simulate: {held}/{args.count} bound holds "
           f"({len(applicable)} applicable of {args.count})")
     if args.out:
-        Path(args.out).write_text(json.dumps([r.to_dict() for r in reports], indent=1))
+        write_text(args.out, json.dumps([r.to_dict() for r in reports], indent=1))
     if held != len(applicable):
         return EXIT_INVARIANT
     return EXIT_OK
@@ -448,10 +442,10 @@ def cmd_constants(args) -> int:
         w, radius, tail_share=args.kappa, seq_len=run.n_positions, samples=args.samples,
     )
     doc = report.to_dict()
-    doc["softmax_jacobian_sup"] = analysis.softmax_jacobian_sup(args.samples)
+    doc["softmax_jacobian_sup"] = SOFTMAX_JACOBIAN_SUP
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_text(args.out, text + "\n")
     print(text)
     return EXIT_OK
 

@@ -27,6 +27,12 @@ KL_ROUNDOFF_TOL = 1e-12
 #: norm: each Jacobian row is e_i - p, whose 2-norm is at most its 1-norm <= 2.
 LOG_SOFTMAX_LIPSCHITZ = 2.0
 
+#: Sup over distributions p of the spectral norm of the softmax Jacobian
+#: diag(p) - pp^T, which is symmetric. By Gershgorin, row i (diagonal and
+#: off-diagonal absolute sum both p_i(1 - p_i)) puts every eigenvalue in
+#: [0, max_i 2 p_i(1 - p_i)], and 2 p_i(1 - p_i) <= 1/2; p = (1/2, 1/2) attains it.
+SOFTMAX_JACOBIAN_SUP = 0.5
+
 #: Byte budget of one attention tile's (groups, group_size, C, N) score
 #: block. On the benchmark's shapes (N = 192, C = 12 to 192, 8 or 2 K/V
 #: groups, BLAS on one thread) 512 KiB and 1 MiB ran within 3 % of each
@@ -142,9 +148,10 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
     Bit-identical to ``np.linalg.norm`` of each 1-D row (the tests pin
     this); ``np.einsum('ij,ij->i')`` and ``(x * x).sum(1)`` sum in another
-    order and are not.
+    order and are not. A norm whose squares overflow is +inf, the IEEE answer.
     """
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def percentile_nearest_rank(values: Sequence[float] | np.ndarray, m: float) -> float:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError, require_int
+from .errors import ConfigError, InvalidInputError, InvalidStateError, read_json, require_int, write_text
 from .flops import GemmCounter
 from .prng import normals
 
@@ -345,11 +345,18 @@ def _layer_partial(layer: LayerWeights, x: np.ndarray, k3: np.ndarray, v3: np.nd
     x += out
     del out
 
-    hid = kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias)
+    x += feed_forward(layer, kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias), counter)
+
+
+def feed_forward(layer: LayerWeights, hid: np.ndarray, counter) -> np.ndarray:
+    """The gated FFN ``(SiLU(hid @ W_gate) * (hid @ W_up)) @ W_down`` of (C, d) rows,
+    counted as up, gate and down gemm calls. ``hid`` is released once both products
+    are taken and the SiLU runs in place, so at most three (C, d_ff) arrays live."""
+    (c, d), d_ff = hid.shape, layer.w_up.shape[1]
     up = hid @ layer.w_up
     gate = hid @ layer.w_gate
-    counter.gemm(c, cfg.d_ff, d)
-    counter.gemm(c, cfg.d_ff, d)
+    counter.gemm(c, d_ff, d)
+    counter.gemm(c, d_ff, d)
     del hid
     # SiLU(gate) * up in place, as gate / (1 + exp(-gate)) * up: an exp that
     # overflows gives gate / inf = -0.0, the exact limit
@@ -362,8 +369,8 @@ def _layer_partial(layer: LayerWeights, x: np.ndarray, k3: np.ndarray, v3: np.nd
     gate *= up
     del up
     down = gate @ layer.w_down
-    counter.gemm(c, d, cfg.d_ff)
-    x += down
+    counter.gemm(c, d, d_ff)
+    return down
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +384,11 @@ def save_weights(w: Weights, path: str | Path) -> None:
     }
     if w.seed is not None:
         doc["seed"] = w.seed
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def load_weights(path: str | Path) -> Weights:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-        raise ConfigError(f"cannot read weight file {path}: {exc}") from exc
+    doc = read_json(path, "weight file")
     try:
         cfg = ModelConfig.from_dict(doc["config"])
         tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["tensors"].items()}

@@ -371,6 +371,11 @@ class RunResult:
         return sum(r.flops_actual for r in self.trace)
 
     @property
+    def ratio(self) -> float:
+        """The run's F_actual / F_base."""
+        return self.total_flops_actual / self.total_flops_base
+
+    @property
     def total_head_flops(self) -> int:
         return sum(r.head_flops for r in self.trace)
 

@@ -16,6 +16,7 @@ from surelock import (
     analysis,
     init_weights,
     kernels,
+    model,
     run_sampler,
 )
 from surelock.analysis import (
@@ -31,7 +32,6 @@ from surelock.analysis import (
     lipschitz_constants,
     simulate_trajectories,
     simulate_trajectory,
-    softmax_jacobian_sup,
     synthetic_logits,
     tail_gain,
     trajectories_from_history,
@@ -394,10 +394,37 @@ class TestConstants:
         gain = embedding_gain(np.eye(2))
         assert abs(gain - math.sqrt(2.0)) < 1e-9
 
-    def test_softmax_jacobian_sup_at_most_half(self):
-        sup = softmax_jacobian_sup(samples=10_000, max_dim=12)
-        assert sup <= 0.5 + 1e-6
-        assert sup > 0.4  # the bound is approached, not vacuous
+    def test_ffn_estimate_runs_the_models_ffn(self, small_model, monkeypatch):
+        """The FFN gain is sampled on ``model.feed_forward``, the forward's own
+        FFN: it sees both points of every pair for each layer, and a planted
+        zero FFN zeroes every layer's estimate."""
+        _, w = small_model
+        assert analysis.feed_forward is model.feed_forward
+        calls = []
+
+        def spy(layer, x, counter):
+            calls.append((id(layer), x.shape))
+            return model.feed_forward(layer, x, counter)
+
+        monkeypatch.setattr(analysis, "feed_forward", spy)
+        want = lipschitz_constants(w, input_radius=1.0, samples=50)
+        assert calls == [(id(layer), (50, w.config.d_model)) for layer in w.layers for _ in (0, 1)]
+        monkeypatch.setattr(analysis, "feed_forward", lambda layer, x, counter: np.zeros_like(x))
+        zeroed = lipschitz_constants(w, input_radius=1.0, samples=50)
+        assert [p["ffn_gain"] for p in zeroed.per_layer] == [0.0] * len(w.layers)
+        assert [p["ffn_gain"] for p in want.per_layer] != [0.0] * len(w.layers)
+
+    @pytest.mark.parametrize("power", [-1000, -600, 0, 600, 1000])
+    def test_pair_distances_scale_exactly(self, rng, power):
+        """Pair distances of rows scaled by 2**power are the unscaled ones
+        times 2**power, bit for bit, where squares underflow (-1000, -600)
+        or overflow (600, 1000) too; unscaled they equal np.linalg.norm."""
+        a, b = rng.normal(size=(2, 40, 7))
+        want = np.linalg.norm(a - b, axis=1)
+        assert analysis._pair_distances(a, b).tobytes() == want.tobytes()
+        scale = 2.0**power
+        got = analysis._pair_distances(a * scale, b * scale)
+        assert got.tobytes() == (want * scale).tobytes()
 
     def test_spectral_norms_against_svd(self, small_model):
         _, w = small_model

@@ -9,6 +9,7 @@ import pytest
 
 from surelock import cli, errors
 from surelock.cli import main
+from surelock.kernels import SOFTMAX_JACOBIAN_SUP
 from surelock.model import MAX_PARAMS, ModelConfig, init_weights, save_weights
 
 TOY = {
@@ -365,6 +366,12 @@ class TestVerifyAndSimulate:
         rows = json.loads(out.read_text())
         assert "NaN" not in out.read_text() and any(r["rhs"] == float("inf") for r in rows)
 
+    def test_simulate_overflowing_norm_does_not_warn(self, recwarn):
+        """At magnitude 1e308 a logit move's squared norm overflows; the
+        norm is +inf, the IEEE answer, and no warning is printed."""
+        assert main(["simulate", "--count", "5", "--magnitude", "1e308"]) == 0
+        assert [str(w.message) for w in recwarn] == []
+
     @pytest.mark.parametrize("flag", ["--rho-targets", "--vocab-sizes"])
     def test_empty_simulate_list_is_config_error(self, flag, capsys):
         assert main(["simulate", "--count", "3", flag, ""]) == 2
@@ -487,7 +494,7 @@ class TestConstantsCommand:
         for key in ("embedding_gain", "block_gain", "network_gain", "overall_gain",
                     "softmax_jacobian_sup", "input_radius"):
             assert key in doc
-        assert doc["softmax_jacobian_sup"] <= 0.5 + 1e-6
+        assert doc["softmax_jacobian_sup"] == SOFTMAX_JACOBIAN_SUP == 0.5
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("scale", ["1e30", "1e80"])
@@ -508,9 +515,21 @@ class TestConstantsCommand:
         assert main(["constants", *flags, "--samples", "50"]) == 0
 
     def test_ball_without_a_comparable_pair_is_config_error(self, capsys):
-        """At a subnormal radius every sampled distance underflows to zero."""
+        """At a subnormal radius the skip threshold 1e-12 * radius underflows
+        to zero: no sampled pair can be told apart from round-off."""
         assert main(["constants", "--radius", "1e-320", "--samples", "50"]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--weight-scale", "1e-300"], ["--radius", "1e-200"]])
+    def test_tiny_ball_keeps_its_pairs(self, tmp_path, recwarn, flags):
+        """Below a radius of about 1e-154 the squares of a pair's distance
+        underflow; distances are taken on rescaled rows, so the pairs stay
+        and the report is written with finite gains and no warning."""
+        out = tmp_path / "constants.json"
+        assert main(["constants", *flags, "--samples", "50", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert all(math.isfinite(doc[key]) for key in ("ffn_gain", "layernorm_gain", "overall_gain"))
+        assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("scale", ["1e-150", "1e-200"])
     def test_tiny_weights_keep_exact_norms(self, tmp_path, scale):
@@ -570,6 +589,36 @@ class TestParserReuse:
         assert [rc for rc, *_ in reused] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2]
         monkeypatch.setattr(cli, "_parser", cli.build_parser)
         assert outcomes() == reused
+
+
+UNWRITABLE_OUTPUTS = {
+    "run-under-a-file": (["run"], "file/out"),
+    "run-at-a-file": (["run"], "file"),
+    "sweep-at-a-file": (["sweep", "--seeds", "0,1"], "file"),
+    "verify-bound-at-a-directory": (["verify-bound"], "dir"),
+    "simulate-at-a-directory": (["simulate", "--count", "3"], "dir"),
+    "constants-at-a-directory": (["constants", "--samples", "20"], "dir"),
+}
+
+
+class TestOutputPaths:
+    """Every output is written by ``errors.write_text``: a path that cannot be
+    written exits 2 with one ``cannot write`` line, and a missing parent
+    directory is created."""
+
+    @pytest.mark.parametrize("argv, target", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS)
+    def test_unwritable_output_is_config_error(self, tmp_path, config_file, capsys, argv, target):
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
+        config = [] if argv[0] == "simulate" else ["--config", config_file]
+        assert main([*argv, *config, "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {tmp_path / target}") and err.count("\n") == 1
+
+    def test_verify_bound_creates_the_output_directory(self, tmp_path, config_file):
+        out = tmp_path / "missing" / "reports.json"
+        assert main(["verify-bound", "--config", config_file, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == TOY["run"]["n_prompt"] + TOY["run"]["n_gen"]
 
 
 class TestFlopsCheckCommand:

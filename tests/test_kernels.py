@@ -115,3 +115,21 @@ def test_layernorm_matches_reference_bit_for_bit(rows, width, seed, log_scale, o
     got = kernels.layernorm_rows(x, gain, bias)
     want = reference_layernorm(x, gain, bias)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).filter(lambda w: sum(w) > 0.0))
+@example([1.0, 1.0])
+@example([1.0, 1.0, 1e-9])
+@example([1.0])
+def test_softmax_jacobian_sup_bounds_every_distribution(weights):
+    """The largest eigenvalue of diag(p) - pp^T is at most the constant (up
+    to eigvalsh round-off), for any distribution p."""
+    p = np.asarray(weights) / sum(weights)
+    top = np.linalg.eigvalsh(np.diag(p) - np.outer(p, p))[-1]
+    assert top <= kernels.SOFTMAX_JACOBIAN_SUP + 1e-15
+
+
+def test_softmax_jacobian_sup_is_attained_at_two_halves():
+    p = np.array([0.5, 0.5])
+    assert np.linalg.eigvalsh(np.diag(p) - np.outer(p, p))[-1] == kernels.SOFTMAX_JACOBIAN_SUP == 0.5
