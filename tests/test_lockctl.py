@@ -397,6 +397,56 @@ class TestUnlockIntegration:
                     assert b.kind == "relock"
                     assert b.step - a.step > policy.relock_cooldown
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["surelock", "hybrid"]),
+        heads=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)]),  # (n_heads, n_kv_heads)
+        n_blocks=st.sampled_from([1, 2, 4]),
+        temperature=st.sampled_from([0.0, 0.8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_events_carry_the_facts_they_were_decided_on(self, mode, heads, n_blocks, temperature, seed):
+        """A lock or relock event holds its step record's KL and uncertainty
+        at its position; it is a relock exactly when the position was
+        unlocked before. An unlock event's drift exceeds ``epsilon_unlock``,
+        its proxy uncertainty exceeds the step's gate threshold, and it comes
+        more than ``min_locked_duration`` steps after the lock.
+        About half of the runs unlock, and a third relock."""
+        rng = np.random.default_rng(seed)
+        n_heads, n_kv_heads = heads
+        cfg = ModelConfig(vocab_size=int(rng.integers(6, 24)), d_model=n_heads * int(rng.integers(2, 6)),
+                          n_layers=int(rng.integers(1, 3)), n_heads=n_heads, n_kv_heads=n_kv_heads,
+                          d_ff=int(rng.integers(4, 24)), max_seq=48)
+        policy = LockPolicy(
+            epsilon=float(rng.choice([1e-3, 1e-2, 1e-1, 1e9])), percentile=float(rng.choice([0.0, 20.0, 50.0])),
+            gate_enabled=bool(rng.integers(2)), hybrid_fraction=float(rng.uniform(0.5, 1.0)),
+            unlock_enabled=True, probe_period=int(rng.integers(1, 3)),
+            epsilon_unlock=float(rng.choice([1e-12, 1e-8, 1e-4])), min_locked_duration=int(rng.integers(1, 3)),
+            relock_cooldown=int(rng.integers(1, 4)), relock_tightening=float(rng.choice([0.5, 1.0])),
+        )
+        block_len = int(rng.integers(2, 9))
+        run = RunConfig(n_prompt=int(rng.integers(0, 9)), n_gen=n_blocks * block_len, block_length=block_len,
+                        steps=n_blocks * int(rng.integers(block_len // 2, block_len + 1)), mode=mode,
+                        temperature=temperature, seed=seed, policy=policy)
+        w = init_weights(cfg, seed).scaled(float(rng.choice([1.0, 4.0])))
+        res = run_sampler(run, w, random_prompt(cfg, run.n_prompt, seed))
+
+        last_lock_step = {}
+        unlocked_before = set()
+        for e in res.events:
+            rec = res.trace[e.step - 1]
+            assert rec.t == e.step
+            if e.kind == "unlock":
+                assert e.step_kl > policy.epsilon_unlock
+                assert e.uncertainty > percentile_nearest_rank(rec.uncert[~np.isnan(rec.uncert)], policy.percentile)
+                assert e.step - last_lock_step[e.position] > policy.min_locked_duration
+                unlocked_before.add(e.position)
+            else:
+                assert e.step_kl == rec.step_kl[e.position]
+                assert e.uncertainty == rec.uncert[e.position]
+                assert (e.kind == "relock") == (e.position in unlocked_before)
+                last_lock_step[e.position] = e.step
+
     def test_active_rows_can_grow_after_unlock(self):
         policy = LockPolicy(
             epsilon=1e-1, percentile=0.0, unlock_enabled=True, probe_period=2,
