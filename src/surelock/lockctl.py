@@ -7,6 +7,11 @@ later forwards, which read its K/V as of its last computation from the run's
 store, and its reported log-posterior stays frozen. The optional unlock
 protocol periodically probes locked rows with a fresh forward on a copy of
 the store and releases those whose posterior has drifted.
+
+Each decision returns the ``LockEvent``s it decides, carrying the facts it
+was decided on: ``evaluate_locks`` the lock and relock events, and
+``probe_unlock`` the unlock events. The state mutators (``apply_locks`` and
+``SamplerState.release_locks``) only apply those events.
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ class LockPolicy:
 
 @dataclass(frozen=True)
 class LockEvent:
+    """One lock decision about one position at one step. A lock or relock
+    carries the position's step KL and uncertainty; an unlock carries its
+    probe's drift and proxy uncertainty."""
+
     position: int
     step: int
     kind: str  # "lock" | "unlock" | "relock"
@@ -92,40 +101,42 @@ def evaluate_locks(
     policy: LockPolicy,
     t: int,
     cooldown_until: np.ndarray,
-) -> list[int]:
-    """Positions among ``candidates`` that pass the lock test at step ``t``,
-    in ascending order. The three arrays are (N,) and indexed by position.
+) -> list[LockEvent]:
+    """Events for the positions among ``candidates`` that pass the lock test
+    at step ``t``, in ascending position order, each carrying its entries of
+    ``step_kl`` and ``uncert``. The three arrays are (N,) and indexed by
+    position.
 
     The gate threshold is the nearest-rank percentile of candidate
     uncertainties. Positions still inside a re-lock cooldown are excluded
-    outright; previously unlocked positions (``cooldown_until >= 0``) must
-    meet the tightened KL threshold.
+    outright. A previously unlocked position (``cooldown_until >= 0``) must
+    meet the tightened KL threshold, and its event is a relock; this is the
+    one place that rule is read.
     """
     candidates = np.unique(np.asarray(candidates, dtype=np.intp))
     if candidates.size == 0:
         return []
     u = uncert[candidates]
-    eps = np.where(cooldown_until[candidates] >= 0, policy.epsilon * policy.relock_tightening, policy.epsilon)
+    released = cooldown_until[candidates] >= 0
+    eps = np.where(released, policy.epsilon * policy.relock_tightening, policy.epsilon)
     passed = (step_kl[candidates] <= eps) & (t > cooldown_until[candidates])
     if policy.gate_enabled:
         passed &= u <= percentile_nearest_rank(u, policy.percentile)
-    return candidates[passed].tolist()
+    return [
+        LockEvent(position=i, step=t, kind="relock" if again else "lock",
+                  step_kl=float(step_kl[i]), uncertainty=float(uncert[i]))
+        for i, again in zip(candidates[passed].tolist(), released[passed].tolist())
+    ]
 
 
-def apply_locks(
-    state: "SamplerState",
-    to_lock: Iterable[int],
-    computed: np.ndarray,
-    step_kl: np.ndarray,
-    uncert: np.ndarray,
-) -> None:
-    """Set lock steps and record lock events, each carrying its row's entry
-    of this step's (N,) ``step_kl`` and ``uncert``.
+def apply_locks(state: "SamplerState", events: list[LockEvent], computed: np.ndarray) -> None:
+    """Lock the positions of ``events`` at the current step and record the
+    events.
 
     Every position must be among this step's ``computed`` rows, so the
     store already holds its lock-time K/V and ``log_post`` its posterior.
     """
-    to_lock = np.unique(np.asarray(to_lock, dtype=np.intp))
+    to_lock = np.asarray([e.position for e in events], dtype=np.intp)
     for refused, why in (
         (state.lock[to_lock], "already locked"),
         (state.mask_flags[to_lock], "still masked"),
@@ -133,14 +144,8 @@ def apply_locks(
     ):
         if refused.any():
             raise InvalidStateError(f"cannot lock positions {to_lock[refused].tolist()}: {why}")
-
-    t = state.t
-    state.lock_step[to_lock] = t
-    for i in to_lock.tolist():
-        state.events.append(LockEvent(
-            position=i, step=t, kind="relock" if state.cooldown_until[i] >= 0 else "lock",
-            step_kl=float(step_kl[i]), uncertainty=float(uncert[i]),
-        ))
+    state.lock_step[to_lock] = state.t
+    state.events.extend(events)
 
 
 def probe_unlock(
@@ -150,18 +155,18 @@ def probe_unlock(
     gate_threshold: float,
     counter=None,
     rows: Iterable[int] | None = None,
-) -> list[int]:
-    """Locked rows whose probe shows drift past the unlock thresholds.
+) -> list[LockEvent]:
+    """Unlock events for the locked rows whose probe shows drift past the
+    unlock thresholds.
 
     Runs a full-depth forward restricted to the locked query rows on a copy
     of the K/V store (all other rows supply their latest stored K/V, and the
     probe's fresh K/V is discarded), compares the proxy posterior
-    against the posterior frozen at lock time, and returns the rows where
-    proxy uncertainty exceeds ``gate_threshold``, drift exceeds
-    ``epsilon_unlock``, and the lock age strictly exceeds
-    ``min_locked_duration``. Each probed row's drift and proxy uncertainty
-    are kept in ``state.probe_drift`` and ``state.probe_uncertainty``. The
-    caller applies the release.
+    against the posterior frozen at lock time, and returns an event, in
+    ascending position order, for each row where proxy uncertainty exceeds
+    ``gate_threshold``, drift exceeds ``epsilon_unlock``, and the lock age
+    strictly exceeds ``min_locked_duration``. Each event carries its row's
+    drift and proxy uncertainty. The caller applies the release.
     """
     if rows is None:
         rows = np.flatnonzero(state.lock)
@@ -177,10 +182,9 @@ def probe_unlock(
     proxy_lp = kernels.log_softmax_rows(logits)
     drift = kl_from_log_probs_rows(proxy_lp, state.log_post[rows])
     proxy_u = uncertainty_rows(proxy_lp)
-    state.probe_drift.fill(np.nan)
-    state.probe_uncertainty.fill(np.nan)
-    state.probe_drift[rows] = drift
-    state.probe_uncertainty[rows] = proxy_u
     age = state.t - state.lock_step[rows]
     unlock = (proxy_u > gate_threshold) & (drift > policy.epsilon_unlock) & (age > policy.min_locked_duration)
-    return rows[unlock].tolist()
+    return [
+        LockEvent(position=i, step=state.t, kind="unlock", step_kl=d, uncertainty=u)
+        for i, d, u in zip(rows[unlock].tolist(), drift[unlock].tolist(), proxy_u[unlock].tolist())
+    ]

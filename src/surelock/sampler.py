@@ -159,8 +159,6 @@ class SamplerState:
     log_post: np.ndarray  # (N, V) latest reported log-posteriors
     last_step_kl: np.ndarray  # (N,) latest step KL; +inf until scored and again after a release
     cooldown_until: np.ndarray  # (N,) int, last step of the latest re-lock cooldown; -1 until first released
-    probe_drift: np.ndarray  # (N,) the latest probe's drift; NaN on rows it did not probe
-    probe_uncertainty: np.ndarray  # (N,) the latest probe's proxy uncertainty; NaN likewise
     events: list[LockEvent]
     rng: SplitMix64
     t: int = 0
@@ -191,8 +189,6 @@ class SamplerState:
             log_post=np.full((n, cfg.vocab_size), np.nan),
             last_step_kl=np.full(n, np.inf),
             cooldown_until=np.full(n, -1, dtype=np.int64),
-            probe_drift=np.full(n, np.nan),
-            probe_uncertainty=np.full(n, np.nan),
             events=[],
             rng=SplitMix64(run.seed),
         )
@@ -214,20 +210,17 @@ class SamplerState:
         locked rows' entries are their lock-time values."""
         return self.kv.copy()
 
-    def release_locks(self, rows: list[int], policy: LockPolicy) -> None:
-        """Clear lock state for ``rows``: the cooldown timer starts and future
-        re-locks use the tightened threshold. The row's stored K/V and its
+    def release_locks(self, events: list[LockEvent], policy: LockPolicy) -> None:
+        """Apply unlock ``events`` and record them: each position's lock state
+        clears, and its cooldown timer starts. The row's stored K/V and its
         reported log-posterior stay as they are until it is next computed."""
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = np.asarray([e.position for e in events], dtype=np.intp)
         if not self.lock[rows].all():
             raise InvalidStateError(f"cannot unlock positions {rows[~self.lock[rows]].tolist()}: not locked")
         self.lock_step[rows] = -1
         self.cooldown_until[rows] = self.t + policy.relock_cooldown
         self.last_step_kl[rows] = np.inf  # rank as unscored if selection resumes
-        for i in rows.tolist():
-            self.events.append(LockEvent(position=i, step=self.t, kind="unlock",
-                                         step_kl=float(self.probe_drift[i]),
-                                         uncertainty=float(self.probe_uncertainty[i])))
+        self.events.extend(events)
 
 
 @dataclass
@@ -305,20 +298,20 @@ def step(
     state.tokens[newly_unmasked] = committed
     state.mask_flags[newly_unmasked] = False
 
-    newly_locked: list[int] = []
+    locked: list[LockEvent] = []
     if run.mode in LOCKING_MODES:
         candidates = computed[~state.mask_flags[computed]]
-        newly_locked = evaluate_locks(
+        locked = evaluate_locks(
             candidates, step_kl, uncert, policy,
             t=t, cooldown_until=state.cooldown_until,
         )
-        apply_locks(state, newly_locked, computed, step_kl, uncert)
+        apply_locks(state, locked, computed)
 
-    newly_unlocked: list[int] = []
+    unlocked: list[LockEvent] = []
     if policy.unlock_enabled and t % policy.probe_period == 0 and state.lock.any():
         gate_threshold = percentile_nearest_rank(u_vals, policy.percentile)
-        newly_unlocked = probe_unlock(state, w, policy, gate_threshold, counter=probe_counter)
-        state.release_locks(newly_unlocked, policy)
+        unlocked = probe_unlock(state, w, policy, gate_threshold, counter=probe_counter)
+        state.release_locks(unlocked, policy)
 
     f_base = baseline_step_flops(cfg, n)
     f_actual = active_step_flops(cfg, n, int(computed.size))
@@ -339,8 +332,8 @@ def step(
         probe_flops=probe_counter.flops,
         newly_unmasked=newly_unmasked,
         committed=committed,
-        newly_locked=newly_locked,
-        newly_unlocked=newly_unlocked,
+        newly_locked=[e.position for e in locked],
+        newly_unlocked=[e.position for e in unlocked],
         step_kl=step_kl,
         uncert=uncert,
         mean_step_kl=mean_kl,

@@ -283,17 +283,18 @@ def test_criterion_09_unlock_protocol():
     assert probe_unlock(state, w, mk(epsilon_unlock=1e-15, min_locked_duration=1), 2.0, rows=rows) == []
     assert probe_unlock(state, w, mk(epsilon_unlock=1e-15, min_locked_duration=age), -1.0, rows=rows) == []
     released = probe_unlock(state, w, mk(epsilon_unlock=1e-15, min_locked_duration=age - 1), -1.0, rows=rows)
-    assert released == rows
+    assert [e.position for e in released] == rows
 
     policy = mk(epsilon_unlock=1e-15, min_locked_duration=1, relock_cooldown=4, relock_tightening=0.5)
     state.release_locks(released, policy)
-    pos = released[0]
+    pos = released[0].position
     assert state.cooldown_until[pos] == state.t + 4
     zeros = np.zeros(state.n)
     assert evaluate_locks([pos], zeros, zeros, policy, state.t + 4, state.cooldown_until) == []
     tight = LockPolicy(epsilon=1e-3, gate_enabled=False, relock_tightening=0.5)
     assert evaluate_locks([pos], np.full(state.n, 7e-4), zeros, tight, state.t + 9, state.cooldown_until) == []
-    assert evaluate_locks([pos], np.full(state.n, 4e-4), zeros, tight, state.t + 9, state.cooldown_until) == [pos]
+    relocked = evaluate_locks([pos], np.full(state.n, 4e-4), zeros, tight, state.t + 9, state.cooldown_until)
+    assert [e.position for e in relocked] == [pos]
 
     # released rows go through the ordinary forward path bit-for-bit
     snapshot = copy.deepcopy(state)

@@ -52,12 +52,13 @@ class TestPolicyValidation:
 
 
 def locks(candidates, step_kl, uncert, policy, t=0, cooldown_until=None):
-    """``evaluate_locks`` on per-position arrays; by default no position
-    was ever unlocked, so none has a cooldown."""
+    """The positions of ``evaluate_locks``'s events on per-position arrays;
+    by default no position was ever unlocked, so none has a cooldown."""
     n = len(step_kl)
     cooldown_until = np.full(n, -1) if cooldown_until is None else np.asarray(cooldown_until)
-    return evaluate_locks(np.asarray(candidates, dtype=np.intp), np.asarray(step_kl, dtype=float),
-                          np.asarray(uncert, dtype=float), policy, t, cooldown_until)
+    events = evaluate_locks(np.asarray(candidates, dtype=np.intp), np.asarray(step_kl, dtype=float),
+                            np.asarray(uncert, dtype=float), policy, t, cooldown_until)
+    return [e.position for e in events]
 
 
 class TestEvaluateLocks:
@@ -103,7 +104,8 @@ class TestEvaluateLocks:
 def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until):
     """The position-at-a-time lock test over dicts, as the sampler kept its
     state before it held one array per quantity; a released row is one with
-    a cooldown entry."""
+    a cooldown entry, and its lock is a relock. Returns (position, step,
+    kind, step KL, uncertainty) per lock."""
     candidates = sorted(candidates)
     if not candidates:
         return []
@@ -114,7 +116,7 @@ def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_un
             continue
         eps = policy.epsilon * (policy.relock_tightening if i in cooldown_until else 1.0)
         if step_kl[i] <= eps and (not policy.gate_enabled or uncert[i] <= theta):
-            locked.append(i)
+            locked.append((i, t, "relock" if i in cooldown_until else "lock", step_kl[i], uncert[i]))
     return locked
 
 
@@ -131,9 +133,10 @@ def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_un
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evaluate_locks_matches_reference(n, kl_levels, u_levels, epsilon, percentile, gate, tightening, t, seed):
-    """Same locks as the loop over dicts: few distinct KL and uncertainty
-    levels make ties common, and KLs include +-inf; candidates may be empty,
-    in a cooldown or previously unlocked, and other rows are unscored."""
+    """Same lock events as the loop over dicts: few distinct KL and
+    uncertainty levels make ties common, and KLs include +-inf; candidates
+    may be empty, in a cooldown or previously unlocked, and other rows are
+    unscored."""
     rng = np.random.default_rng(seed)
     policy = LockPolicy(epsilon=epsilon, percentile=percentile, gate_enabled=gate, relock_tightening=tightening)
     candidates = np.flatnonzero(rng.random(n) < 0.6)
@@ -142,7 +145,8 @@ def test_evaluate_locks_matches_reference(n, kl_levels, u_levels, epsilon, perce
     step_kl[candidates] = rng.choice(kl_levels, size=candidates.size)
     uncert[candidates] = rng.integers(0, u_levels, size=candidates.size) / 4.0
     cooldown_until = np.where(rng.random(n) < 0.3, rng.integers(0, 10, size=n), -1)
-    got = evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until)
+    got = [(e.position, e.step, e.kind, e.step_kl, e.uncertainty)
+           for e in evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_until)]
     want = reference_evaluate_locks(
         candidates.tolist(),
         {i: float(step_kl[i]) for i in candidates.tolist()},
@@ -179,12 +183,20 @@ def surelock_run(policy, **kw):
     return RunConfig(**args)
 
 
+def passing_lock_events(state, positions):
+    """The events of a lock test that every one of ``positions`` passes at
+    the state's current step."""
+    zeros = np.zeros(state.n)
+    return evaluate_locks(positions, zeros, zeros, LockPolicy(epsilon=1e9, gate_enabled=False),
+                          state.t, np.full(state.n, -1))
+
+
 class TestApplyLocks:
     def test_empty_set_is_noop(self):
         policy = LockPolicy(epsilon=-1.0)
         state, records = drive(surelock_run(policy), n_steps=3)
         before = copy.deepcopy(state.lock)
-        apply_locks(state, [], np.array([], dtype=int), records[-1].step_kl, records[-1].uncert)
+        apply_locks(state, [], np.array([], dtype=int))
         assert np.array_equal(state.lock, before)
 
     def test_double_lock_raises(self):
@@ -194,14 +206,14 @@ class TestApplyLocks:
         assert locked.size > 0
         pos = int(locked[0])
         with pytest.raises(InvalidStateError):
-            apply_locks(state, [pos], np.array([pos]), records[-1].step_kl, records[-1].uncert)
+            apply_locks(state, passing_lock_events(state, [pos]), np.array([pos]))
 
     def test_masked_lock_raises(self):
         policy = LockPolicy(epsilon=-1.0)
         state, records = drive(surelock_run(policy), n_steps=2)
         masked_pos = int(np.flatnonzero(state.mask_flags)[0])
         with pytest.raises(InvalidStateError):
-            apply_locks(state, [masked_pos], np.array([masked_pos]), records[-1].step_kl, records[-1].uncert)
+            apply_locks(state, passing_lock_events(state, [masked_pos]), np.array([masked_pos]))
 
     def test_locked_rows_serve_cached_kv(self):
         """After a lock, later forwards read that position from the store."""
@@ -273,7 +285,8 @@ class TestProbeUnlock:
         # uncertainty clause blocked: threshold above any possible value
         assert probe_unlock(state, W, open_policy, gate_threshold=2.0, rows=rows) == []
         # all three clauses satisfied
-        assert probe_unlock(state, W, open_policy, gate_threshold=-1.0, rows=rows) == rows
+        released = probe_unlock(state, W, open_policy, gate_threshold=-1.0, rows=rows)
+        assert [e.position for e in released] == rows
 
     def test_interval_boundary_is_strict(self):
         state, _ = self.make_locked_state()
@@ -289,29 +302,29 @@ class TestProbeUnlock:
             epsilon=1e9, gate_enabled=False, unlock_enabled=True,
             epsilon_unlock=1e-15, min_locked_duration=age - 1,
         )
-        assert probe_unlock(state, W, below_boundary, gate_threshold=-1.0, rows=rows) == rows
+        released = probe_unlock(state, W, below_boundary, gate_threshold=-1.0, rows=rows)
+        assert [e.position for e in released] == rows
 
     @pytest.mark.parametrize("scale", [1.0, 30.0])
     def test_probe_diagnostics_are_per_row_and_match_the_scalar_formula(self, scale):
-        """The probe scores all rows at once; each probed row's uncertainty is
-        1 - exp(max) of its proxy log-posterior, bit for bit, and rows it did
-        not probe read NaN. Scaled weights give peaked posteriors, where the
-        rounding of 1 - exp(max) shows."""
+        """The probe scores all rows at once; each released row's event
+        carries 1 - exp(max) of its proxy log-posterior as its uncertainty,
+        and its drift, bit for bit. Scaled weights give peaked posteriors,
+        where the rounding of 1 - exp(max) shows."""
         w = W.scaled(scale)
         state, _ = drive(surelock_run(LockPolicy(epsilon=1e9, gate_enabled=False)), n_steps=6, w=w)
-        rows = np.flatnonzero(state.lock)
+        rows = np.flatnonzero(state.lock & (state.t - state.lock_step > 1))
         assert rows.size > 1
-        state.probe_drift[:] = 1.0  # stale values from an earlier probe
-        probe_unlock(state, w, LockPolicy(unlock_enabled=True), gate_threshold=-1.0, rows=rows[1:])
+        # every clause passes on every probed row, so each gets an event
+        releases_all = LockPolicy(unlock_enabled=True, epsilon_unlock=-1.0, min_locked_duration=1)
+        events = probe_unlock(state, w, releases_all, gate_threshold=-1.0, rows=rows[1:])
         proxy = forward_partial(w, state.tokens, state.mask_flags, rows[1:], state.stale_view())
         proxy_lp = log_softmax_rows(proxy)
         want = [float(1.0 - np.exp(np.max(row))) for row in proxy_lp]
-        assert state.probe_uncertainty[rows[1:]].tolist() == want
-        np.testing.assert_array_equal(state.probe_drift[rows[1:]],
+        assert [e.position for e in events] == rows[1:].tolist()
+        assert [e.uncertainty for e in events] == want
+        np.testing.assert_array_equal([e.step_kl for e in events],
                                       kl_from_log_probs_rows(proxy_lp, state.log_post[rows[1:]]))
-        others = np.ones(state.n, bool)
-        others[rows[1:]] = False
-        assert np.isnan(state.probe_drift[others]).all() and np.isnan(state.probe_uncertainty[others]).all()
 
     def test_probe_on_unlocked_row_raises(self):
         state, _ = self.make_locked_state()
@@ -331,7 +344,7 @@ class TestProbeUnlock:
         released = probe_unlock(state, W, policy, gate_threshold=-1.0, rows=rows)
         kv_before = state.kv.copy()
         state.release_locks(released, policy)
-        pos = released[0]
+        pos = released[0].position
         assert not state.lock[pos]
         assert state.lock_step[pos] == -1
         # the row keeps its last computed K/V until it is next computed
@@ -346,7 +359,8 @@ class TestProbeUnlock:
         assert evaluate_locks([pos], zeros, zeros, policy, state.t + 4, state.cooldown_until) == []
         above_tightened = np.full(state.n, 0.7 * policy.epsilon)
         assert evaluate_locks([pos], above_tightened, zeros, policy, state.t + 5, state.cooldown_until) == []
-        assert evaluate_locks([pos], zeros, zeros, policy, state.t + 5, state.cooldown_until) == [pos]
+        relocked = evaluate_locks([pos], zeros, zeros, policy, state.t + 5, state.cooldown_until)
+        assert [(e.position, e.kind) for e in relocked] == [(pos, "relock")]
 
     def test_post_unlock_row_uses_the_standard_subgraph(self):
         """The next step computes a released row exactly like any active row."""
@@ -360,7 +374,7 @@ class TestProbeUnlock:
         released = probe_unlock(state, W, policy, gate_threshold=-1.0, rows=rows)
         assert released
         state.release_locks(released, policy)
-        pos = released[0]
+        pos = released[0].position
 
         snapshot = copy.deepcopy(state)
         run = surelock_run(policy)
