@@ -350,7 +350,9 @@ def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -
     closer than ``1e-12 * radius`` are skipped; if none is left, or that
     threshold underflows to 0 (a subnormal ball, whose points carry too few
     bits to tell a pair from round-off), the estimate is undefined and
-    ``InvalidInputError`` is raised."""
+    ``InvalidInputError`` is raised. ``fn`` runs with overflow and invalid
+    values silenced: a gain that is not finite is refused by the report's
+    finiteness check, not by a warning."""
     # points: radius-scaled gaussian directions; pairs are consecutive rows
     raw = normals(seed, 2 * samples * dim).reshape(2 * samples, dim)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
@@ -358,7 +360,8 @@ def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -
     radii = uniforms(seed ^ 0xBA11, 2 * samples).reshape(2 * samples, 1) ** (1.0 / dim)
     pts = raw / norms * radii * radius
     x, y = pts[0::2], pts[1::2]
-    fx, fy = fn(x), fn(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, fy = fn(x), fn(y)
     num, den = _pair_distances(fx, fy), _pair_distances(x, y)
     floor = 1e-12 * radius
     keep = den > floor

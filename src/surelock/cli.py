@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import fields
 from itertools import islice, product
@@ -269,10 +270,19 @@ def check_run_invariants(result: RunResult, run: RunConfig) -> list[str]:
 
 
 def _resolve_out(args, doc: dict) -> Path:
+    """The output directory. One whose nearest existing ancestor (itself,
+    if it exists) is not a directory cannot be created, so it is refused
+    here, before any sampling, with ``ConfigError``."""
     out = doc.get("output_dir", "out") if args.out is None else args.out
     if not isinstance(out, str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
-    return Path(out)
+    path = Path(out)
+    for existing in (path, *path.parents):
+        if os.path.exists(existing):
+            if not os.path.isdir(existing):
+                raise ConfigError(f"cannot write {path}: {existing} is not a directory")
+            break
+    return path
 
 
 def cmd_run(args) -> int:

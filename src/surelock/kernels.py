@@ -57,12 +57,19 @@ def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     means are ``np.add.reduce(..) / d``, which is what ``ndarray.mean``
     computes, so the result equals the textbook ``(x - mean) / sqrt(var +
     eps) * gain + bias`` bit for bit (the tests pin this).
+
+    A row of finite values whose variance overflows would normalize to
+    zero and return the bias alone, so it raises ``InvalidStateError``. A
+    row holding a non-finite value has a NaN variance and yields NaN.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     d = x.shape[1]
-    centred = x - np.add.reduce(x, axis=1, keepdims=True) / d
-    out = centred * centred
-    var = np.add.reduce(out, axis=1, keepdims=True) / d
+    with np.errstate(over="ignore"):
+        centred = x - np.add.reduce(x, axis=1, keepdims=True) / d
+        out = centred * centred
+        var = np.add.reduce(out, axis=1, keepdims=True) / d
+    if np.isposinf(var).any():
+        raise InvalidStateError("a layer norm's variance overflows")
     np.divide(centred, np.sqrt(var + eps), out=out)
     out *= gain
     out += bias

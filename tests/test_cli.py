@@ -169,6 +169,14 @@ class TestRunCommand:
         assert main(["run", "--weight-scale", "300", "--out", str(tmp_path / "o")]) == 0
         assert [str(w.message) for w in recwarn] == []
 
+    def test_overflowing_layer_norm_is_invariant_violation(self, tmp_path, capsys, recwarn):
+        """At scale 1e40 a later layer norm's variance overflows; the run
+        stops at exit 3 instead of continuing on the bias alone, with no
+        warning."""
+        assert main(["run", "--weight-scale", "1e40", "--out", str(tmp_path / "o")]) == 3
+        assert "invariant violation:" in capsys.readouterr().err
+        assert [str(w.message) for w in recwarn] == []
+
     def test_weights_file_not_json_is_config_error(self, tmp_path, capsys):
         weights = tmp_path / "weights.json"
         weights.write_text("not json")
@@ -507,6 +515,15 @@ class TestConstantsCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [["--weight-scale", "1e80"], ["--radius", "1e308"]],
+                             ids=["weight-scale-1e80", "radius-1e308"])
+    def test_overflowing_report_warns_nothing(self, tmp_path, capsys, recwarn, flags):
+        """The sampled gains overflow silently; the report's finiteness check
+        (or, at radius 1e308, the layer norm) refuses them at exit 3."""
+        assert main(["constants", *flags, "--samples", "100", "--out", str(tmp_path / "c.json")]) == 3
+        assert "invariant violation:" in capsys.readouterr().err
+        assert [str(w.message) for w in recwarn] == []
+
     @pytest.mark.parametrize("flags", [["--radius", "1e-13"], ["--weight-scale", "1e-20"]])
     def test_tiny_ball_is_sampled(self, flags):
         """Sampled pairs closer than 1e-12 of the radius are skipped, not
@@ -614,6 +631,22 @@ class TestOutputPaths:
         assert main([*argv, *config, "--out", str(tmp_path / target)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {tmp_path / target}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, target", [(["sweep", "--seeds", "0,1"], "file"), (["run"], "file/sub")],
+                             ids=["sweep-at-a-file", "run-under-a-file"])
+    def test_unwritable_output_directory_is_refused_before_sampling(self, tmp_path, config_file, monkeypatch,
+                                                                     argv, target):
+        (tmp_path / "file").write_text("x")
+        calls = []
+        original = cli.run_sampler
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sampler", spy)
+        assert main([*argv, "--config", config_file, "--out", str(tmp_path / target)]) == 2
+        assert calls == []
 
     def test_verify_bound_creates_the_output_directory(self, tmp_path, config_file):
         out = tmp_path / "missing" / "reports.json"

@@ -1,6 +1,6 @@
 """The attention kernel must match a naive reference, equal the untiled
 kernel bit for bit and read store views without a copy; layer norm must
-equal its textbook formula bit for bit."""
+equal its textbook formula bit for bit and refuse an overflowing variance."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surelock import kernels
+from surelock.errors import InvalidStateError
 from surelock.model import KVStore, ModelConfig
 
 
@@ -115,6 +116,21 @@ def test_layernorm_matches_reference_bit_for_bit(rows, width, seed, log_scale, o
     got = kernels.layernorm_rows(x, gain, bias)
     want = reference_layernorm(x, gain, bias)
     assert got.tobytes() == want.tobytes()
+
+
+def test_layernorm_refuses_an_overflowing_variance():
+    """Squaring these finite values overflows; the variance would be +inf
+    and every output the bias, so the kernel raises instead."""
+    with pytest.raises(InvalidStateError, match="variance overflows"):
+        kernels.layernorm_rows(np.array([[1e160, -1e160, 3e159, 0.0]]), np.ones(4), np.full(4, 0.25))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_layernorm_of_a_non_finite_row_is_nan():
+    """A non-finite input has a NaN variance, not +inf: it yields NaN, which
+    the sampler's logits check reports."""
+    got = kernels.layernorm_rows(np.array([[np.inf, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]]), np.ones(4), np.zeros(4))
+    assert np.isnan(got[0]).all() and np.isfinite(got[1]).all()
 
 
 @settings(max_examples=300, deadline=None)
