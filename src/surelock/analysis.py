@@ -1,4 +1,4 @@
-"""Error-bound verification and model Lipschitz-constant estimation.
+"""Error-bound verification and model Lipschitz-constant bounds.
 
 The central check: once a position's step-to-step posterior KL has dropped
 below a threshold at some step, the sup-norm gap between its terminal and
@@ -25,10 +25,10 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidInputError, InvalidStateError
-from .flops import GemmCounter
-from .kernels import LOG_SOFTMAX_LIPSCHITZ, SOFTMAX_JACOBIAN_SUP, kl_from_log_probs_rows, row_norms, spectral_norm
-from .model import Weights, feed_forward
-from .prng import normals, uniforms
+from .kernels import (LAYERNORM_EPS, LOG_SOFTMAX_LIPSCHITZ, SOFTMAX_JACOBIAN_SUP, kl_from_log_probs_rows,
+                      row_norms, spectral_norm)
+from .model import LayerWeights, Weights
+from .prng import normals
 
 BOUND_SLACK = 1e-9
 
@@ -292,35 +292,36 @@ def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Tr
 # ---------------------------------------------------------------------------
 # model-wide Lipschitz constants
 
+#: An upper bound on the SiLU's derivative. silu'(z) = s(z) (1 + z (1 - s(z))),
+#: with s the logistic function, peaks at about 1.09984 near z = 2.3994.
+SILU_DERIVATIVE_SUP = 1.1
+
 
 @dataclass
 class ConstantsReport:
-    """Operator-norm bounds and sampled Lipschitz estimates of a weight set.
+    """Lipschitz bounds of a weight set, each from its weights in closed form.
 
-    The embedding, head and attention gains are bounds: their spectral
-    norms are exact (one LAPACK SVD each), so no field reports convergence.
-    A layer's attention gain is ``||Wo|| * sqrt(sum_h A_h^2)`` over its
-    heads' gains ``A_h``: the heads' outputs are concatenated before
-    ``Wo``, so their movements add in quadrature, and the largest head
-    alone can fall short by a factor of up to sqrt(H). The FFN and
-    layer-norm gains are maxima over
-    sampled input pairs: estimates from below, not bounds, and so is every
-    gain composed from them.
+    Every norm is exact (spectral norms are one LAPACK SVD each), so no field
+    reports convergence. A layer's attention gain is ``||Wo|| * sqrt(sum_h
+    A_h^2)`` over its heads' gains ``A_h``: the heads' outputs are
+    concatenated before ``Wo``, so their movements add in quadrature, and the
+    largest head alone can fall short by a factor of up to sqrt(H). The FFN
+    gain (``ffn_gain``) and layer-norm gain (``layernorm_gain``) bound their
+    maps' Jacobians, so every gain composed from them is a bound too.
     """
 
     embedding_gain: float  # sqrt(2) * ||E||_2: posterior drift -> input drift
     head_norm: float
     per_layer: list[dict]
     attention_gain: float  # worst layer A_mha = ||Wo|| * sqrt(sum_h A_h^2)
-    ffn_gain: float  # worst layer sampled FFN estimate
-    layernorm_gain: float  # worst layer sampled LN estimate (max of its two layer norms)
+    ffn_gain: float  # worst layer gated-FFN bound on the input ball
+    layernorm_gain: float  # worst layer max|gain| / sqrt(eps) (max of its two layer norms)
     block_gain: float  # worst layer (1 + mha * ln) * (1 + ffn * ln)
     network_gain: float  # head_norm * block_gain ** n_layers
     overall_gain: float  # network_gain * embedding_gain
     smoothness_bound: float  # overall_gain * (1 + tail_share)
     input_radius: float
     tail_share: float
-    lipschitz_samples: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -332,44 +333,6 @@ def embedding_gain(embedding: np.ndarray) -> float:
     return math.sqrt(2.0) * spectral_norm(embedding)
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``a - b``, taken on the row scaled by a
-    power of two near its largest entry, so its squares neither underflow
-    nor overflow. Power-of-two scaling is exact: wherever the unscaled
-    ``np.linalg.norm`` neither underflows nor overflows, the two agree bit
-    for bit. A distance beyond the float range is +inf."""
-    with np.errstate(over="ignore"):
-        diff = a - b
-        _, exp = np.frexp(np.abs(diff).max(axis=1))
-        return np.ldexp(np.linalg.norm(np.ldexp(diff, -exp[:, None]), axis=1), exp)
-
-
-def _empirical_lipschitz(fn, dim: int, radius: float, samples: int, seed: int) -> float:
-    """Max output/input distance ratio over seeded point pairs in a ball: a
-    sampled estimate of the Lipschitz constant there, from below. Pairs
-    closer than ``1e-12 * radius`` are skipped; if none is left, or that
-    threshold underflows to 0 (a subnormal ball, whose points carry too few
-    bits to tell a pair from round-off), the estimate is undefined and
-    ``InvalidInputError`` is raised. ``fn`` runs with overflow and invalid
-    values silenced: a gain that is not finite is refused by the report's
-    finiteness check, not by a warning."""
-    # points: radius-scaled gaussian directions; pairs are consecutive rows
-    raw = normals(seed, 2 * samples * dim).reshape(2 * samples, dim)
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = uniforms(seed ^ 0xBA11, 2 * samples).reshape(2 * samples, 1) ** (1.0 / dim)
-    pts = raw / norms * radii * radius
-    x, y = pts[0::2], pts[1::2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx, fy = fn(x), fn(y)
-    num, den = _pair_distances(fx, fy), _pair_distances(x, y)
-    floor = 1e-12 * radius
-    keep = den > floor
-    if floor == 0.0 or not keep.any():
-        raise InvalidInputError(f"no sampled pair in a ball of radius {radius} is far enough apart to compare")
-    return float((num[keep] / den[keep]).max())
-
-
 def attention_head_gain(wq_h: np.ndarray, wk_h: np.ndarray, wv_h: np.ndarray,
                         seq_len: int, radius: float, head_dim: int) -> float:
     """Single-head attention Lipschitz bound from weight operator norms and the
@@ -378,25 +341,50 @@ def attention_head_gain(wq_h: np.ndarray, wk_h: np.ndarray, wv_h: np.ndarray,
     return sv * (1.0 + sq * sk * SOFTMAX_JACOBIAN_SUP * seq_len * radius * radius / math.sqrt(head_dim))
 
 
+def _max_column_norm(mat: np.ndarray) -> float:
+    """Largest column 2-norm of a finite matrix, taken on the matrix divided
+    by its largest magnitude, so no square underflows or overflows."""
+    top = float(np.abs(mat).max())
+    return top * float(np.linalg.norm(mat / top, axis=0).max()) if top > 0.0 else 0.0
+
+
+def ffn_gain(layer: LayerWeights, radius: float) -> float:
+    """Lipschitz bound of ``model.feed_forward`` on rows in the ball of this radius.
+
+    With g = x Wg and u = x Wu, moving x by dx moves ``(SiLU(g) * u) Wd`` by
+    ``(SiLU'(g) * u * dx Wg + SiLU(g) * dx Wu) Wd``. Each unit has ``|u_j| <= R
+    c(Wu)`` and ``|SiLU(g_j)| <= |g_j| <= R c(Wg)``, c the largest column 2-norm,
+    and ``|SiLU'| <= S``, so the gain is at most ``R ||Wd|| (S c(Wu) ||Wg|| + c(Wg) ||Wu||)``.
+    """
+    return radius * spectral_norm(layer.w_down) * (
+        SILU_DERIVATIVE_SUP * _max_column_norm(layer.w_up) * spectral_norm(layer.w_gate)
+        + _max_column_norm(layer.w_gate) * spectral_norm(layer.w_up))
+
+
+def layernorm_gain(gain: np.ndarray) -> float:
+    """Lipschitz bound ``max|gain| / sqrt(eps)`` of ``kernels.layernorm_rows`` on every input.
+
+    With c the centred row of width d and s = sqrt(var + eps), the Jacobian is
+    ``diag(gain) (P - c c^T / (d s^2)) / s``, P the centring projection, whose
+    middle factor has norm at most 1 (1 - var / s^2 along c, 1 or 0 elsewhere).
+    """
+    return float(np.abs(gain).max()) / math.sqrt(LAYERNORM_EPS)
+
+
 def lipschitz_constants(
     w: Weights,
     input_radius: float,
     tail_share: float = 0.0,
     seq_len: int | None = None,
-    samples: int = 10_000,
-    seed: int = 0,
 ) -> ConstantsReport:
-    """Compose per-layer constants into a network-wide smoothness estimate.
+    """Compose per-layer bounds into a network-wide smoothness bound.
 
-    Attention gains come from exact weight operator norms (SVD): a
-    head's gain bounds its own output, and a layer's bounds its heads'
-    concatenated outputs under ``Wo``. The gated feed-forward (the forward's
-    own ``model.feed_forward``) and layer norm are not globally Lipschitz, so
-    their gains are sampled estimates: the largest ratio over ``samples``
-    seeded input pairs inside the given radius, which can fall short of the
-    true constant. A layer computes ``x += MHA(LN1 x)`` and then ``x += FFN(LN2 x)``, each with a residual,
-    so its gain composes as ``(1 + mha * ln) * (1 + ffn * ln)`` with ``ln``
-    the larger of its two layer-norm estimates. ``tail_share`` is the
+    Attention and FFN gains bound their maps on rows inside ``input_radius``
+    (a head's gain bounds its own output, and a layer's bounds its heads'
+    concatenated outputs under ``Wo``); the layer-norm gain holds everywhere.
+    A layer computes ``x += MHA(LN1 x)`` and then ``x += FFN(LN2 x)``, each with
+    a residual, so its gain composes as ``(1 + mha * ln) * (1 + ffn * ln)`` with
+    ``ln`` the larger of its two layer-norm gains. ``tail_share`` is the
     assumed ratio of other positions' posterior movement to this position's
     own (0 attributes the whole step to one position). A report with a
     field that overflowed or is not finite raises ``InvalidStateError``.
@@ -405,8 +393,6 @@ def lipschitz_constants(
         raise InvalidInputError(f"input_radius must be positive and finite, got {input_radius}")
     if not 0.0 <= tail_share < math.inf:
         raise InvalidInputError(f"tail_share must be >= 0 and finite, got {tail_share}")
-    if samples < 1:
-        raise InvalidInputError(f"samples must be >= 1, got {samples}")
     cfg = w.config
     n = seq_len if seq_len is not None else cfg.max_seq
     dh = cfg.head_dim
@@ -426,24 +412,14 @@ def lipschitz_constants(
                 n, input_radius, dh,
             ))
         mha_gain = spectral_norm(layer.wo) * math.hypot(*head_gains)  # concatenated heads: root sum of squares
-        ffn_gain = _empirical_lipschitz(lambda x, layer=layer: feed_forward(layer, x, GemmCounter()),
-                                        cfg.d_model, input_radius, samples, seed + 101 * li)
-        ln_gain = max(
-            _empirical_lipschitz(
-                lambda x, layer=layer: kernels.layernorm_rows(x, layer.ln1_gain, layer.ln1_bias),
-                cfg.d_model, input_radius, samples, seed + 101 * li + 1,
-            ),
-            _empirical_lipschitz(
-                lambda x, layer=layer: kernels.layernorm_rows(x, layer.ln2_gain, layer.ln2_bias),
-                cfg.d_model, input_radius, samples, seed + 101 * li + 2,
-            ),
-        )
+        ffn = ffn_gain(layer, input_radius)
+        ln = max(layernorm_gain(layer.ln1_gain), layernorm_gain(layer.ln2_gain))
         per_layer.append({
             "layer": li,
             "attention_gain": mha_gain,
-            "ffn_gain": ffn_gain,
-            "layernorm_gain": ln_gain,
-            "block_gain": (1.0 + mha_gain * ln_gain) * (1.0 + ffn_gain * ln_gain),
+            "ffn_gain": ffn,
+            "layernorm_gain": ln,
+            "block_gain": (1.0 + mha_gain * ln) * (1.0 + ffn * ln),
         })
 
     att = max(p["attention_gain"] for p in per_layer)
@@ -468,7 +444,6 @@ def lipschitz_constants(
         smoothness_bound=overall * (1.0 + tail_share),
         input_radius=input_radius,
         tail_share=tail_share,
-        lipschitz_samples=samples,
     )
     fields = {**report.to_dict(), **{f"per_layer[{p['layer']}].{k}": v for p in per_layer for k, v in p.items()}}
     bad = [name for name, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]

@@ -8,7 +8,7 @@ Subcommands:
                one CSV row per point
   verify-bound lock-bound check over stored trajectories or a fresh run
   simulate     synthetic-trajectory bound battery
-  constants    operator-norm / Lipschitz constants report
+  constants    Lipschitz-bound report of the model's weights
   flops-check  counter-vs-formula equality proof over built-in configs
 
 Exit codes: 0 ok, 2 configuration error, 3 invariant violation.
@@ -269,20 +269,32 @@ def check_run_invariants(result: RunResult, run: RunConfig) -> list[str]:
 # subcommands
 
 
+def _require_directory(target: Path, directory: Path) -> Path:
+    """``target``, refused with ``ConfigError`` if ``directory``, which is to hold
+    it, cannot be created: its nearest existing ancestor (itself, if it exists)
+    is not a directory."""
+    for existing in (directory, *directory.parents):
+        if os.path.exists(existing):
+            if not os.path.isdir(existing):
+                raise ConfigError(f"cannot write {target}: {existing} is not a directory")
+            break
+    return target
+
+
 def _resolve_out(args, doc: dict) -> Path:
-    """The output directory. One whose nearest existing ancestor (itself,
-    if it exists) is not a directory cannot be created, so it is refused
-    here, before any sampling, with ``ConfigError``."""
+    """The output directory, refused here, before any sampling, if it cannot be created."""
     out = doc.get("output_dir", "out") if args.out is None else args.out
     if not isinstance(out, str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
-    path = Path(out)
-    for existing in (path, *path.parents):
-        if os.path.exists(existing):
-            if not os.path.isdir(existing):
-                raise ConfigError(f"cannot write {path}: {existing} is not a directory")
-            break
-    return path
+    return _require_directory(Path(out), Path(out))
+
+
+def _check_out_file(out: str | None) -> None:
+    """Refuse, before any work, an ``--out`` file at a directory or in one that cannot be created."""
+    if out:
+        if os.path.isdir(out):
+            raise ConfigError(f"cannot write {out}: it is a directory")
+        _require_directory(Path(out), Path(out).parent)
 
 
 def cmd_run(args) -> int:
@@ -373,6 +385,7 @@ def _load_trajectories(path: str) -> list[analysis.Trajectory]:
 def cmd_verify_bound(args) -> int:
     if np.isnan(args.eps):
         raise ConfigError("--eps must be a number or inf, got nan")
+    _check_out_file(args.out)
     if args.trajectories is not None:
         # every input besides --trajectories, --eps and --out configures the fresh run
         unused = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
@@ -424,6 +437,7 @@ def _battery(cells: list[tuple[float, int, int]], count: int, seed: int,
 
 
 def cmd_simulate(args) -> int:
+    _check_out_file(args.out)
     rho_targets = _parse_list(args.rho_targets, float, "--rho-targets")
     vocab_sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
     if not 1 <= args.count <= MAX_BATTERY:
@@ -446,11 +460,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    _check_out_file(args.out)
     w, _, [(run, _, _)] = _build(args)
     radius = args.radius if args.radius is not None else analysis.input_radius_bound(w)
-    report = analysis.lipschitz_constants(
-        w, radius, tail_share=args.kappa, seq_len=run.n_positions, samples=args.samples,
-    )
+    report = analysis.lipschitz_constants(w, radius, tail_share=args.kappa, seq_len=run.n_positions)
     doc = report.to_dict()
     doc["softmax_jacobian_sup"] = SOFTMAX_JACOBIAN_SUP
     text = json.dumps(doc, indent=1, sort_keys=True)
@@ -559,11 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("constants", help="model Lipschitz constants report")
+    p = sub.add_parser("constants", help="model Lipschitz bounds report")
     _add_model_run_flags(p, sampling=False)
     p.add_argument("--radius", type=float, help="input radius; default: the layer-norm output bound")
     p.add_argument("--kappa", type=float, default=0.0, help="tail attribution share")
-    p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_constants)
 

@@ -23,6 +23,10 @@ from .errors import InvalidInputError, InvalidStateError
 
 KL_ROUNDOFF_TOL = 1e-12
 
+#: The variance floor of every layer norm: ``layernorm_rows`` divides by sqrt(var +
+#: LAYERNORM_EPS), and the constants report bounds its gain by max|gain| / sqrt(LAYERNORM_EPS).
+LAYERNORM_EPS = 1e-6
+
 #: Lipschitz constant of log-softmax from logit space (2-norm) to the sup
 #: norm: each Jacobian row is e_i - p, whose 2-norm is at most its 1-norm <= 2.
 LOG_SOFTMAX_LIPSCHITZ = 2.0
@@ -47,7 +51,7 @@ def backend_name() -> str:
     return "numpy"
 
 
-def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Row-wise layer normalization with learned gain/bias.
 
     Two (rows, d) arrays are allocated: the centred rows, and the squares
@@ -56,7 +60,7 @@ def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     (returning the earlier one raised the benchmark's peak RSS). The row
     means are ``np.add.reduce(..) / d``, which is what ``ndarray.mean``
     computes, so the result equals the textbook ``(x - mean) / sqrt(var +
-    eps) * gain + bias`` bit for bit (the tests pin this).
+    LAYERNORM_EPS) * gain + bias`` bit for bit (the tests pin this).
 
     A row of finite values whose variance overflows would normalize to
     zero and return the bias alone, so it raises ``InvalidStateError``. A
@@ -70,7 +74,7 @@ def layernorm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
         var = np.add.reduce(out, axis=1, keepdims=True) / d
     if np.isposinf(var).any():
         raise InvalidStateError("a layer norm's variance overflows")
-    np.divide(centred, np.sqrt(var + eps), out=out)
+    np.divide(centred, np.sqrt(var + LAYERNORM_EPS), out=out)
     out *= gain
     out += bias
     return out
@@ -113,14 +117,15 @@ def attention_rows(
     out_g = out.reshape(c, hkv, group_size, dh).transpose(1, 2, 0, 3)  # (Hkv, G, C, dh) view
     tile = max(1, min(hkv, ATTENTION_TILE_BYTES // (8 * group_size * c * n)))  # float64 scores
     buf = np.empty((tile, group_size, c, n))
-    for lo in range(0, hkv, tile):
-        hi = min(lo + tile, hkv)
-        scores = np.matmul(q_g[lo:hi], k_t[lo:hi], out=buf[: hi - lo])  # (tile, G, C, N)
-        scores *= scale
-        scores -= scores.max(axis=3, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=3, keepdims=True)
-        np.matmul(scores, v_g[lo:hi], out=out_g[lo:hi])
+    with np.errstate(over="ignore", invalid="ignore"):  # the logits check refuses non-finite rows
+        for lo in range(0, hkv, tile):
+            hi = min(lo + tile, hkv)
+            scores = np.matmul(q_g[lo:hi], k_t[lo:hi], out=buf[: hi - lo])  # (tile, G, C, N)
+            scores *= scale
+            scores -= scores.max(axis=3, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=3, keepdims=True)
+            np.matmul(scores, v_g[lo:hi], out=out_g[lo:hi])
     return out
 
 

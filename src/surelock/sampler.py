@@ -137,7 +137,8 @@ def update_mask(
     else:
         tokens = []
         for row in restricted[picked]:
-            tempered = row / temperature
+            with np.errstate(over="ignore"):  # an overflowing quotient is -inf; no finite top is refused below
+                tempered = row / temperature
             top = tempered.max()
             if not np.isfinite(top):  # e.g. a temperature so small every logit overflows
                 raise InvalidStateError(f"temperature {temperature} gives a non-finite distribution")

@@ -329,7 +329,7 @@ def test_criterion_10_constants(toy_weights):
     gain = embedding_gain(np.eye(2))
     assert abs(gain - math.sqrt(2.0)) < 1e-12
 
-    rep = lipschitz_constants(toy_weights, input_radius=1.5, samples=2000)
+    rep = lipschitz_constants(toy_weights, input_radius=1.5)
     want_emb = math.sqrt(2.0) * np.linalg.svd(toy_weights.embedding, compute_uv=False)[0]
     assert rep.embedding_gain == want_emb
     want_head = np.linalg.svd(toy_weights.head, compute_uv=False)[0]

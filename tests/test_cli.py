@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from surelock import cli, errors
+from surelock import analysis, cli, errors
 from surelock.cli import main
 from surelock.kernels import SOFTMAX_JACOBIAN_SUP
 from surelock.model import MAX_PARAMS, ModelConfig, init_weights, save_weights
@@ -99,12 +99,12 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_non_finite_tempered_distribution_is_invariant_violation(self, tmp_path, config_file, capsys):
+    def test_non_finite_tempered_distribution_is_invariant_violation(self, tmp_path, config_file, capsys, recwarn):
         out = tmp_path / "o"
         assert main(["run", "--config", config_file, "--temperature", "1e-310", "--out", str(out)]) == 3
         assert "invariant violation:" in capsys.readouterr().err
         assert not out.exists()
+        assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("section,key,value", [
         ("run", "steps", 2.5),
@@ -156,11 +156,12 @@ class TestRunCommand:
         assert "output_dir" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    def test_overflowing_weight_scale_is_invariant_violation(self, tmp_path, config_file, capsys):
+    def test_overflowing_weight_scale_is_invariant_violation(self, tmp_path, config_file, capsys, recwarn):
+        """The attention scores overflow silently; the logits check refuses them."""
         assert main(["run", "--config", config_file, "--weight-scale", "1e80",
                      "--out", str(tmp_path / "o")]) == 3
         assert "invariant violation:" in capsys.readouterr().err
+        assert [str(w.message) for w in recwarn] == []
 
     def test_large_finite_weight_scale_runs_without_warning(self, tmp_path, recwarn):
         """At scale 300 some SiLU gates are below -709, so exp(-gate)
@@ -478,39 +479,37 @@ class TestPolicyFlags:
     def test_commands_without_a_lock_policy_reject_its_flags(self, config_file, command, flag):
         """Only run and sweep sample with a lock policy; elsewhere its flags
         would change nothing, so argparse refuses them."""
-        extra = ["--samples", "20"] if command == "constants" else []
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", config_file, *extra, *flag])
+            main([command, "--config", config_file, *flag])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", [["--block-length", "4"], ["--temperature", "0.9"], ["--seed", "7"],
-                                      ["--prompt", "1,2,3"]])
+                                      ["--prompt", "1,2,3"], ["--samples", "10"]])
     def test_constants_rejects_sampling_flags(self, config_file, flag):
         """The constants report samples nothing, so the flags that only
-        change a sampling run are refused."""
+        change a sampling run, and a sample count, are refused."""
         with pytest.raises(SystemExit) as exc:
-            main(["constants", "--config", config_file, "--samples", "20", *flag])
+            main(["constants", "--config", config_file, *flag])
         assert exc.value.code == 2
 
 
 class TestConstantsCommand:
     def test_report_fields(self, tmp_path, config_file):
         out = tmp_path / "constants.json"
-        assert main(["constants", "--config", config_file, "--samples", "500",
-                     "--out", str(out)]) == 0
+        assert main(["constants", "--config", config_file, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         for key in ("embedding_gain", "block_gain", "network_gain", "overall_gain",
                     "softmax_jacobian_sup", "input_radius"):
             assert key in doc
         assert doc["softmax_jacobian_sup"] == SOFTMAX_JACOBIAN_SUP == 0.5
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("scale", ["1e30", "1e80"])
-    def test_overflowing_report_is_invariant_violation(self, tmp_path, capsys, scale):
-        """At 1e30 the network gain overflows a float power; at 1e80 five
-        fields are NaN. Neither may end in a traceback or a report."""
+    def test_overflowing_report_is_invariant_violation(self, tmp_path, capsys, recwarn, scale):
+        """At 1e30 the block gain overflows; at 1e80 the attention and FFN
+        gains do too. Neither may end in a traceback, a warning or a report."""
         out = tmp_path / "constants.json"
-        assert main(["constants", "--weight-scale", scale, "--samples", "100", "--out", str(out)]) == 3
+        assert main(["constants", "--weight-scale", scale, "--out", str(out)]) == 3
+        assert [str(w.message) for w in recwarn] == []
         assert "invariant violation:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -518,32 +517,25 @@ class TestConstantsCommand:
     @pytest.mark.parametrize("flags", [["--weight-scale", "1e80"], ["--radius", "1e308"]],
                              ids=["weight-scale-1e80", "radius-1e308"])
     def test_overflowing_report_warns_nothing(self, tmp_path, capsys, recwarn, flags):
-        """The sampled gains overflow silently; the report's finiteness check
-        (or, at radius 1e308, the layer norm) refuses them at exit 3."""
-        assert main(["constants", *flags, "--samples", "100", "--out", str(tmp_path / "c.json")]) == 3
+        """The gains overflow silently, and the report's finiteness check
+        refuses them at exit 3."""
+        assert main(["constants", *flags, "--out", str(tmp_path / "c.json")]) == 3
         assert "invariant violation:" in capsys.readouterr().err
         assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("flags", [["--radius", "1e-13"], ["--weight-scale", "1e-20"]])
     def test_tiny_ball_is_sampled(self, flags):
-        """Sampled pairs closer than 1e-12 of the radius are skipped, not
-        pairs closer than 1e-12: in a tiny ball, or a default ball that
-        shrinks with tiny weights, pairs remain and the report is written."""
-        assert main(["constants", *flags, "--samples", "50"]) == 0
-
-    def test_ball_without_a_comparable_pair_is_config_error(self, capsys):
-        """At a subnormal radius the skip threshold 1e-12 * radius underflows
-        to zero: no sampled pair can be told apart from round-off."""
-        assert main(["constants", "--radius", "1e-320", "--samples", "50"]) == 2
-        assert "config error:" in capsys.readouterr().err
+        """A tiny ball, or a default ball that shrinks with tiny weights,
+        gives a report with small gains; its bounds need no pairs of points."""
+        assert main(["constants", *flags]) == 0
 
     @pytest.mark.parametrize("flags", [["--weight-scale", "1e-300"], ["--radius", "1e-200"]])
     def test_tiny_ball_keeps_its_pairs(self, tmp_path, recwarn, flags):
-        """Below a radius of about 1e-154 the squares of a pair's distance
-        underflow; distances are taken on rescaled rows, so the pairs stay
-        and the report is written with finite gains and no warning."""
+        """Weights or a radius so small that squares underflow give finite
+        gains and no warning: column norms are taken on the matrix divided
+        by its largest entry, and spectral norms by a rescaling SVD."""
         out = tmp_path / "constants.json"
-        assert main(["constants", *flags, "--samples", "50", "--out", str(out)]) == 0
+        assert main(["constants", *flags, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert all(math.isfinite(doc[key]) for key in ("ffn_gain", "layernorm_gain", "overall_gain"))
         assert [str(w.message) for w in recwarn] == []
@@ -553,8 +545,7 @@ class TestConstantsCommand:
         """A power iteration's squared iterates underflowed here (0.0 norms at
         1e-200, NaN at 1e-150); the SVD rescales and keeps every norm."""
         out = tmp_path / "constants.json"
-        assert main(["constants", "--weight-scale", scale, "--radius", "1", "--samples", "50",
-                     "--out", str(out)]) == 0
+        assert main(["constants", "--weight-scale", scale, "--radius", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         w = init_weights(ModelConfig(**cli.DEFAULT_MODEL), 1234).scaled(float(scale))
         assert doc["embedding_gain"] == math.sqrt(2) * np.linalg.svd(w.embedding, compute_uv=False)[0] > 0.0
@@ -582,8 +573,8 @@ class TestParserReuse:
             ["verify-bound", "--config", config_file, "--out", str(out / "bound.json")],
             ["sweep", "--config", config_file, "--mode", "surelock", "--eps-list", "5e-4,5e-2", "--out", str(out)],
             ["sweep", "--config", config_file, "--seeds", "0,1", "--out", str(out)],
-            ["constants", "--config", config_file, "--samples", "20", "--kappa", "0.5", "--radius", "2"],
-            ["constants", "--config", config_file, "--samples", "20"],
+            ["constants", "--config", config_file, "--kappa", "0.5", "--radius", "2"],
+            ["constants", "--config", config_file],
             ["verify-bound", "--trajectories", ""],
         ]
 
@@ -614,7 +605,7 @@ UNWRITABLE_OUTPUTS = {
     "sweep-at-a-file": (["sweep", "--seeds", "0,1"], "file"),
     "verify-bound-at-a-directory": (["verify-bound"], "dir"),
     "simulate-at-a-directory": (["simulate", "--count", "3"], "dir"),
-    "constants-at-a-directory": (["constants", "--samples", "20"], "dir"),
+    "constants-at-a-directory": (["constants"], "dir"),
 }
 
 
@@ -632,21 +623,37 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {tmp_path / target}") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv, target", [(["sweep", "--seeds", "0,1"], "file"), (["run"], "file/sub")],
-                             ids=["sweep-at-a-file", "run-under-a-file"])
+    @pytest.mark.parametrize("argv, target", [
+        (["sweep", "--seeds", "0,1"], "file"),
+        (["run"], "file/sub"),
+        (["verify-bound"], "file/r.json"),
+        (["simulate", "--count", "3"], "file/sub/s.json"),
+        (["constants"], "file/c.json"),
+    ], ids=["sweep-at-a-file", "run-under-a-file", "verify-bound-under-a-file", "simulate-under-a-file",
+            "constants-under-a-file"])
     def test_unwritable_output_directory_is_refused_before_sampling(self, tmp_path, config_file, monkeypatch,
-                                                                     argv, target):
+                                                                     capsys, argv, target):
+        """An output whose nearest existing ancestor is a regular file exits 2
+        naming that file, before any run, battery or report is computed and
+        with nothing on stdout."""
         (tmp_path / "file").write_text("x")
         calls = []
-        original = cli.run_sampler
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(cli, "run_sampler", spy)
-        assert main([*argv, "--config", config_file, "--out", str(tmp_path / target)]) == 2
+        monkeypatch.setattr(cli, "run_sampler", spy(cli.run_sampler))
+        monkeypatch.setattr(analysis, "simulate_trajectories", spy(analysis.simulate_trajectories))
+        monkeypatch.setattr(analysis, "lipschitz_constants", spy(analysis.lipschitz_constants))
+        config = [] if argv[0] == "simulate" else ["--config", config_file]
+        assert main([*argv, *config, "--out", str(tmp_path / target)]) == 2
         assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: cannot write {tmp_path / target}: {tmp_path / 'file'} is not a directory\n"
 
     def test_verify_bound_creates_the_output_directory(self, tmp_path, config_file):
         out = tmp_path / "missing" / "reports.json"
