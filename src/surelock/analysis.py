@@ -318,10 +318,8 @@ class ConstantsReport:
     layernorm_gain: float  # worst layer max|gain| / sqrt(eps) (max of its two layer norms)
     block_gain: float  # worst layer (1 + mha * ln) * (1 + ffn * ln)
     network_gain: float  # head_norm * block_gain ** n_layers
-    overall_gain: float  # network_gain * embedding_gain
-    smoothness_bound: float  # overall_gain * (1 + tail_share)
+    overall_gain: float  # network_gain * embedding_gain: the report's composed bound
     input_radius: float
-    tail_share: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -374,25 +372,20 @@ def layernorm_gain(gain: np.ndarray) -> float:
 def lipschitz_constants(
     w: Weights,
     input_radius: float,
-    tail_share: float = 0.0,
     seq_len: int | None = None,
 ) -> ConstantsReport:
-    """Compose per-layer bounds into a network-wide smoothness bound.
+    """Compose per-layer bounds into one network-wide bound, ``overall_gain``.
 
     Attention and FFN gains bound their maps on rows inside ``input_radius``
     (a head's gain bounds its own output, and a layer's bounds its heads'
     concatenated outputs under ``Wo``); the layer-norm gain holds everywhere.
     A layer computes ``x += MHA(LN1 x)`` and then ``x += FFN(LN2 x)``, each with
     a residual, so its gain composes as ``(1 + mha * ln) * (1 + ffn * ln)`` with
-    ``ln`` the larger of its two layer-norm gains. ``tail_share`` is the
-    assumed ratio of other positions' posterior movement to this position's
-    own (0 attributes the whole step to one position). A report with a
-    field that overflowed or is not finite raises ``InvalidStateError``.
+    ``ln`` the larger of its two layer-norm gains. A report with a field
+    that overflowed or is not finite raises ``InvalidStateError``.
     """
     if not 0.0 < input_radius < math.inf:
         raise InvalidInputError(f"input_radius must be positive and finite, got {input_radius}")
-    if not 0.0 <= tail_share < math.inf:
-        raise InvalidInputError(f"tail_share must be >= 0 and finite, got {tail_share}")
     cfg = w.config
     n = seq_len if seq_len is not None else cfg.max_seq
     dh = cfg.head_dim
@@ -441,9 +434,7 @@ def lipschitz_constants(
         block_gain=blk,
         network_gain=net,
         overall_gain=overall,
-        smoothness_bound=overall * (1.0 + tail_share),
         input_radius=input_radius,
-        tail_share=tail_share,
     )
     fields = {**report.to_dict(), **{f"per_layer[{p['layer']}].{k}": v for p in per_layer for k, v in p.items()}}
     bad = [name for name, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  run          one sampling run; writes trace.jsonl, trace.csv, summary.json
+  run          one sampling run; writes trace.jsonl and summary.json
                (byte-stable given config+seed) and timing.json (informational)
   sweep        cross-product of threshold/percentile/step/length/seed lists,
                one CSV row per point
@@ -191,7 +191,7 @@ def _csv_text(rows) -> str:
 
 
 def emit_trace(result: RunResult, out_dir: Path) -> None:
-    """Write trace.jsonl and the plotting CSV; byte-stable across reruns."""
+    """Write trace.jsonl, one JSON object per step; byte-stable across reruns."""
     rows = ({
         "t": rec.t,
         "M_t": rec.active_rows,
@@ -208,11 +208,6 @@ def emit_trace(result: RunResult, out_dir: Path) -> None:
         "mean_D": _float_or_none(rec.mean_step_kl),
     } for rec in result.trace)
     write_text(out_dir / "trace.jsonl", "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-    write_text(out_dir / "trace.csv", _csv_text([
-        ["t", "ratio", "M_t", "mean_D"],
-        *([rec.t, repr(rec.ratio), rec.active_rows, "" if rec.mean_step_kl is None else repr(rec.mean_step_kl)]
-          for rec in result.trace),
-    ]))
 
 
 def write_summary(result: RunResult, echo: dict, out_dir: Path) -> None:
@@ -297,6 +292,17 @@ def _check_out_file(out: str | None) -> None:
         _require_directory(Path(out), Path(out).parent)
 
 
+def _trajectory_chunks(result: RunResult):
+    """trajectories.json in chunks, one per position present at every step:
+    together they are ``json.dumps`` of the list of ``{"position",
+    "log_probs"}`` items, but only one position's values are ever Python
+    lists at once."""
+    yield "["
+    for k, i in enumerate(np.flatnonzero(result.history_valid.all(axis=0)).tolist()):
+        yield (", " if k else "") + json.dumps({"position": i, "log_probs": result.history[:, i].tolist()})
+    yield "]"
+
+
 def cmd_run(args) -> int:
     w, doc, [(run, prompt, echo)] = _build(args)
     out_dir = _resolve_out(args, doc)
@@ -305,9 +311,7 @@ def cmd_run(args) -> int:
     write_summary(result, echo, out_dir)
     write_timing(result, out_dir)
     if args.record_trajectories:
-        doc = [{"position": i, "log_probs": result.history[:, i].tolist()}
-               for i in np.flatnonzero(result.history_valid.all(axis=0)).tolist()]
-        write_text(out_dir / "trajectories.json", json.dumps(doc))
+        write_text(out_dir / "trajectories.json", _trajectory_chunks(result))
     problems = check_run_invariants(result, run)
     for p in problems:
         print(f"INVARIANT VIOLATION: {p}", file=sys.stderr)
@@ -463,7 +467,7 @@ def cmd_constants(args) -> int:
     _check_out_file(args.out)
     w, _, [(run, _, _)] = _build(args)
     radius = args.radius if args.radius is not None else analysis.input_radius_bound(w)
-    report = analysis.lipschitz_constants(w, radius, tail_share=args.kappa, seq_len=run.n_positions)
+    report = analysis.lipschitz_constants(w, radius, seq_len=run.n_positions)
     doc = report.to_dict()
     doc["softmax_jacobian_sup"] = SOFTMAX_JACOBIAN_SUP
     text = json.dumps(doc, indent=1, sort_keys=True)
@@ -575,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="model Lipschitz bounds report")
     _add_model_run_flags(p, sampling=False)
     p.add_argument("--radius", type=float, help="input radius; default: the layer-norm output bound")
-    p.add_argument("--kappa", type=float, default=0.0, help="tail attribution share")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_constants)
 

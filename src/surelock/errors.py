@@ -7,6 +7,7 @@ import json
 import math
 import numbers
 from pathlib import Path
+from typing import Iterable
 
 
 class InvalidInputError(ValueError):
@@ -43,12 +44,14 @@ def read_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as it is (no newline translation), creating
-    the parent directory; ``ConfigError`` if the path cannot be written."""
+def write_text(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string chunks written in
+    turn, to ``path`` as it is (no newline translation), creating the parent
+    directory; ``ConfigError`` if the path cannot be written."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, newline="")
+        with path.open("w", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc

@@ -29,6 +29,9 @@ from .model import Weights, forward_partial
 if TYPE_CHECKING:  # pragma: no cover
     from .sampler import SamplerState
 
+#: the factor on ``epsilon`` a previously unlocked row must meet to lock again
+RELOCK_TIGHTENING = 0.5
+
 
 @dataclass(frozen=True)
 class LockPolicy:
@@ -42,7 +45,7 @@ class LockPolicy:
     threshold, its drift exceeds ``epsilon_unlock``, and it has been locked
     strictly longer than ``min_locked_duration``. After an unlock the row
     cannot re-lock for ``relock_cooldown`` steps and must then pass the
-    tightened threshold ``relock_tightening * epsilon``.
+    tightened threshold ``RELOCK_TIGHTENING * epsilon``.
     """
 
     epsilon: float = 5e-3
@@ -54,10 +57,9 @@ class LockPolicy:
     epsilon_unlock: float = 5e-2
     min_locked_duration: int = 2
     relock_cooldown: int = 4
-    relock_tightening: float = 0.5
 
     def __post_init__(self):
-        for name in ("epsilon", "percentile", "epsilon_unlock", "relock_tightening"):
+        for name in ("epsilon", "percentile", "epsilon_unlock"):
             require_finite(name, getattr(self, name))
         if self.hybrid_fraction is not None:
             require_finite("hybrid_fraction", self.hybrid_fraction)
@@ -68,8 +70,6 @@ class LockPolicy:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not 0.0 <= self.percentile <= 100.0:
             raise ConfigError("percentile must lie in [0, 100]")
-        if not 0.0 < self.relock_tightening <= 1.0:
-            raise ConfigError("relock_tightening must lie in (0, 1]")
         if min(self.probe_period, self.min_locked_duration, self.relock_cooldown) < 1:
             raise ConfigError("probe_period, min_locked_duration, relock_cooldown must be >= 1")
         if self.hybrid_fraction is not None and not 0.0 < self.hybrid_fraction <= 1.0:
@@ -118,7 +118,7 @@ def evaluate_locks(
         return []
     u = uncert[candidates]
     released = cooldown_until[candidates] >= 0
-    eps = np.where(released, policy.epsilon * policy.relock_tightening, policy.epsilon)
+    eps = np.where(released, policy.epsilon * RELOCK_TIGHTENING, policy.epsilon)
     passed = (step_kl[candidates] <= eps) & (t > cooldown_until[candidates])
     if policy.gate_enabled:
         passed &= u <= percentile_nearest_rank(u, policy.percentile)

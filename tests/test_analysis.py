@@ -437,7 +437,6 @@ class TestConstants:
         assert rep.block_gain == pytest.approx(blk)
         assert rep.network_gain == pytest.approx(rep.head_norm * blk ** w.config.n_layers)
         assert rep.overall_gain == pytest.approx(rep.network_gain * rep.embedding_gain)
-        assert rep.smoothness_bound == pytest.approx(rep.overall_gain)  # tail share 0
 
     @settings(max_examples=200, deadline=None)
     @given(heads=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2)]), head_dim=st.integers(1, 6),
@@ -554,12 +553,6 @@ class TestConstants:
         largest_head = np.linalg.norm(layer.wo, 2) * g
         assert largest_head * 1.01 < ratio <= rep.per_layer[0]["attention_gain"] * (1.0 + 1e-9)
         assert rep.per_layer[0]["attention_gain"] == pytest.approx(math.sqrt(n_heads) * g, rel=1e-9)
-
-    def test_tail_share_scales_smoothness(self, small_model):
-        _, w = small_model
-        a = lipschitz_constants(w, input_radius=1.0)
-        b = lipschitz_constants(w, input_radius=1.0, tail_share=1.5)
-        assert b.smoothness_bound == pytest.approx(2.5 * a.smoothness_bound)
 
     def test_invariant_under_vocab_permutation(self, small_model):
         cfg, w = small_model

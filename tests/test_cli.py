@@ -1,16 +1,24 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import shutil
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surelock import analysis, cli, errors
 from surelock.cli import main
 from surelock.kernels import SOFTMAX_JACOBIAN_SUP
 from surelock.model import MAX_PARAMS, ModelConfig, init_weights, save_weights
+from surelock.sampler import MODES
 
 TOY = {
     "model": {"vocab_size": 16, "d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 32, "max_seq": 32},
@@ -50,7 +58,7 @@ class TestRunCommand:
         for out in (out1, out2):
             assert main(["run", "--config", config_file, "--mode", "surelock",
                          "--eps", "0.05", "--out", str(out)]) == 0
-        for name in ("trace.jsonl", "trace.csv", "summary.json"):
+        for name in ("trace.jsonl", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_unsatisfiable_eps_matches_baseline_files(self, tmp_path, config_file):
@@ -69,13 +77,20 @@ class TestRunCommand:
         ratios = [r["ratio"] for r in read_jsonl(out / "trace.jsonl")]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
 
-    def test_csv_columns(self, tmp_path, config_file):
+    def test_run_writes_three_files(self, tmp_path, config_file):
         out = tmp_path / "out"
-        main(["run", "--config", config_file, "--out", str(out)])
-        with open(out / "trace.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "ratio", "M_t", "mean_D"]
-        assert len(rows) == 9
+        assert main(["run", "--config", config_file, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "timing.json", "trace.jsonl"]
+
+    def test_relock_tightening_is_not_a_policy_key(self, tmp_path, capsys):
+        """The re-lock factor is the constant ``lockctl.RELOCK_TIGHTENING``; a
+        config that still sets it is refused before any sampling, by name."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY, "policy": {"relock_tightening": 0.5}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "relock_tightening" in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -468,6 +483,58 @@ class TestVerifyBoundInputErrors:
         assert all(flag in err for flag in ("--config", "--seed", "--weight-scale"))
 
 
+def recorded_run(tmp, doc):
+    """The result of ``run --record-trajectories`` on the config ``doc``,
+    which writes trajectories.json in directory ``tmp``."""
+    results = []
+    run_sampler = cli.run_sampler
+
+    def capture(*args, **kwargs):
+        results.append(run_sampler(*args, **kwargs))
+        return results[-1]
+
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "run_sampler", capture)
+        assert main(["run", "--config", str(path), "--record-trajectories", "--out", tmp]) == 0
+    return results[0]
+
+
+class TestRecordedTrajectories:
+    @settings(max_examples=30, deadline=None)
+    @given(mode=st.sampled_from(MODES), vocab=st.integers(3, 12), heads=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+           n_prompt=st.integers(0, 4), n_gen=st.integers(1, 8), unlock=st.booleans(), seed=st.integers(0, 2**16))
+    def test_streamed_file_is_the_whole_document(self, mode, vocab, heads, n_prompt, n_gen, unlock, seed):
+        """trajectories.json is written one position at a time, and its bytes
+        are ``json.dumps`` of the whole list of items, built at once."""
+        doc = {"model": {"vocab_size": vocab, "d_model": 4 * heads[0], "n_layers": 1, "n_heads": heads[0],
+                         "n_kv_heads": heads[1], "d_ff": 8, "max_seq": 16},
+               "run": {"n_prompt": n_prompt, "n_gen": n_gen, "steps": n_gen, "mode": mode, "seed": seed},
+               "policy": {"hybrid_fraction": 0.5, "epsilon": 5e-2, "unlock_enabled": unlock, "probe_period": 1,
+                          "epsilon_unlock": 1e-12, "min_locked_duration": 1}}
+        with tempfile.TemporaryDirectory() as tmp:
+            result = recorded_run(tmp, doc)
+            data = (Path(tmp) / "trajectories.json").read_bytes()
+        whole = [{"position": i, "log_probs": result.history[:, i].tolist()}
+                 for i in np.flatnonzero(result.history_valid.all(axis=0)).tolist()]
+        assert data == json.dumps(whole).encode()
+
+    def test_recording_holds_one_position_at_a_time(self, tmp_path):
+        """The run's traced peak stays under twice the recorded history's
+        bytes; building the whole document first peaked at about ten times."""
+        doc = {"model": {"vocab_size": 256, "d_model": 16, "n_layers": 1, "n_heads": 2, "d_ff": 16, "max_seq": 64},
+               "run": {"n_prompt": 16, "n_gen": 48, "steps": 48}}
+        tracemalloc.start()
+        try:
+            result = recorded_run(str(tmp_path), doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.history.nbytes == 48 * 64 * 256 * 8
+        assert peak < 2 * result.history.nbytes
+
+
 class TestPolicyFlags:
     @pytest.mark.parametrize("command,flag", [
         pytest.param(command, flag, id=f"{command}{flag[0]}")
@@ -502,6 +569,15 @@ class TestConstantsCommand:
                     "softmax_jacobian_sup", "input_radius"):
             assert key in doc
         assert doc["softmax_jacobian_sup"] == SOFTMAX_JACOBIAN_SUP == 0.5
+
+    def test_kappa_is_refused(self, config_file, capsys):
+        """``overall_gain`` is the report's one composed bound; there is no
+        tail share to scale it by."""
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--config", config_file, "--kappa", "0.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --kappa 0.5" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("scale", ["1e30", "1e80"])
     def test_overflowing_report_is_invariant_violation(self, tmp_path, capsys, recwarn, scale):
@@ -573,7 +649,7 @@ class TestParserReuse:
             ["verify-bound", "--config", config_file, "--out", str(out / "bound.json")],
             ["sweep", "--config", config_file, "--mode", "surelock", "--eps-list", "5e-4,5e-2", "--out", str(out)],
             ["sweep", "--config", config_file, "--seeds", "0,1", "--out", str(out)],
-            ["constants", "--config", config_file, "--kappa", "0.5", "--radius", "2"],
+            ["constants", "--config", config_file, "--radius", "2"],
             ["constants", "--config", config_file],
             ["verify-bound", "--trajectories", ""],
         ]

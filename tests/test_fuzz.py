@@ -107,7 +107,7 @@ SECTION_KEYS = {
     "model": ["vocab_size", "d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "max_seq", "mask_id", "dim"],
     "run": ["n_prompt", "n_gen", "steps", "mode", "block_length", "temperature", "seed", "stpes"],
     "policy": ["epsilon", "percentile", "gate_enabled", "hybrid_fraction", "unlock_enabled", "probe_period",
-               "epsilon_unlock", "min_locked_duration", "relock_cooldown", "relock_tightening", "eps"],
+               "epsilon_unlock", "min_locked_duration", "relock_cooldown", "eps"],
 }
 # file names are plain letters, so every output lands in the example's own
 # directory
@@ -134,7 +134,7 @@ COMMAND_FLAGS = {
     "sweep": [*COMMON_FLAGS, *SAMPLING_FLAGS, *POLICY_FLAGS, "--eps-list", "--m-list", "--steps-list",
               "--ngen-list", "--seeds"],
     "verify-bound": [*COMMON_FLAGS, *SAMPLING_FLAGS, "--trajectories", "--eps"],
-    "constants": [*COMMON_FLAGS, "--radius", "--kappa"],
+    "constants": [*COMMON_FLAGS, "--radius"],
     # simulate reads no config file, so it takes only its own flags and runs without --config
     "simulate": ["--count", "--rho-targets", "--vocab-sizes", "--steps", "--magnitude", "--seed"],
 }

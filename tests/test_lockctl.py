@@ -41,8 +41,8 @@ class TestPolicyValidation:
     @pytest.mark.parametrize("bad", [
         dict(epsilon=float("nan")),
         dict(percentile=150.0),
-        dict(relock_tightening=0.0),
-        dict(relock_tightening=1.5),
+        dict(epsilon_unlock=float("inf")),
+        dict(relock_cooldown=0),
         dict(probe_period=0),
         dict(hybrid_fraction=0.0),
     ])
@@ -92,7 +92,7 @@ class TestEvaluateLocks:
         assert locks([1], [nan, 0.0], [nan, 0.1], policy, t=6, cooldown_until=cooldown) == [1]
 
     def test_tightened_threshold_after_unlock(self):
-        policy = LockPolicy(epsilon=1e-3, gate_enabled=False, relock_tightening=0.5)
+        policy = LockPolicy(epsilon=1e-3, gate_enabled=False)
         cooldown = np.where(np.arange(8) == 7, 2, -1)  # row 7 was released; its cooldown has run out
         kl = np.full(8, nan)
         kl[7] = 7e-4
@@ -114,7 +114,7 @@ def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_un
     for i in candidates:
         if t <= cooldown_until.get(i, -1):
             continue
-        eps = policy.epsilon * (policy.relock_tightening if i in cooldown_until else 1.0)
+        eps = policy.epsilon * (0.5 if i in cooldown_until else 1.0)  # lockctl.RELOCK_TIGHTENING
         if step_kl[i] <= eps and (not policy.gate_enabled or uncert[i] <= theta):
             locked.append((i, t, "relock" if i in cooldown_until else "lock", step_kl[i], uncert[i]))
     return locked
@@ -128,17 +128,16 @@ def reference_evaluate_locks(candidates, step_kl, uncert, policy, t, cooldown_un
     epsilon=st.sampled_from([-1.0, 0.0, 1e-6, 5e-3, 1.0, 1e9]),
     percentile=st.sampled_from([0.0, 20.0, 50.0, 100.0]),
     gate=st.booleans(),
-    tightening=st.sampled_from([0.5, 0.9, 1.0]),
     t=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_evaluate_locks_matches_reference(n, kl_levels, u_levels, epsilon, percentile, gate, tightening, t, seed):
+def test_evaluate_locks_matches_reference(n, kl_levels, u_levels, epsilon, percentile, gate, t, seed):
     """Same lock events as the loop over dicts: few distinct KL and
     uncertainty levels make ties common, and KLs include +-inf; candidates
     may be empty, in a cooldown or previously unlocked, and other rows are
     unscored."""
     rng = np.random.default_rng(seed)
-    policy = LockPolicy(epsilon=epsilon, percentile=percentile, gate_enabled=gate, relock_tightening=tightening)
+    policy = LockPolicy(epsilon=epsilon, percentile=percentile, gate_enabled=gate)
     candidates = np.flatnonzero(rng.random(n) < 0.6)
     step_kl = np.full(n, nan)
     uncert = np.full(n, nan)
@@ -393,7 +392,6 @@ class TestUnlockIntegration:
         policy = LockPolicy(
             epsilon=1e-1, percentile=0.0, unlock_enabled=True, probe_period=2,
             epsilon_unlock=1e-12, min_locked_duration=1, relock_cooldown=2,
-            relock_tightening=0.9,
         )
         run = RunConfig(n_prompt=8, n_gen=16, steps=16, mode="surelock", seed=6, policy=policy)
         w = init_weights(ModelConfig(vocab_size=24, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=32), 8)
@@ -425,7 +423,7 @@ class TestUnlockIntegration:
         unlocked before. An unlock event's drift exceeds ``epsilon_unlock``,
         its proxy uncertainty exceeds the step's gate threshold, and it comes
         more than ``min_locked_duration`` steps after the lock.
-        About half of the runs unlock, and a third relock."""
+        About a third of the runs unlock, and a quarter relock."""
         rng = np.random.default_rng(seed)
         n_heads, n_kv_heads = heads
         cfg = ModelConfig(vocab_size=int(rng.integers(6, 24)), d_model=n_heads * int(rng.integers(2, 6)),
@@ -436,7 +434,7 @@ class TestUnlockIntegration:
             gate_enabled=bool(rng.integers(2)), hybrid_fraction=float(rng.uniform(0.5, 1.0)),
             unlock_enabled=True, probe_period=int(rng.integers(1, 3)),
             epsilon_unlock=float(rng.choice([1e-12, 1e-8, 1e-4])), min_locked_duration=int(rng.integers(1, 3)),
-            relock_cooldown=int(rng.integers(1, 4)), relock_tightening=float(rng.choice([0.5, 1.0])),
+            relock_cooldown=int(rng.integers(1, 4)),
         )
         block_len = int(rng.integers(2, 9))
         run = RunConfig(n_prompt=int(rng.integers(0, 9)), n_gen=n_blocks * block_len, block_length=block_len,

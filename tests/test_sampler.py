@@ -487,7 +487,7 @@ class TestRunSampler:
         policy = LockPolicy(
             epsilon=5e-2, percentile=40.0, hybrid_fraction=0.7,
             unlock_enabled=True, probe_period=3, epsilon_unlock=1e-10,
-            min_locked_duration=1, relock_cooldown=2, relock_tightening=0.8,
+            min_locked_duration=1, relock_cooldown=2,
         )
         run = RunConfig(n_prompt=8, n_gen=64, steps=32, block_length=32,
                         temperature=0.6, mode="hybrid", seed=19, policy=policy)
