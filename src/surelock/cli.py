@@ -23,14 +23,15 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, InvalidInputError, InvalidStateError, read_json, require_finite, require_int, write_text
+from .errors import (ConfigError, InvalidInputError, InvalidStateError, read_json, require_finite,
+                     require_float_array, require_int, require_keys, write_text)
 from .flops import baseline_step_flops
 from .kernels import SOFTMAX_JACOBIAN_SUP
 from .lockctl import LockPolicy
@@ -74,22 +75,11 @@ def random_prompt(cfg: ModelConfig, n_prompt: int, seed: int) -> np.ndarray:
 
 
 def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    doc = read_json(path, "config")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"config {path} has unknown top-level key(s) {unknown}; allowed: {list(CONFIG_KEYS)}")
-    return doc
+    return {} if path is None else require_keys(f"config {path}", read_json(path, "config"), CONFIG_KEYS)
 
 
-def _section(doc: dict, name: str) -> dict:
-    value = doc.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object, got {type(value).__name__}")
-    return value
+def _section(doc: dict, name: str, cls, skip: str = "") -> dict:
+    return require_keys(f"config section {name!r}", doc.get(name, {}), [f.name for f in fields(cls) if f.name != skip])
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -128,17 +118,11 @@ def _build(args, points=({},)):
                 raise ConfigError(f"config keys {key!r} and 'weights_path' are alternatives; set one")
         w = load_weights(weights_path)
     else:
-        try:
-            cfg = ModelConfig.from_dict(_merge(DEFAULT_MODEL, _section(doc, "model")))
-        except TypeError as exc:
-            raise ConfigError(f"bad model config: {exc}") from exc
-        seed = doc.get("weights_seed", 1234)
-        require_int("weights_seed", seed)
+        cfg = ModelConfig.from_dict(_merge(DEFAULT_MODEL, _section(doc, "model", ModelConfig)))
+        require_int("weights_seed", seed := doc.get("weights_seed", 1234))
         w = init_weights(cfg, seed)
     cfg = w.config
-    scale = args.weight_scale
-    if scale is None:
-        scale = doc.get("weight_scale", 1.0)
+    scale = doc.get("weight_scale", 1.0) if args.weight_scale is None else args.weight_scale
     require_finite("weight_scale", scale)
     if scale != 1.0:
         w = w.scaled(float(scale))
@@ -146,8 +130,8 @@ def _build(args, points=({},)):
     # flags, like points, set RunConfig/LockPolicy fields; a flag's dest is its field name, and a
     # command without the flag leaves the field to the file
     flags = {f.name: getattr(args, f.name, None) for cls in (RunConfig, LockPolicy) for f in fields(cls)}
-    file_run = _merge(DEFAULT_RUN, _section(doc, "run"))
-    file_policy = _section(doc, "policy")
+    file_run = _merge(DEFAULT_RUN, _section(doc, "run", RunConfig, skip="policy"))
+    file_policy = _section(doc, "policy", LockPolicy)
 
     fixed_prompt = _prompt_tokens(doc["prompt_tokens"]) if "prompt_tokens" in doc else None
     if getattr(args, "prompt", None) is not None:
@@ -159,14 +143,11 @@ def _build(args, points=({},)):
         values = _merge(flags, point)
         run_dict = _merge(file_run, {k: v for k, v in values.items() if k not in policy_fields})
         policy_dict = _merge(file_policy, {k: v for k, v in values.items() if k in policy_fields})
-        try:
-            run = RunConfig(policy=LockPolicy(**policy_dict), **run_dict)
-        except TypeError as exc:
-            raise ConfigError(f"bad run/policy config: {exc}") from exc
+        run = RunConfig(policy=LockPolicy(**policy_dict), **run_dict)
         if run.n_positions > cfg.max_seq:  # before a prompt of that length is drawn
             raise ConfigError(f"{run.n_positions} positions exceed max_seq={cfg.max_seq}")
         prompt = random_prompt(cfg, run.n_prompt, run.seed) if fixed_prompt is None else fixed_prompt
-        echo = {"model": cfg.to_dict(), "run": run_dict, "policy": policy_dict,
+        echo = {"model": asdict(cfg), "run": run_dict, "policy": policy_dict,
                 "weight_scale": scale, "prompt_tokens": prompt.tolist()}
         runs.append((run, prompt, echo))
     return w, doc, runs
@@ -376,13 +357,14 @@ def cmd_sweep(args) -> int:
 def _load_trajectories(path: str) -> list[analysis.Trajectory]:
     """Trajectories from a ``run --record-trajectories`` file."""
     doc = read_json(path, "trajectories")
+    if not isinstance(doc, list):
+        raise ConfigError(f"trajectories {path} must be a JSON array, got {type(doc).__name__}")
     trajs = []
-    try:
-        for k, item in enumerate(doc):
-            require_int(f"trajectory {k} position", position := item.get("position", -1))
-            trajs.append(analysis.Trajectory.from_logits(np.asarray(item["log_probs"]), position, "sampled"))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:  # missing key, wrong type, ragged rows
-        raise ConfigError(f"malformed trajectories in {path}: {exc!r}") from exc
+    for k, item in enumerate(doc):
+        require_keys(f"trajectory {k}", item, ("log_probs", "position"), required=("log_probs",))
+        require_int(f"trajectory {k} position", position := item.get("position", -1))
+        log_probs = require_float_array(f"trajectory {k} log_probs", item["log_probs"])
+        trajs.append(analysis.Trajectory.from_logits(log_probs, position, "sampled"))
     return trajs
 
 

@@ -1,4 +1,4 @@
-"""Exception types, configuration type checks and the package's one JSON reader and one file writer.
+"""Exception types, configuration type checks, and the package's one JSON reader, key checker and file writer.
 
 ``ConfigError`` and ``InvalidInputError`` reject a request (the CLI's exit 2);
 ``InvalidStateError`` reports a broken invariant or a non-finite result (exit 3)."""
@@ -8,6 +8,8 @@ import math
 import numbers
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -35,13 +37,34 @@ def require_finite(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def require_float_array(what: str, value) -> np.ndarray:
+    """``value`` as a float64 array; ``ConfigError`` if it will not convert (ragged rows, a string, an object)."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} is not an array of numbers: {exc}") from exc
+
+
 def read_json(path, what: str):
-    """The JSON document at ``path``; ``ConfigError`` if the file is
-    unreadable, not UTF-8, or not JSON. ``what`` names it in the message."""
+    """The JSON document at ``path``; ``ConfigError`` if the file is unreadable,
+    not UTF-8, not JSON, or nested too deep. ``what`` names it in the message."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def require_keys(what: str, value, allowed: Iterable[str], required: Iterable[str] = ()) -> dict:
+    """``value`` if it is a JSON object with keys from ``allowed`` and all of ``required``; else
+    ``ConfigError``, naming every unknown and every missing key and listing ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    allowed = list(allowed)
+    faults = [f"{kind} keys {keys}" for kind, keys in (("unknown", sorted(set(value) - set(allowed))),
+                                                       ("missing", [k for k in required if k not in value])) if keys]
+    if faults:
+        raise ConfigError(f"{what} has {' and '.join(faults)}; allowed: {allowed}")
+    return value
 
 
 def write_text(path, text: str | Iterable[str]) -> None:

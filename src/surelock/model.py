@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError, read_json, require_int, write_text
+from .errors import (ConfigError, InvalidInputError, InvalidStateError, read_json, require_float_array,
+                     require_int, require_keys, write_text)
 from .flops import GemmCounter
 from .prng import normals
 
@@ -89,12 +90,11 @@ class ModelConfig:
         per_layer = sum(math.prod(shape) for shape in _layer_shapes(self).values())
         return (2 * self.vocab_size + self.max_seq) * self.d_model + self.n_layers * per_layer
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+    def from_dict(cls, d, what: str = "model config") -> "ModelConfig":
+        """The config a JSON object holds: its keys are fields, and it sets every field without a default."""
+        names = [f.name for f in fields(cls)]
+        return cls(**require_keys(what, d, names, [f.name for f in fields(cls) if f.default is MISSING]))
 
 
 @dataclass
@@ -123,8 +123,7 @@ class Weights:
 
     @classmethod
     def from_tensors(cls, cfg: ModelConfig, tensors: dict[str, np.ndarray], seed: int | None) -> "Weights":
-        """Weights from arrays named as in ``_tensor_shapes``; a missing name
-        raises ``KeyError``."""
+        """Weights from arrays named as in ``_tensor_shapes``."""
         layers = [
             LayerWeights(**{fld: tensors[f"layers.{i}.{fld}"] for fld in _layer_shapes(cfg)})
             for i in range(cfg.n_layers)
@@ -136,15 +135,6 @@ class Weights:
         """A copy with every parameter multiplied by ``factor``."""
         return Weights.from_tensors(self.config, {name: arr * factor for name, arr in self._named_tensors()},
                                     self.seed)
-
-    def validate_shapes(self) -> None:
-        cfg = self.config
-        expect = _tensor_shapes(cfg)
-        for name, arr in self._named_tensors():
-            if arr.shape != expect[name]:
-                raise ConfigError(f"tensor {name} has shape {arr.shape}, expected {expect[name]}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"tensor {name} contains non-finite values")
 
     def _named_tensors(self):
         yield "embedding", self.embedding
@@ -379,7 +369,7 @@ def feed_forward(layer: LayerWeights, hid: np.ndarray, counter) -> np.ndarray:
 
 def save_weights(w: Weights, path: str | Path) -> None:
     doc = {
-        "config": w.config.to_dict(),
+        "config": asdict(w.config),
         "tensors": {name: arr.tolist() for name, arr in w._named_tensors()},
     }
     if w.seed is not None:
@@ -388,12 +378,17 @@ def save_weights(w: Weights, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> Weights:
-    doc = read_json(path, "weight file")
-    try:
-        cfg = ModelConfig.from_dict(doc["config"])
-        tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["tensors"].items()}
-        w = Weights.from_tensors(cfg, tensors, doc.get("seed"))
-    except KeyError as exc:
-        raise ConfigError(f"weight file {path} is missing tensor {exc}") from exc
-    w.validate_shapes()
-    return w
+    """A ``save_weights`` file's weights: exactly ``_tensor_shapes``' tensors, each finite and of its shape."""
+    what = f"weight file {path}"
+    doc = require_keys(what, read_json(path, "weight file"), ("config", "seed", "tensors"), ("config", "tensors"))
+    require_int(f"{what} seed", doc.get("seed", 0))  # optional
+    cfg = ModelConfig.from_dict(doc["config"], f"{what} config")
+    shapes = _tensor_shapes(cfg)
+    tensors = require_keys(f"{what} tensors", doc["tensors"], shapes, shapes)
+    for name, shape in shapes.items():
+        tensors[name] = arr = require_float_array(f"{what} tensor {name}", tensors[name])
+        if arr.shape != shape:
+            raise ConfigError(f"{what} tensor {name} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError(f"{what} tensor {name} contains non-finite values")
+    return Weights.from_tensors(cfg, tensors, doc.get("seed"))

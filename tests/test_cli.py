@@ -92,6 +92,35 @@ class TestRunCommand:
         assert err.startswith("config error:") and "relock_tightening" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section,keys,allowed", [
+        ("model", ["width", "dim"], ["vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq",
+                                     "n_kv_heads", "mask_id"]),
+        ("run", ["stpes", "policy"], ["n_prompt", "n_gen", "steps", "mode", "block_length", "temperature", "seed"]),
+        ("policy", ["eps", "relock_tightening"], ["epsilon", "percentile", "gate_enabled", "hybrid_fraction",
+                                                  "unlock_enabled", "probe_period", "epsilon_unlock",
+                                                  "min_locked_duration", "relock_cooldown"]),
+    ])
+    def test_every_unknown_section_key_is_named(self, tmp_path, capsys, section, keys, allowed):
+        """A section's keys are its class's fields (``run`` takes no
+        ``policy``); every unknown one is named, with the allowed set, in one
+        line, before any sampling."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY, section: {**TOY.get(section, {}), **dict.fromkeys(keys, 1)}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"config error: config section {section!r} has unknown keys "
+                                           f"{sorted(keys)}; allowed: {allowed}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_require_keys_names_every_unknown_and_missing_key(self):
+        with pytest.raises(errors.ConfigError) as info:
+            errors.require_keys("thing", {"b": 1, "z": 2, "a": 3}, ("a", "c", "d"), required=("c", "a", "d"))
+        assert str(info.value) == ("thing has unknown keys ['b', 'z'] and missing keys ['c', 'd']; "
+                                   "allowed: ['a', 'c', 'd']")
+        with pytest.raises(errors.ConfigError, match="^thing must be a JSON object, got list$"):
+            errors.require_keys("thing", [], ("a",))
+        doc = {"a": 1}
+        assert errors.require_keys("thing", doc, ("a", "c"), required=("a",)) is doc
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"run": {"steps": 99, "n_gen": 8}}))
@@ -441,8 +470,14 @@ class TestVerifyBoundInputErrors:
         json.dumps([{"position": 0, "log_probs": [[1e308, -1e308]] * 4}]),  # log-softmax overflows
         json.dumps([{"position": 0, "log_probs": [[], [], []]}]),  # empty vocabulary
         *(json.dumps([{"position": p, "log_probs": [[0.0, 1.0]] * 3}]) for p in ("x", True, 2.5, None, [1])),
+        json.dumps({"position": 0, "log_probs": [[0.0, 1.0]] * 3}),  # an item, not an array of them
+        json.dumps([3]),  # an item that is not an object
+        json.dumps([{"log_probs": "abc"}]),  # log_probs that do not convert to floats
+        json.dumps([{"log_probs": [[0.0, {}]] * 3}]),
+        "[" * 100_000 + "]" * 100_000,  # nested too deep to parse
     ], ids=["not-json", "missing-log-probs", "ragged", "nan", "overflow", "empty-vocabulary",
-            "position-str", "position-bool", "position-float", "position-null", "position-list"])
+            "position-str", "position-bool", "position-float", "position-null", "position-list",
+            "not-array", "item-not-object", "log-probs-str", "log-probs-object", "too-deep"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_bad_trajectories_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "trajectories.json"
@@ -458,6 +493,16 @@ class TestVerifyBoundInputErrors:
         path.write_text(json.dumps([good, {**good, "position": "x"}]))
         assert main(["verify-bound", "--trajectories", str(path)]) == 2
         assert "trajectory 1 position must be an integer, got 'x'" in capsys.readouterr().err
+
+    def test_unknown_item_keys_are_named(self, tmp_path, capsys):
+        good = {"position": 0, "log_probs": [[0.0, 1.0]] * 3}
+        path = tmp_path / "trajectories.json"
+        path.write_text(json.dumps([good, {**good, "pos": 1, "logits": []}]))
+        assert main(["verify-bound", "--trajectories", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: trajectory 1 has unknown keys ['logits', 'pos']; "
+                                "allowed: ['log_probs', 'position']\n")
+        assert captured.out == ""
 
     def test_missing_position_is_minus_one(self, tmp_path):
         path, report = tmp_path / "trajectories.json", tmp_path / "bound.json"

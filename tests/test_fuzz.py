@@ -2,6 +2,7 @@
 the accounting identities and structural invariants regardless of shape."""
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler
+from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler, save_weights
 from surelock.cli import main, random_prompt
 from surelock.model import MAX_PARAMS
 
@@ -155,10 +156,14 @@ def config_documents(draw):
     return draw(st.sampled_from([doc] * 9 + [[doc]]))  # now and then not an object
 
 
-def run_cli(argv, doc=None) -> int:
-    """``cli.main`` in a fresh directory; argparse's rejection counts as its exit code."""
+def run_cli(argv, doc=None, weights=None, err=None) -> int:
+    """``cli.main`` in a fresh directory; argparse's rejection counts as its
+    exit code. ``doc`` is written as the config file and ``weights`` as
+    ``weights.json``; stderr goes to ``err`` when given."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err or io.StringIO()):
+        if weights is not None:
+            Path("weights.json").write_text(json.dumps(weights))
         if doc is not None:
             Path("config.json").write_text(json.dumps(doc))
             argv = [*argv, "--config", "config.json"]
@@ -200,3 +205,88 @@ def command_lines(draw):
 @example(argv=["simulate", "--steps", "99999999999999999999999", "--count", "1"])
 def test_malformed_flags_keep_the_exit_code_contract(argv):
     assert run_cli(argv, None if argv[0] == "simulate" else TINY) in (0, 2, 3)
+
+
+def tiny_weight_file() -> dict:
+    """The weight file ``save_weights`` writes for TINY's model, as parsed JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.json"
+        save_weights(init_weights(ModelConfig.from_dict(TINY["model"]), 3), path)
+        return json.loads(path.read_text())
+
+
+WEIGHTS = tiny_weight_file()
+REQUIRED_MODEL_KEYS = ["vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq"]
+
+
+def with_tensor(name: str, value) -> dict:
+    doc = copy.deepcopy(WEIGHTS)
+    doc["tensors"][name] = value
+    return doc
+
+
+def with_element(name: str, index: int, value) -> dict:
+    """WEIGHTS with the scalar at flat ``index`` of tensor ``name`` set to ``value``."""
+    arr = np.array(WEIGHTS["tensors"][name], dtype=object)
+    arr.flat[index % arr.size] = value
+    return with_tensor(name, arr.tolist())
+
+
+@st.composite
+def malformed_weight_files(draw):
+    """A weight file that each loader must refuse: every fault drawn here is one."""
+    doc = copy.deepcopy(WEIGHTS)
+    name = draw(st.sampled_from(sorted(doc["tensors"])))
+    tensor = doc["tensors"][name]
+    fault = draw(st.sampled_from(["not-object", "config", "config-key", "config-missing", "seed", "top-key",
+                                  "tensors", "missing", "extra", "shape", "ragged", "string", "null",
+                                  "non-finite"]))
+    if fault == "not-object":
+        return draw(st.sampled_from([[doc], None, 3, "weights"]))
+    if fault == "config":
+        doc["config"] = draw(st.one_of(st.lists(st.integers(0, 9), max_size=3), st.none(), st.text(max_size=3)))
+    elif fault == "config-key":
+        doc["config"][draw(st.sampled_from(["dim", "vocab", "seed", "config"]))] = draw(SMALL_JUNK)
+    elif fault == "config-missing":
+        del doc["config"][draw(st.sampled_from(REQUIRED_MODEL_KEYS))]
+    elif fault == "seed":
+        doc["seed"] = draw(st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3)))
+    elif fault == "top-key":
+        if draw(st.booleans()):
+            del doc[draw(st.sampled_from(["config", "tensors"]))]
+        else:
+            doc[draw(st.sampled_from(["model", "weights", "tensor"]))] = draw(SMALL_JUNK)
+    elif fault == "tensors":
+        doc["tensors"] = draw(st.one_of(st.just(list(doc["tensors"].values())), st.none(), st.integers()))
+    elif fault == "missing":
+        del doc["tensors"][name]
+    elif fault == "extra":
+        doc["tensors"][draw(st.sampled_from(["bias", "layers.1.wq", "head.bias"]))] = tensor
+    elif fault == "shape":
+        doc["tensors"][name] = draw(st.sampled_from([[tensor], tensor[:-1], tensor[0], 0.5]))
+    elif fault == "ragged":
+        doc["tensors"][name][0] = [tensor[0]] * 2
+    else:
+        value = {"string": draw(st.text(alphabet="xyz", max_size=3)), "null": None,
+                 "non-finite": draw(st.sampled_from([float("inf"), -float("inf"), float("nan")]))}[fault]
+        if draw(st.booleans()):
+            return with_element(name, draw(st.integers(0, 10**6)), value)
+        doc["tensors"][name] = value
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["run", "sweep", "verify-bound", "constants"]), weights=malformed_weight_files())
+# these six once ended in a traceback with exit 1
+@example(command="run", weights=[WEIGHTS])
+@example(command="run", weights={**WEIGHTS, "config": [WEIGHTS["config"]]})
+@example(command="run", weights={**WEIGHTS, "config": {**WEIGHTS["config"], "dim": 8}})
+@example(command="run", weights={**WEIGHTS, "tensors": list(WEIGHTS["tensors"].values())})
+@example(command="run", weights=with_tensor("head", [[0.0] * 8] * 7 + [[0.0] * 7]))
+@example(command="run", weights=with_tensor("head", "x"))
+def test_malformed_weight_file_keeps_the_exit_code_contract(command, weights):
+    """Each is refused with exit 2 and one ``config error:`` line, and no
+    exception escapes ``cli.main``."""
+    err = io.StringIO()
+    assert run_cli([command], {"weights_path": "weights.json", "run": TINY["run"]}, weights, err) == 2
+    assert err.getvalue().startswith("config error:") and err.getvalue().count("\n") == 1
