@@ -11,7 +11,9 @@ Subcommands:
   constants    Lipschitz-bound report of the model's weights
   flops-check  counter-vs-formula equality proof over built-in configs
 
-Exit codes: 0 ok, 2 configuration error, 3 invariant violation.
+Exit codes: 0 ok, 2 configuration error, 3 invariant violation, mapped by
+``main`` alone: every exit 3 is its one ``invariant violation: ...`` line. A
+command that finds a broken invariant writes its outputs, then raises.
 """
 
 from __future__ import annotations
@@ -241,6 +243,18 @@ def check_run_invariants(result: RunResult, run: RunConfig) -> list[str]:
     return problems
 
 
+def _require_none(problems: list[str]) -> None:
+    """Raise one ``InvalidStateError`` naming every problem, if there is any."""
+    if problems:
+        raise InvalidStateError("; ".join(problems))
+
+
+def _require_bounds_hold(reports: list[analysis.BoundReport], label: str, ids) -> None:
+    """Raise if an applicable report's bound fails, naming how many do and the first ten's ``ids``."""
+    bad = [i for i, r in zip(ids, reports) if r.status == "ok" and not r.holds]
+    _require_none([f"lock bound violated on {len(bad)} trajectories; first {label}: {bad[:10]}"] if bad else [])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -284,7 +298,7 @@ def _trajectory_chunks(result: RunResult):
     yield "]"
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     w, doc, [(run, prompt, echo)] = _build(args)
     out_dir = _resolve_out(args, doc)
     result = run_sampler(run, w, prompt, record_trajectories=args.record_trajectories)
@@ -293,13 +307,9 @@ def cmd_run(args) -> int:
     write_timing(result, out_dir)
     if args.record_trajectories:
         write_text(out_dir / "trajectories.json", _trajectory_chunks(result))
-    problems = check_run_invariants(result, run)
-    for p in problems:
-        print(f"INVARIANT VIOLATION: {p}", file=sys.stderr)
-    print(f"run: mode={run.mode} steps={len(result.trace)} "
-          f"F_actual/F_base={result.ratio:.4f} "
+    print(f"run: mode={run.mode} steps={len(result.trace)} F_actual/F_base={result.ratio:.4f} "
           f"active_ratio={result.active_ratio:.4f} -> {out_dir}")
-    return EXIT_INVARIANT if problems else EXIT_OK
+    _require_none(check_run_invariants(result, run))
 
 
 def _parse_list(text: str, cast, flag: str) -> list:
@@ -314,7 +324,7 @@ def _parse_list(text: str, cast, flag: str) -> list:
     return values
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     points = [{}]
     for key, text, cast, flag in (("epsilon", args.eps_list, float, "--eps-list"),
                                   ("percentile", args.m_list, float, "--m-list"),
@@ -329,11 +339,10 @@ def cmd_sweep(args) -> int:
 
     w, doc, runs = _build(args, points)
     out_dir = _resolve_out(args, doc)
-    rows = []
-    bad = False
-    for run, prompt, _ in runs:
+    rows, problems = [], []
+    for i, (run, prompt, _) in enumerate(runs):
         result = run_sampler(run, w, prompt)
-        bad |= bool(check_run_invariants(result, run))
+        problems += [f"point {i}: {p}" for p in check_run_invariants(result, run)]
         rows.append({
             "epsilon": run.policy.epsilon,
             "percentile": run.policy.percentile,
@@ -351,7 +360,7 @@ def cmd_sweep(args) -> int:
     path = out_dir / "sweep.csv"
     write_text(path, _csv_text([list(rows[0]), *(row.values() for row in rows)]))
     print(f"sweep: {len(rows)} points -> {path}")
-    return EXIT_INVARIANT if bad else EXIT_OK
+    _require_none(problems)
 
 
 def _load_trajectories(path: str) -> list[analysis.Trajectory]:
@@ -368,7 +377,7 @@ def _load_trajectories(path: str) -> list[analysis.Trajectory]:
     return trajs
 
 
-def cmd_verify_bound(args) -> int:
+def cmd_verify_bound(args) -> None:
     if np.isnan(args.eps):
         raise ConfigError("--eps must be a number or inf, got nan")
     _check_out_file(args.out)
@@ -386,17 +395,12 @@ def cmd_verify_bound(args) -> int:
 
     reports = [analysis.check_lock_bound(t, args.eps) for t in trajs]
     applicable = [r for r in reports if r.status == "ok"]
-    held = [r for r in applicable if r.holds]
-    violated = [r for r in applicable if not r.holds]
+    held = sum(1 for r in applicable if r.holds)
     print(f"verify-bound: {len(trajs)} trajectories, {len(applicable)} applicable, "
-          f"{len(held)} hold, {len(reports) - len(applicable)} not applicable")
+          f"{held} hold, {len(reports) - len(applicable)} not applicable")
     if args.out:
         write_text(args.out, json.dumps([r.to_dict() for r in reports], indent=1))
-    if violated:
-        for r in violated[:10]:
-            print(f"VIOLATION at position {r.position}: lhs={r.lhs} > rhs={r.rhs}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    _require_bounds_hold(reports, "positions", [r.position for r in reports])
 
 
 def _battery(cells: list[tuple[float, int, int]], count: int, seed: int,
@@ -422,7 +426,7 @@ def _battery(cells: list[tuple[float, int, int]], count: int, seed: int,
     return reports
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     _check_out_file(args.out)
     rho_targets = _parse_list(args.rho_targets, float, "--rho-targets")
     vocab_sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
@@ -436,16 +440,13 @@ def cmd_simulate(args) -> int:
     reports = _battery(cells, args.count, args.seed, args.magnitude)
     applicable = [r for r in reports if r.status == "ok"]
     held = sum(1 for r in applicable if r.holds)
-    print(f"simulate: {held}/{args.count} bound holds "
-          f"({len(applicable)} applicable of {args.count})")
+    print(f"simulate: {held}/{args.count} bound holds ({len(applicable)} applicable of {args.count})")
     if args.out:
         write_text(args.out, json.dumps([r.to_dict() for r in reports], indent=1))
-    if held != len(applicable):
-        return EXIT_INVARIANT
-    return EXIT_OK
+    _require_bounds_hold(reports, "seeds", range(args.seed, args.seed + args.count))
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> None:
     _check_out_file(args.out)
     w, _, [(run, _, _)] = _build(args)
     radius = args.radius if args.radius is not None else analysis.input_radius_bound(w)
@@ -456,7 +457,6 @@ def cmd_constants(args) -> int:
     if args.out:
         write_text(args.out, text + "\n")
     print(text)
-    return EXIT_OK
 
 
 FLOPS_CHECK_CONFIGS = [
@@ -470,8 +470,8 @@ FLOPS_CHECK_CONFIGS = [
 ]
 
 
-def cmd_flops_check(args) -> int:
-    ok = True
+def cmd_flops_check(args) -> None:
+    problems = []
     for spec_i, entry in enumerate(FLOPS_CHECK_CONFIGS):
         cfg = ModelConfig.from_dict(entry["model"])
         w = init_weights(cfg, 99 + spec_i)
@@ -484,10 +484,9 @@ def cmd_flops_check(args) -> int:
             run = RunConfig(policy=policy, mode=mode, seed=11, **base_run)
             result = run_sampler(run, w, random_prompt(cfg, run.n_prompt, run.seed))
             match = result.counter_matches
-            ok &= match
-            status = "exact" if match else "MISMATCH"
-            print(f"  mode={mode:9s} steps={len(result.trace)} counter vs formula: {status}")
-    return EXIT_OK if ok else EXIT_INVARIANT
+            problems += [] if match else [f"config {spec_i} mode {mode}: counter disagrees with the formula"]
+            print(f"  mode={mode:9s} steps={len(result.trace)} counter vs formula: {'exact' if match else 'MISMATCH'}")
+    _require_none(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +579,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvalidStateError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

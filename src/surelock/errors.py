@@ -38,11 +38,20 @@ def require_finite(name: str, value) -> None:
 
 
 def require_float_array(what: str, value) -> np.ndarray:
-    """``value`` as a float64 array; ``ConfigError`` if it will not convert (ragged rows, a string, an object)."""
+    """``value``, nested JSON arrays of JSON numbers, as a float64 array; ``ConfigError`` if it will
+    not convert (ragged rows, an object) or holds anything but a number (a string, even one that
+    spells a number, a bool, null), which numpy would parse or upcast."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} is not an array of numbers: {exc}") from exc
+    leaves = [value]
+    for _ in range(arr.ndim):  # it converted, so every leaf is ``ndim`` arrays deep
+        leaves = [x for row in leaves for x in row]
+    if not {type(x) for x in leaves} <= {int, float}:
+        bad = next(x for x in leaves if type(x) not in (int, float))
+        raise ConfigError(f"{what} is not an array of numbers: it holds {bad!r}")
+    return arr
 
 
 def read_json(path, what: str):

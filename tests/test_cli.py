@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import shutil
@@ -245,6 +247,21 @@ class TestRunCommand:
             assert "config error:" in err and repr(key) in err and "'weights_path'" in err
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["baseline", "surelock", "hybrid"])
+    def test_saved_weights_reproduce_the_seeded_run(self, tmp_path, mode):
+        """A run from the ``save_weights`` file of the default model's seeded
+        weights writes that seeded run's trace.jsonl and summary.json byte for
+        byte."""
+        weights = tmp_path / "w.json"
+        save_weights(init_weights(ModelConfig.from_dict(cli.DEFAULT_MODEL), 1234), weights)
+        path = tmp_path / "loaded.json"
+        path.write_text(json.dumps({"weights_path": str(weights)}))
+        flags = ["--mode", mode, "--fraction", "0.5"]
+        assert main(["run", *flags, "--out", str(tmp_path / "seeded")]) == 0
+        assert main(["run", "--config", str(path), *flags, "--out", str(tmp_path / "loaded")]) == 0
+        for name in ("trace.jsonl", "summary.json"):
+            assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "seeded" / name).read_bytes()
+
     def test_prompt_flag_beats_config_prompt(self, tmp_path):
         """--prompt overrides ``prompt_tokens`` as any flag overrides the file."""
         path = tmp_path / "config.json"
@@ -361,6 +378,15 @@ class TestVerifyAndSimulate:
         assert main(["run", "--record-trajectories", "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "trajectories.json").read_bytes()).hexdigest() == RECORDED_TRAJECTORIES_PIN
 
+    @pytest.mark.parametrize("pin", [BOUND_FILE_PINS[4], BOUND_FILE_PINS[5]], ids=["inf", "finite"])
+    def test_recorded_trajectories_give_the_fresh_reports(self, tmp_path, pin):
+        """``verify-bound --trajectories`` on a recorded default run writes the
+        fresh ``verify-bound``'s pinned bytes at the same --eps."""
+        (_, *eps), digest = pin
+        assert main(["run", "--record-trajectories", "--out", str(tmp_path / "run")]) == 0
+        argv = ["verify-bound", "--trajectories", str(tmp_path / "run" / "trajectories.json"), *eps]
+        assert out_sha256(argv, tmp_path / "reports.json") == digest
+
     @pytest.mark.parametrize("budget", [1, 600_000])
     def test_battery_bytes_do_not_depend_on_the_batch_budget(self, tmp_path, monkeypatch, budget):
         """One trajectory per batch, or a few: the same reports as the
@@ -467,7 +493,8 @@ class TestVerifyBoundInputErrors:
         json.dumps([{"position": 0}]),  # an item without log_probs
         json.dumps([{"log_probs": [[0.0, 1.0], [0.5], [1.0, 0.0]]}]),  # ragged rows
         json.dumps([{"log_probs": [[0.0, 1.0], [float("nan"), 0.0], [1.0, 0.0]]}]),  # NaN logits
-        json.dumps([{"position": 0, "log_probs": [[1e308, -1e308]] * 4}]),  # log-softmax overflows
+        pytest.param(json.dumps([{"position": 0, "log_probs": [[1e308, -1e308]] * 4}]),  # log-softmax overflows
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
         json.dumps([{"position": 0, "log_probs": [[], [], []]}]),  # empty vocabulary
         *(json.dumps([{"position": p, "log_probs": [[0.0, 1.0]] * 3}]) for p in ("x", True, 2.5, None, [1])),
         json.dumps({"position": 0, "log_probs": [[0.0, 1.0]] * 3}),  # an item, not an array of them
@@ -475,10 +502,13 @@ class TestVerifyBoundInputErrors:
         json.dumps([{"log_probs": "abc"}]),  # log_probs that do not convert to floats
         json.dumps([{"log_probs": [[0.0, {}]] * 3}]),
         "[" * 100_000 + "]" * 100_000,  # nested too deep to parse
+        json.dumps([{"log_probs": [["0.1", "0.9"]] * 3}]),  # numbers spelled as strings
+        json.dumps([{"log_probs": [[True, False], [0.5, 0.5], [1.0, 0.0]]}]),  # bools among numbers
+        '[{"position": 0, "log_probs": [[0, Infinity], [0, 0], [0, 0]]}]',  # an infinite logit
     ], ids=["not-json", "missing-log-probs", "ragged", "nan", "overflow", "empty-vocabulary",
             "position-str", "position-bool", "position-float", "position-null", "position-list",
-            "not-array", "item-not-object", "log-probs-str", "log-probs-object", "too-deep"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+            "not-array", "item-not-object", "log-probs-str", "log-probs-object", "too-deep",
+            "log-probs-numeric-str", "log-probs-bool", "inf"])
     def test_bad_trajectories_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "trajectories.json"
         path.write_text(text)
@@ -750,14 +780,17 @@ class TestOutputPaths:
         (["verify-bound"], "file/r.json"),
         (["simulate", "--count", "3"], "file/sub/s.json"),
         (["constants"], "file/c.json"),
+        (["verify-bound"], "dir"),
     ], ids=["sweep-at-a-file", "run-under-a-file", "verify-bound-under-a-file", "simulate-under-a-file",
-            "constants-under-a-file"])
+            "constants-under-a-file", "verify-bound-at-a-directory"])
     def test_unwritable_output_directory_is_refused_before_sampling(self, tmp_path, config_file, monkeypatch,
                                                                      capsys, argv, target):
         """An output whose nearest existing ancestor is a regular file exits 2
-        naming that file, before any run, battery or report is computed and
-        with nothing on stdout."""
+        naming that file, and an output file at a directory exits 2 saying
+        so, before any run, battery or report is computed and with nothing on
+        stdout."""
         (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
         calls = []
 
         def spy(fn):
@@ -774,7 +807,8 @@ class TestOutputPaths:
         assert calls == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"config error: cannot write {tmp_path / target}: {tmp_path / 'file'} is not a directory\n"
+        reason = "it is a directory" if target == "dir" else f"{tmp_path / 'file'} is not a directory"
+        assert captured.err == f"config error: cannot write {tmp_path / target}: {reason}\n"
 
     def test_verify_bound_creates_the_output_directory(self, tmp_path, config_file):
         out = tmp_path / "missing" / "reports.json"
@@ -788,6 +822,64 @@ class TestFlopsCheckCommand:
         out = capsys.readouterr().out
         assert "11264" in out
         assert "MISMATCH" not in out
+
+
+def planted_problem(check):
+    """A ``check_run_invariants`` that finds one planted problem in every run."""
+    return lambda result, run: ["planted problem"]
+
+
+def failing_bound(check):
+    """``check``, with every report turned into an applicable one whose bound fails."""
+    return lambda traj, eps: dataclasses.replace(check(traj, eps), status="ok", holds=False)
+
+
+def miscounted_sampler(sample, planted_call: int):
+    """``sample``, with the GEMM counter of call ``planted_call``'s last step off by one."""
+    calls = itertools.count()
+
+    def sampled(*args, **kwargs):
+        result = sample(*args, **kwargs)
+        if next(calls) == planted_call:
+            result.trace[-1].flops_counted += 1
+        return result
+    return sampled
+
+
+# per command: its argv (``{tmp}`` is the test's directory), the function to
+# replace and its replacement, the one message that must name the breach, the
+# files that must still be written and the stdout lines that must still be printed
+PLANTED_BREACHES = {
+    "run": (["run", "--out", "{tmp}/run"], (cli, "check_run_invariants", planted_problem),
+            "planted problem", ["run/trace.jsonl", "run/summary.json", "run/timing.json"], 1),
+    "sweep": (["sweep", "--seeds", "0,1", "--out", "{tmp}/sweep"], (cli, "check_run_invariants", planted_problem),
+              "point 0: planted problem; point 1: planted problem", ["sweep/sweep.csv"], 1),
+    "verify-bound": (["verify-bound", "--out", "{tmp}/bound.json"], (analysis, "check_lock_bound", failing_bound),
+                     f"lock bound violated on 12 trajectories; first positions: {list(range(10))}", ["bound.json"], 1),
+    "simulate": (["simulate", "--count", "3", "--seed", "5", "--out", "{tmp}/sim.json"],
+                 (analysis, "check_lock_bound", failing_bound),
+                 "lock bound violated on 3 trajectories; first seeds: [5, 6, 7]", ["sim.json"], 1),
+    # one line per config and one per config and mode, the planted one saying MISMATCH
+    "flops-check": (["flops-check"], (cli, "run_sampler", lambda sample: miscounted_sampler(sample, 5)),
+                    f"config 1 mode {MODES[1]}: counter disagrees with the formula", [], 15),
+}
+
+
+@pytest.mark.parametrize("argv, breach, message, outputs, lines", PLANTED_BREACHES.values(), ids=PLANTED_BREACHES)
+def test_planted_breach_exits_3_after_writing_outputs(tmp_path, config_file, monkeypatch, capsys,
+                                                      argv, breach, message, outputs, lines):
+    """A broken invariant found in finished work ends the command, after its
+    outputs are written, with exit 3 and ``main``'s one ``invariant
+    violation:`` line naming the problem."""
+    owner, name, plant = breach
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    config = ["--config", config_file] if argv[0] in ("run", "sweep", "verify-bound") else []
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + config) == cli.EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.err == f"invariant violation: {message}\n"
+    assert all((tmp_path / out).is_file() for out in outputs)
+    assert len(captured.out.splitlines()) == lines
+    assert captured.out.count("MISMATCH") == (argv[0] == "flops-check")
 
 
 ERROR_CLASSES = [c for c in vars(errors).values()

@@ -225,6 +225,11 @@ def with_tensor(name: str, value) -> dict:
     return doc
 
 
+def spelled(tensor):
+    """``tensor`` with every number written as a string that spells it."""
+    return json.loads(json.dumps(tensor), parse_float=str, parse_int=str)
+
+
 def with_element(name: str, index: int, value) -> dict:
     """WEIGHTS with the scalar at flat ``index`` of tensor ``name`` set to ``value``."""
     arr = np.array(WEIGHTS["tensors"][name], dtype=object)
@@ -240,7 +245,7 @@ def malformed_weight_files(draw):
     tensor = doc["tensors"][name]
     fault = draw(st.sampled_from(["not-object", "config", "config-key", "config-missing", "seed", "top-key",
                                   "tensors", "missing", "extra", "shape", "ragged", "string", "null",
-                                  "non-finite"]))
+                                  "non-finite", "spelled", "numeric-string", "bool"]))
     if fault == "not-object":
         return draw(st.sampled_from([[doc], None, 3, "weights"]))
     if fault == "config":
@@ -266,9 +271,13 @@ def malformed_weight_files(draw):
         doc["tensors"][name] = draw(st.sampled_from([[tensor], tensor[:-1], tensor[0], 0.5]))
     elif fault == "ragged":
         doc["tensors"][name][0] = [tensor[0]] * 2
+    elif fault == "spelled":
+        doc["tensors"][name] = spelled(tensor)
     else:
         value = {"string": draw(st.text(alphabet="xyz", max_size=3)), "null": None,
-                 "non-finite": draw(st.sampled_from([float("inf"), -float("inf"), float("nan")]))}[fault]
+                 "non-finite": draw(st.sampled_from([float("inf"), -float("inf"), float("nan")])),
+                 "numeric-string": draw(st.sampled_from(["0.01", "-2", "1e-3"])),
+                 "bool": draw(st.booleans())}[fault]
         if draw(st.booleans()):
             return with_element(name, draw(st.integers(0, 10**6)), value)
         doc["tensors"][name] = value
@@ -284,6 +293,9 @@ def malformed_weight_files(draw):
 @example(command="run", weights={**WEIGHTS, "tensors": list(WEIGHTS["tensors"].values())})
 @example(command="run", weights=with_tensor("head", [[0.0] * 8] * 7 + [[0.0] * 7]))
 @example(command="run", weights=with_tensor("head", "x"))
+# these two loaded, numpy parsing the strings and upcasting the bool, and exited 0
+@example(command="run", weights=with_tensor("head", spelled(WEIGHTS["tensors"]["head"])))
+@example(command="run", weights=with_element("head", 3, True))
 def test_malformed_weight_file_keeps_the_exit_code_contract(command, weights):
     """Each is refused with exit 2 and one ``config error:`` line, and no
     exception escapes ``cli.main``."""
