@@ -20,6 +20,12 @@ def toy_prompt(toy_config):
     return random_prompt(toy_config, 16, 99)
 
 
+@pytest.fixture(scope="session")
+def small_model():
+    cfg = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=32)
+    return cfg, init_weights(cfg, 31)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240901)

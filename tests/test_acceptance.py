@@ -34,7 +34,6 @@ from surelock.lockctl import evaluate_locks, probe_unlock
 from surelock.model import KVStore
 from surelock.sampler import SamplerState, step, unmask_schedule
 
-TOY = ModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2, d_ff=64, max_seq=64)
 TOY_RUN = dict(n_prompt=16, n_gen=16, steps=16)
 
 
@@ -42,20 +41,11 @@ def report(n, message):
     print(f"\nPASS criterion {n}: {message}")
 
 
-@pytest.fixture(scope="module")
-def toy_weights():
-    return init_weights(TOY, 1234)
-
-
-def test_criterion_01_baseline_equivalence(toy_weights):
+def test_criterion_01_baseline_equivalence(toy_config, toy_weights):
     """Unsatisfiable lock threshold reproduces baseline exactly, 20 seeds."""
-    # warm any jitted kernels so the timed section measures the runs
-    warm = RunConfig(n_prompt=2, n_gen=2, steps=2, mode="baseline", seed=0)
-    run_sampler(warm, init_weights(ModelConfig(8, 8, 1, 1, 16, 8), 1), random_prompt(ModelConfig(8, 8, 1, 1, 16, 8), 2, 0))
-
     t0 = time.perf_counter()
     for seed in range(20):
-        prompt = random_prompt(TOY, 16, seed)
+        prompt = random_prompt(toy_config, 16, seed)
         base = run_sampler(
             RunConfig(mode="baseline", seed=seed, **TOY_RUN), toy_weights, prompt,
             record_trajectories=True,
@@ -73,9 +63,9 @@ def test_criterion_01_baseline_equivalence(toy_weights):
     report(1, f"20 seeds bit-equal tokens, log-posterior gap <= 1e-10, {elapsed:.1f}s < 30s")
 
 
-def test_criterion_02_locked_row_oracle(toy_weights):
+def test_criterion_02_locked_row_oracle(toy_config, toy_weights):
     """Stored rows reproduce the full forward on the computed rows, 50 cases."""
-    cfg = TOY
+    cfg = toy_config
     rng = np.random.default_rng(4242)
     n = 32
     worst = 0.0
@@ -103,18 +93,17 @@ def test_criterion_02_locked_row_oracle(toy_weights):
 FLOPS_CONFIGS = [
     (ModelConfig(vocab_size=8, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq=8),
      dict(n_prompt=2, n_gen=2, steps=2), 11264),
-    (TOY, dict(TOY_RUN), None),
     (ModelConfig(vocab_size=16, d_model=24, n_layers=3, n_heads=4, n_kv_heads=2, d_ff=40, max_seq=32),
      dict(n_prompt=4, n_gen=8, steps=8), None),
 ]
 
 
-def test_criterion_03_flops_exactness():
+def test_criterion_03_flops_exactness(toy_config):
     """Instrumented GEMM counter equals the closed form, as integers."""
     from surelock.flops import baseline_step_flops
 
     checked = 0
-    for cfg, shape, expect_base in FLOPS_CONFIGS:
+    for cfg, shape, expect_base in [*FLOPS_CONFIGS, (toy_config, TOY_RUN, None)]:
         n = shape["n_prompt"] + shape["n_gen"]
         if expect_base is not None:
             assert baseline_step_flops(cfg, n) == expect_base
@@ -130,11 +119,11 @@ def test_criterion_03_flops_exactness():
               f"(hand config per-step base = 11264)")
 
 
-def test_criterion_04_monotonicity(toy_weights):
+def test_criterion_04_monotonicity(toy_config, toy_weights):
     """Active rows, lock bitmap, and step FLOPs ratio are all monotone."""
     for seed in range(6):
         run = RunConfig(mode="surelock", seed=seed, policy=LockPolicy(epsilon=5e-2), **TOY_RUN)
-        res = run_sampler(run, toy_weights, random_prompt(TOY, 16, seed))
+        res = run_sampler(run, toy_weights, random_prompt(toy_config, 16, seed))
         m = [rec.active_rows for rec in res.trace]
         assert all(b <= a for a, b in zip(m, m[1:])), "M_t increased"
         ratios = [rec.ratio for rec in res.trace]
@@ -150,7 +139,7 @@ def test_criterion_04_monotonicity(toy_weights):
               "aggregate ratio == micro-average to 1e-12")
 
 
-def test_criterion_05_bound_battery(toy_weights):
+def test_criterion_05_bound_battery(toy_config, toy_weights):
     """200 synthetic trajectories plus real no-lock traces all satisfy the bound."""
     t0 = time.perf_counter()
     cells = [(r, v) for r in (0.3, 0.6, 0.9) for v in (8, 64)]
@@ -176,7 +165,7 @@ def test_criterion_05_bound_battery(toy_weights):
         w = toy_weights.scaled(scale) if scale != 1.0 else toy_weights
         for seed in seeds:
             run = RunConfig(mode="baseline", seed=seed, **TOY_RUN)
-            res = run_sampler(run, w, random_prompt(TOY, 16, seed), record_trajectories=True)
+            res = run_sampler(run, w, random_prompt(toy_config, 16, seed), record_trajectories=True)
             trace_count += 1
             for traj in trajectories_from_history(res.history, res.history_valid):
                 finite = sorted(set(traj.step_kl[np.isfinite(traj.step_kl)]))
@@ -191,10 +180,10 @@ def test_criterion_05_bound_battery(toy_weights):
               f"{sampled_applicable} applicable positions over {trace_count} sampler traces all hold")
 
 
-def test_criterion_06_degenerate_lock_everything(toy_weights):
+def test_criterion_06_degenerate_lock_everything(toy_config, toy_weights):
     """Zero weights: posteriors constant, so everything locks immediately."""
     run = RunConfig(mode="surelock", seed=3, policy=LockPolicy(epsilon=1e-6), **TOY_RUN)
-    res = run_sampler(run, toy_weights.scaled(0.0), random_prompt(TOY, 16, 3))
+    res = run_sampler(run, toy_weights.scaled(0.0), random_prompt(toy_config, 16, 3))
     unmask_step = {}
     for rec in res.trace:
         for p in rec.newly_unmasked:
@@ -214,7 +203,7 @@ def test_criterion_06_degenerate_lock_everything(toy_weights):
               "ratio sits on the structural floor from step 3 on")
 
 
-def test_criterion_07_epsilon_ordering(toy_weights):
+def test_criterion_07_epsilon_ordering(toy_config, toy_weights):
     """Larger thresholds lock no later and never cost more FLOPs."""
     # unit-scale posteriors are so flat that every threshold locks instantly;
     # a 6x weight scale spreads the step KLs across the grid
@@ -224,7 +213,7 @@ def test_criterion_07_epsilon_ordering(toy_weights):
         totals[scale] = []
         for eps in (5e-4, 5e-3, 5e-2):
             run = RunConfig(mode="surelock", seed=11, policy=LockPolicy(epsilon=eps), **TOY_RUN)
-            res = run_sampler(run, w, random_prompt(TOY, 16, 11))
+            res = run_sampler(run, w, random_prompt(toy_config, 16, 11))
             totals[scale].append(res.total_flops_actual)
         assert all(b <= a for a, b in zip(totals[scale], totals[scale][1:])), totals[scale]
     assert len(set(totals[6.0])) == 3  # the grid genuinely separates
@@ -244,10 +233,10 @@ def test_criterion_07_epsilon_ordering(toy_weights):
               "offline lock steps pointwise non-increasing on 12 frozen trajectories")
 
 
-def test_criterion_08_hybrid_trend(toy_weights):
+def test_criterion_08_hybrid_trend(toy_config, toy_weights):
     """Combining selection with locking beats either alone on matched seeds."""
     for seed in (0, 1, 2):
-        prompt = random_prompt(TOY, 16, seed)
+        prompt = random_prompt(toy_config, 16, seed)
         policy = LockPolicy(epsilon=5e-2, hybrid_fraction=0.8)
         totals = {}
         for mode in ("surelock", "selection", "hybrid"):
@@ -312,7 +301,7 @@ def test_criterion_09_unlock_protocol():
               "and standard-subgraph recomputation all verified")
 
 
-def test_criterion_10_constants(toy_weights):
+def test_criterion_10_constants(toy_config, toy_weights):
     """Constants: the exact softmax Jacobian sup and a sampled check of it,
     embedding gain, operator norms, and the composed block/network gains."""
     assert SOFTMAX_JACOBIAN_SUP == 0.5
@@ -339,7 +328,7 @@ def test_criterion_10_constants(toy_weights):
         hand = (1.0 + entry["attention_gain"] * ln) * (1.0 + entry["ffn_gain"] * ln)
         assert abs(entry["block_gain"] - hand) <= 1e-12
     blk = max(e["block_gain"] for e in rep.per_layer)
-    assert abs(rep.network_gain - rep.head_norm * blk**TOY.n_layers) <= 1e-9
+    assert abs(rep.network_gain - rep.head_norm * blk**toy_config.n_layers) <= 1e-9
     assert abs(rep.overall_gain - rep.network_gain * rep.embedding_gain) <= 1e-9
     report(10, f"softmax Jacobian sup exactly 0.5, sampled {sup:.6f}; embedding gain sqrt(2); "
                "spectral norms equal SVD exactly; compositions match by hand")

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surelock import (
-    LockPolicy,
     ModelConfig,
     RunConfig,
     analysis,
@@ -41,7 +40,7 @@ from surelock.analysis import (
 from surelock.cli import random_prompt
 from surelock.errors import InvalidInputError
 from surelock.flops import GemmCounter
-from surelock.kernels import LAYERNORM_EPS, LOG_SOFTMAX_LIPSCHITZ, row_norms
+from surelock.kernels import LAYERNORM_EPS, LOG_SOFTMAX_LIPSCHITZ
 from surelock.prng import normals
 
 DATA = Path(__file__).parent / "data"
@@ -72,7 +71,7 @@ def traj_from_kl_series(kl_series, v=6):
     return Trajectory.from_logits(np.stack(logits))
 
 
-class TestEstimateContraction:
+class TestReportedContraction:
     """The contraction ``check_lock_bound`` reports; at epsilon infinity the
     lock step is 2."""
 
@@ -128,17 +127,6 @@ class TestEstimateSmoothness:
         traj = traj_from_kl_series([0.1])
         with pytest.raises(InvalidInputError, match="no tail steps after lock step 2"):
             estimate_smoothness(traj, 2)
-
-
-def test_row_norms_match_linalg_norm_bit_for_bit():
-    """The smoothness estimate's batched row dot equals np.linalg.norm on
-    each 1-D row exactly, including rows taken from a strided history."""
-    rng = np.random.default_rng(17)
-    for v in (1, 2, 3, 7, 16, 64, 255, 256, 1000):
-        history = rng.normal(size=(12, 3, v)) * rng.choice([1e-9, 1.0, 1e6], size=(12, 3, 1))
-        diff = history[1:, 1, :] - history[:-1, 1, :]
-        want = np.array([np.linalg.norm(row) for row in diff])
-        assert row_norms(diff).tobytes() == want.tobytes()
 
 
 class TestTailGain:
@@ -301,12 +289,6 @@ class TestSimulateTrajectory:
         for vocab, steps in ((MAX_TRAJECTORY_LOGITS // 4 + 1, 4), (0, 10), (-4, 10), (8, 10**23)):
             with pytest.raises(InvalidInputError):
                 simulate_trajectories([0], vocab, steps, 0.5, 0.1)
-
-
-@pytest.fixture(scope="module")
-def small_model():
-    cfg = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=32)
-    return cfg, init_weights(cfg, 31)
 
 
 class TestSamplerTraceBound:
@@ -600,36 +582,11 @@ class TestConstants:
             lipschitz_constants(w, input_radius=0.0)
 
 
-def mean_step_kl_curve(trace):
-    """Each step's mean finite step KL over computed unmasked rows, the
-    trace's ``mean_D``; the first step, where every KL is infinite, has none."""
-    return [(rec.t, rec.mean_step_kl) for rec in trace if rec.mean_step_kl is not None]
-
-
-class TestStepwiseKLCurve:
-    def test_zero_weight_curve_is_zero_from_step_two(self, small_model):
-        cfg, w = small_model
-        run = RunConfig(n_prompt=4, n_gen=8, steps=8, mode="surelock", seed=4,
-                        policy=LockPolicy(epsilon=1e-6))
-        res = run_sampler(run, w.scaled(0.0), random_prompt(cfg, 4, 1))
-        curve = mean_step_kl_curve(res.trace)
-        assert curve[0][0] == 2
-        assert all(v == 0.0 for _, v in curve)
-
-    def test_baseline_curve_covers_steps_from_two(self, small_model):
-        cfg, w = small_model
-        run = RunConfig(n_prompt=4, n_gen=8, steps=8, mode="baseline", seed=4)
-        res = run_sampler(run, w, random_prompt(cfg, 4, 1))
-        curve = mean_step_kl_curve(res.trace)
-        assert [t for t, _ in curve] == list(range(2, 9))
-        assert all(np.isfinite(v) and v >= 0 for _, v in curve)
-
-
 # ---------------------------------------------------------------------------
 # step-at-a-time reference for the lock-bound check
 
 
-def reference_estimate_contraction(traj, lock_step):
+def reference_contraction(traj, lock_step):
     """Loop reference for the contraction ``check_lock_bound`` reports."""
     ratios = []
     skipped = 0
@@ -695,7 +652,7 @@ def reference_check_lock_bound(traj, logits, epsilon):
     if lock_step == traj.n_steps:
         return BoundReport(status="ok", lock_step=lock_step, lock_kl=lock_kl, contraction=0.0,
                            smoothness=0.0, gain=0.0, lhs=lhs, rhs=0.0, holds=True, **where)
-    rho = reference_estimate_contraction(traj, lock_step)
+    rho = reference_contraction(traj, lock_step)
     lsm = reference_estimate_smoothness(traj, logits, lock_step)
     if not rho < 1.0:
         return BoundReport(status="inapplicable", lock_step=lock_step, lock_kl=lock_kl,
@@ -787,7 +744,7 @@ def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions,
         # epsilon infinity and has the same tail KLs
         tail = Trajectory.from_logits(z[lock_step - 2 :])
         contraction = check_lock_bound(tail, np.inf).contraction
-        assert repr(contraction) == repr(reference_estimate_contraction(traj, lock_step))
+        assert repr(contraction) == repr(reference_contraction(traj, lock_step))
         assert repr(estimate_smoothness(traj, lock_step)) == repr(reference_estimate_smoothness(traj, z, lock_step))
 
 

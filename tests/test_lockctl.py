@@ -305,7 +305,7 @@ class TestProbeUnlock:
         assert [e.position for e in released] == rows
 
     @pytest.mark.parametrize("scale", [1.0, 30.0])
-    def test_probe_diagnostics_are_per_row_and_match_the_scalar_formula(self, scale):
+    def test_release_events_are_per_row_and_match_the_scalar_formula(self, scale):
         """The probe scores all rows at once; each released row's event
         carries 1 - exp(max) of its proxy log-posterior as its uncertainty,
         and its drift, bit for bit. Scaled weights give peaked posteriors,

@@ -225,14 +225,6 @@ def test_select_compute_rows_matches_reference(n, levels, fraction, seed):
     np.testing.assert_array_equal(select_compute_rows(active, last_step_kl, fraction), want)
 
 
-@pytest.fixture(scope="module")
-def toy():
-    cfg = ModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2, d_ff=64, max_seq=64)
-    w = init_weights(cfg, 1234)
-    prompt = random_prompt(cfg, 16, 99)
-    return cfg, w, prompt
-
-
 def toy_run(mode="baseline", seed=3, policy=None, **kw):
     policy = policy or LockPolicy(epsilon=5e-2, hybrid_fraction=0.8)
     args = dict(n_prompt=16, n_gen=16, steps=16, mode=mode, seed=seed, policy=policy)
@@ -241,21 +233,21 @@ def toy_run(mode="baseline", seed=3, policy=None, **kw):
 
 
 class TestRunSampler:
-    def test_baseline_deterministic(self, toy):
-        _, w, prompt = toy
+    def test_baseline_deterministic(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         r1 = run_sampler(toy_run(), w, prompt)
         r2 = run_sampler(toy_run(), w, prompt)
         assert np.array_equal(r1.tokens, r2.tokens)
 
-    def test_all_positions_unmasked_after_run(self, toy):
-        _, w, prompt = toy
+    def test_all_positions_unmasked_after_run(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run(), w, prompt)
         assert sum(len(r.newly_unmasked) for r in res.trace) == 16
         assert np.all(res.tokens < 32)
 
-    def test_unsatisfiable_epsilon_equals_baseline(self, toy):
+    def test_unsatisfiable_epsilon_equals_baseline(self, toy_weights, toy_prompt):
         """Lock test that can never fire leaves the trace element-wise equal."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         base = run_sampler(toy_run("baseline"), w, prompt, record_trajectories=True)
         locked = run_sampler(
             toy_run("surelock", policy=LockPolicy(epsilon=-1.0)), w, prompt, record_trajectories=True
@@ -270,8 +262,8 @@ class TestRunSampler:
             assert rb.flops_actual == rl.flops_actual
             assert rl.newly_locked == []
 
-    def test_surelock_monotone_trace(self, toy):
-        _, w, prompt = toy
+    def test_surelock_monotone_trace(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run("surelock"), w, prompt)
         m = [r.active_rows for r in res.trace]
         assert all(b <= a for a, b in zip(m, m[1:]))
@@ -285,9 +277,9 @@ class TestRunSampler:
             locked |= set(rec.newly_locked)
         assert len(locked) == len(set(e.position for e in res.events))
 
-    def test_locked_posterior_frozen(self, toy):
+    def test_locked_posterior_frozen(self, toy_weights, toy_prompt):
         """A locked position reports the same log-posterior ever after."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run("surelock"), w, prompt, record_trajectories=True)
         lock_step = {e.position: e.step for e in res.events if e.kind == "lock"}
         assert lock_step, "expected at least one lock in this configuration"
@@ -296,10 +288,10 @@ class TestRunSampler:
             for t in range(t_star, len(res.trace) + 1):
                 np.testing.assert_array_equal(res.history[t - 1, pos], frozen)
 
-    def test_lock_is_a_read_only_view_of_lock_step(self, toy):
+    def test_lock_is_a_read_only_view_of_lock_step(self, toy_weights, toy_prompt):
         """``lock`` is derived from ``lock_step``, so a write into it raises
         instead of being silently dropped."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         run = toy_run("surelock")
         state = sampler.SamplerState.fresh(run, w, prompt)
         for k_t in unmask_schedule(run.n_gen, run.steps)[:4]:
@@ -312,19 +304,19 @@ class TestRunSampler:
             state.lock[:] = False
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    def test_non_finite_logits_raise_invariant_error(self, toy):
+    def test_non_finite_logits_raise_invariant_error(self, toy_weights, toy_prompt):
         """Overflowing weights stop the run at the first step, with an error
         the CLI maps to exit 3, instead of sampling from NaN posteriors."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         with pytest.raises(InvalidStateError, match="step 1: the forward produced non-finite logits"):
             run_sampler(toy_run("surelock"), w.scaled(1e80), prompt)
 
     @pytest.mark.parametrize("mode", ["baseline", "hybrid"])
-    def test_history_is_each_steps_reported_posterior(self, toy, monkeypatch, mode):
+    def test_history_is_each_steps_reported_posterior(self, toy_weights, toy_prompt, monkeypatch, mode):
         """history[t, i] is the run's log_post after step t + 1, recorded here
         independently by wrapping ``step``; each position's trajectory is one
         contiguous block of the history."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         seen = []
         original_step = sampler.step
 
@@ -343,9 +335,9 @@ class TestRunSampler:
         for i in range(32):
             assert res.history[:, i].flags.c_contiguous
 
-    def test_step_kl_matches_raw_history(self, toy):
+    def test_step_kl_matches_raw_history(self, toy_weights, toy_prompt):
         """Recorded step KLs are KLs of the raw reported posteriors."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run("baseline", temperature=0.9), w, prompt, record_trajectories=True)
         for t in range(2, len(res.trace) + 1):
             rec = res.trace[t - 1]
@@ -354,12 +346,12 @@ class TestRunSampler:
             np.testing.assert_allclose(rec.step_kl[pos], want, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["selection", "hybrid"])
-    def test_step_arrays_are_nan_exactly_off_the_computed_rows(self, toy, mode):
+    def test_step_arrays_are_nan_exactly_off_the_computed_rows(self, toy_weights, toy_prompt, mode):
         """Every per-position quantity is one (N,) array: a step record's KLs
         and uncertainties are set on the C_t rows it computed and NaN
         elsewhere, each lock event carries its step record's values at its
         position, and no state or record field is a dict or set."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         run = toy_run(mode, policy=LockPolicy(epsilon=5e-2, hybrid_fraction=0.5))
         state = sampler.SamplerState.fresh(run, w, prompt)
         skipped_rows = 0
@@ -383,18 +375,18 @@ class TestRunSampler:
             assert (event.step_kl, event.uncertainty) == (rec.step_kl[event.position], rec.uncert[event.position])
         assert bool(state.events) == (mode == "hybrid")
 
-    def test_temperature_does_not_move_lock_steps(self, toy):
+    def test_temperature_does_not_move_lock_steps(self, toy_weights, toy_prompt):
         """With every masked posterior peaked the same way, lock decisions
         depend only on raw posteriors (draws coincide with argmax here)."""
-        _, w, prompt = toy
+        w, prompt = toy_weights, toy_prompt
         cold = run_sampler(toy_run("surelock", temperature=0.0), w, prompt)
         hot = run_sampler(toy_run("surelock", temperature=1e-9), w, prompt)
         # a near-zero temperature draw is argmax with probability ~1
         assert [e.position for e in cold.events] == [e.position for e in hot.events]
         assert [e.step for e in cold.events] == [e.step for e in hot.events]
 
-    def test_zero_weight_locks_at_first_eligible_step(self, toy):
-        _, w, prompt = toy
+    def test_zero_weight_locks_at_first_eligible_step(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(
             toy_run("surelock", policy=LockPolicy(epsilon=1e-6)), w.scaled(0.0), prompt
         )
@@ -408,23 +400,23 @@ class TestRunSampler:
             first_eligible = max(2, unmask_step.get(pos, 1))
             assert lock_step[pos] == first_eligible
 
-    def test_hybrid_total_beats_both_components(self, toy):
-        _, w, prompt = toy
+    def test_hybrid_total_beats_both_components(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         totals = {}
         for mode in ("surelock", "selection", "hybrid"):
             totals[mode] = run_sampler(toy_run(mode), w, prompt).total_flops_actual
         assert totals["hybrid"] < totals["selection"]
         assert totals["hybrid"] < totals["surelock"]
 
-    def test_selection_fraction_exact_after_first_step(self, toy):
-        _, w, prompt = toy
+    def test_selection_fraction_exact_after_first_step(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run("selection"), w, prompt)
         assert res.trace[0].computed_rows == 32  # nothing to reuse yet
         for rec in res.trace[1:]:
             assert rec.computed_rows == math.ceil(0.8 * rec.active_rows)
 
-    def test_blocks_fill_left_to_right(self, toy):
-        _, w, prompt = toy
+    def test_blocks_fill_left_to_right(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run(block_length=8), w, prompt)
         first_block_done = max(
             rec.t for rec in res.trace if any(p < 24 for p in rec.newly_unmasked)
@@ -445,31 +437,31 @@ class TestRunSampler:
         with pytest.raises(ConfigError):
             toy_run("selection", policy=LockPolicy(epsilon=5e-2))
 
-    def test_prompt_validation(self, toy):
-        cfg, w, _ = toy
+    def test_prompt_validation(self, toy_config, toy_weights):
+        cfg, w = toy_config, toy_weights
         with pytest.raises(InvalidInputError):
             run_sampler(toy_run(), w, np.full(16, cfg.mask_id))
         with pytest.raises(InvalidInputError):
             run_sampler(toy_run(), w, np.arange(3))
 
-    def test_total_flops_is_sum_of_steps(self, toy):
-        _, w, prompt = toy
+    def test_total_flops_is_sum_of_steps(self, toy_weights, toy_prompt):
+        w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run("surelock"), w, prompt)
         assert res.total_flops_actual == sum(r.flops_actual for r in res.trace)
         assert res.total_flops_base == sum(r.flops_base for r in res.trace)
 
-    def test_mask_id_is_never_committed(self, toy):
+    def test_mask_id_is_never_committed(self, toy_config, toy_weights, toy_prompt):
         """The mask id marks absorbing state; near-uniform posteriors must
         not leak it into the committed sequence."""
-        cfg, w, prompt = toy
+        cfg, w, prompt = toy_config, toy_weights, toy_prompt
         for seed in range(4):
             res = run_sampler(toy_run(seed=seed, temperature=1.3), w, prompt)
             assert cfg.mask_id not in res.tokens.tolist()
             for rec in res.trace:
                 assert cfg.mask_id not in rec.committed
 
-    def test_prompt_free_run(self, toy):
-        _, w, _ = toy
+    def test_prompt_free_run(self, toy_weights):
+        w = toy_weights
         run = toy_run(n_prompt=0, n_gen=16, steps=16)
         res = run_sampler(run, w, np.array([], dtype=np.int64))
         assert len(res.tokens) == 16
@@ -558,3 +550,28 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     res = run_sampler(run, w, random_prompt(cfg, n_prompt, seed), record_trajectories=True)
     assert res.trace[0].computed_rows == run.n_positions
     assert res.history_valid.all()
+
+
+def mean_step_kl_curve(trace):
+    """Each step's mean finite step KL over computed unmasked rows, the
+    trace's ``mean_D``; the first step, where every KL is infinite, has none."""
+    return [(rec.t, rec.mean_step_kl) for rec in trace if rec.mean_step_kl is not None]
+
+
+class TestStepwiseKLCurve:
+    def test_zero_weight_curve_is_zero_from_step_two(self, small_model):
+        cfg, w = small_model
+        run = RunConfig(n_prompt=4, n_gen=8, steps=8, mode="surelock", seed=4,
+                        policy=LockPolicy(epsilon=1e-6))
+        res = run_sampler(run, w.scaled(0.0), random_prompt(cfg, 4, 1))
+        curve = mean_step_kl_curve(res.trace)
+        assert curve[0][0] == 2
+        assert all(v == 0.0 for _, v in curve)
+
+    def test_baseline_curve_covers_steps_from_two(self, small_model):
+        cfg, w = small_model
+        run = RunConfig(n_prompt=4, n_gen=8, steps=8, mode="baseline", seed=4)
+        res = run_sampler(run, w, random_prompt(cfg, 4, 1))
+        curve = mean_step_kl_curve(res.trace)
+        assert [t for t, _ in curve] == list(range(2, 9))
+        assert all(np.isfinite(v) and v >= 0 for _, v in curve)
