@@ -173,8 +173,6 @@ def run_cli(argv, doc=None, weights=None, err=None) -> int:
             return exc.code
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning",
-                            "ignore:divide by zero:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(CONFIG_COMMANDS), doc=config_documents())
 def test_malformed_config_keeps_the_exit_code_contract(command, doc):
@@ -194,8 +192,6 @@ def command_lines(draw):
     return argv
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning",
-                            "ignore:divide by zero:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(argv=command_lines())
 # simulate's sizes once ended in tracebacks: an empty or negative vocabulary,

@@ -137,6 +137,7 @@ def test_layernorm_refuses_an_overflowing_variance():
         kernels.layernorm_rows(np.array([[1e160, -1e160, 3e159, 0.0]]), np.ones(4), np.full(4, 0.25))
 
 
+# the inf input makes ``x - mean`` compute inf - inf, which warns by construction
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_layernorm_of_a_non_finite_row_is_nan():
     """A non-finite input has a NaN variance, not +inf: it yields NaN, which

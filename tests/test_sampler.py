@@ -303,7 +303,6 @@ class TestRunSampler:
         with pytest.raises(ValueError):
             state.lock[:] = False
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_logits_raise_invariant_error(self, toy_weights, toy_prompt):
         """Overflowing weights stop the run at the first step, with an error
         the CLI maps to exit 3, instead of sampling from NaN posteriors."""
