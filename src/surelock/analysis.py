@@ -382,7 +382,8 @@ def lipschitz_constants(
     A layer computes ``x += MHA(LN1 x)`` and then ``x += FFN(LN2 x)``, each with
     a residual, so its gain composes as ``(1 + mha * ln) * (1 + ffn * ln)`` with
     ``ln`` the larger of its two layer-norm gains. A report with a field
-    that overflowed or is not finite raises ``InvalidStateError``.
+    that overflowed or is not finite, or a gain that underflowed to 0.0,
+    raises ``InvalidStateError``.
     """
     if not 0.0 < input_radius < math.inf:
         raise InvalidInputError(f"input_radius must be positive and finite, got {input_radius}")
@@ -440,6 +441,19 @@ def lipschitz_constants(
     bad = [name for name, v in fields.items() if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise InvalidStateError(f"constants report is not finite in {', '.join(bad)}")
+    # The attention, FFN and overall gains multiply norms, and a norm is 0.0
+    # only for a zero matrix, so such a gain is positive unless a matrix it
+    # multiplies is zero; a 0.0 where it must be positive underflowed. Every
+    # other field is a norm times a factor of at least 1.
+    positive = {"overall_gain": w.embedding.any() and w.head.any()}
+    for li, layer in enumerate(w.layers):
+        positive[f"per_layer[{li}].attention_gain"] = layer.wo.any() and layer.wv.any()
+        positive[f"per_layer[{li}].ffn_gain"] = layer.w_down.any() and layer.w_up.any() and layer.w_gate.any()
+    for name in ("attention_gain", "ffn_gain"):
+        positive[name] = any(positive[f"per_layer[{li}].{name}"] for li in range(cfg.n_layers))
+    underflowed = [name for name in fields if positive.get(name) and fields[name] == 0.0]
+    if underflowed:
+        raise InvalidStateError(f"constants report underflows to 0.0 in {', '.join(underflowed)}")
     return report
 
 

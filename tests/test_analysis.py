@@ -581,6 +581,17 @@ class TestConstants:
         with pytest.raises(InvalidInputError):
             lipschitz_constants(w, input_radius=0.0)
 
+    def test_a_zero_matrix_gives_a_zero_gain(self, small_model):
+        """A gain that multiplies a zero matrix is exactly 0.0, not an
+        underflow, so the report keeps it."""
+        _, w = small_model
+        w = w.scaled(1.0)  # a copy
+        w.layers[0].wo = np.zeros_like(w.layers[0].wo)
+        w.layers[1].w_gate = np.zeros_like(w.layers[1].w_gate)
+        rep = lipschitz_constants(w, input_radius=1.0)
+        assert rep.per_layer[0]["attention_gain"] == rep.per_layer[1]["ffn_gain"] == 0.0
+        assert rep.attention_gain > 0.0 and rep.ffn_gain > 0.0
+
 
 # ---------------------------------------------------------------------------
 # step-at-a-time reference for the lock-bound check

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from surelock import analysis, cli, errors
 from surelock.cli import main
-from surelock.kernels import SOFTMAX_JACOBIAN_SUP
+from surelock.kernels import SOFTMAX_JACOBIAN_SUP, spectral_norm
 from surelock.model import MAX_PARAMS, ModelConfig, init_weights, save_weights
 from surelock.sampler import MODES
 
@@ -680,28 +680,51 @@ class TestConstantsCommand:
         gives a report with small gains."""
         assert main(["constants", *flags]) == 0
 
-    @pytest.mark.parametrize("flags", [["--weight-scale", "1e-300"], ["--radius", "1e-200"]],
-                             ids=["weight-scale-1e-300", "radius-1e-200"])
-    def test_tiny_ball_gives_finite_gains_without_warning(self, tmp_path, recwarn, flags):
-        """Weights or a radius so small that squares underflow give finite
-        gains and no warning: column norms are taken on the matrix divided
-        by its largest entry, and spectral norms by a rescaling SVD."""
+    def test_tiny_radius_gives_finite_gains_without_warning(self, tmp_path, recwarn):
+        """A radius so small that squares underflow gives finite gains and no
+        warning: column norms are taken on the matrix divided by its largest
+        entry, and spectral norms by a rescaling SVD."""
         out = tmp_path / "constants.json"
-        assert main(["constants", *flags, "--out", str(out)]) == 0
+        assert main(["constants", "--radius", "1e-200", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert all(math.isfinite(doc[key]) for key in ("ffn_gain", "layernorm_gain", "overall_gain"))
         assert [str(w.message) for w in recwarn] == []
 
-    @pytest.mark.parametrize("scale", ["1e-150", "1e-200"])
-    def test_tiny_weights_keep_exact_norms(self, tmp_path, scale):
-        """A power iteration's squared iterates underflowed here (0.0 norms at
-        1e-200, NaN at 1e-150); the SVD rescales and keeps every norm."""
+    @pytest.mark.parametrize("flags,names", [
+        (["--weight-scale", "1e-300"], "attention_gain, ffn_gain, overall_gain, per_layer[0].attention_gain, "
+                                       "per_layer[0].ffn_gain, per_layer[1].attention_gain, per_layer[1].ffn_gain"),
+        (["--radius", "5e-324"], "ffn_gain, per_layer[0].ffn_gain, per_layer[1].ffn_gain"),
+    ], ids=["weight-scale-1e-300", "radius-5e-324"])
+    def test_underflowed_gain_is_invariant_violation(self, tmp_path, capsys, recwarn, flags, names):
+        """Every weight is non-zero, but a gain that multiplies two tiny norms,
+        or a norm and the radius, rounds to 0.0. The report would show a
+        positive bound as 0.0, so it is refused at exit 3, naming each such
+        gain, with no warning and no file."""
         out = tmp_path / "constants.json"
-        assert main(["constants", "--weight-scale", scale, "--radius", "1", "--out", str(out)]) == 0
+        assert main(["constants", *flags, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"invariant violation: constants report underflows to 0.0 in {names}\n"
+        assert [str(w.message) for w in recwarn] == []
+        assert not out.exists()
+
+    def test_zero_weights_give_zero_gains(self, tmp_path):
+        """With every weight zero, the gains are 0.0 exactly, not by underflow."""
+        out = tmp_path / "constants.json"
+        assert main(["constants", "--weight-scale", "0", "--radius", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
+        assert doc["attention_gain"] == doc["ffn_gain"] == doc["overall_gain"] == 0.0
+
+    @pytest.mark.parametrize("scale", ["1e-150", "1e-200"])
+    def test_tiny_weights_keep_exact_norms(self, capsys, scale):
+        """A power iteration's squared iterates underflowed here (0.0 norms at
+        1e-200, NaN at 1e-150); the SVD rescales and keeps every norm. Gains
+        that multiply two such norms underflow, so the report is refused
+        without naming a norm."""
+        assert main(["constants", "--weight-scale", scale, "--radius", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "underflows to 0.0 in" in err and "embedding_gain" not in err and "head_norm" not in err
         w = init_weights(ModelConfig(**cli.DEFAULT_MODEL), 1234).scaled(float(scale))
-        assert doc["embedding_gain"] == math.sqrt(2) * np.linalg.svd(w.embedding, compute_uv=False)[0] > 0.0
-        assert doc["head_norm"] == np.linalg.svd(w.head, compute_uv=False)[0] > 0.0
+        assert analysis.embedding_gain(w.embedding) == math.sqrt(2) * np.linalg.svd(w.embedding, compute_uv=False)[0] > 0.0
+        assert spectral_norm(w.head) == np.linalg.svd(w.head, compute_uv=False)[0] > 0.0
 
 
 class TestParserReuse:
