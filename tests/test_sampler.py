@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -536,7 +537,9 @@ def test_full_fraction_selection_matches_its_base_mode(n_kv_heads, temperature, 
 def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks, block_len, fraction, unlock,
                                        temperature, seed):
     """Step 1 computes all N rows in every mode, so from then on every row
-    has a posterior and stored K/V: the recorded validity is all True."""
+    has a posterior and stored K/V: the recorded validity is all True. The
+    GEMM counter equals the closed form on every step, and at fraction 1.0
+    selection is baseline and hybrid is surelock, run for run."""
     n_kv_heads = max(1, n_heads // group)
     cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv_heads,
                       d_ff=8, max_seq=32)
@@ -546,9 +549,14 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
                         epsilon_unlock=0.0, min_locked_duration=1, relock_cooldown=1)
     run = RunConfig(n_prompt=n_prompt, n_gen=n_gen, steps=n_gen, block_length=block_len, mode=mode,
                     temperature=temperature, seed=seed, policy=policy)
-    res = run_sampler(run, w, random_prompt(cfg, n_prompt, seed), record_trajectories=True)
+    prompt = random_prompt(cfg, n_prompt, seed)
+    res = run_sampler(run, w, prompt, record_trajectories=True)
     assert res.trace[0].computed_rows == run.n_positions
     assert res.history_valid.all()
+    assert res.counter_matches
+    if mode in ("selection", "hybrid") and fraction == 1.0:
+        base = dataclasses.replace(run, mode="baseline" if mode == "selection" else "surelock")
+        assert _run_outputs(res) == _run_outputs(run_sampler(base, w, prompt))
 
 
 def mean_step_kl_curve(trace):
