@@ -139,7 +139,7 @@ def apply_locks(state: "SamplerState", events: list[LockEvent], computed: np.nda
     to_lock = np.asarray([e.position for e in events], dtype=np.intp)
     for refused, why in (
         (state.lock[to_lock], "already locked"),
-        (state.mask_flags[to_lock], "still masked"),
+        (state.masked[to_lock], "still masked"),
         (~np.isin(to_lock, computed), "not computed this step"),
     ):
         if refused.any():
@@ -178,7 +178,7 @@ def probe_unlock(
     if rows.size == 0:
         return []
 
-    logits = forward_partial(w, state.tokens, state.mask_flags, rows, state.stale_view(), counter=counter)
+    logits = forward_partial(w, state.tokens, state.masked, rows, state.stale_view(), counter=counter)
     proxy_lp = kernels.log_softmax_rows(logits)
     drift = kl_from_log_probs_rows(proxy_lp, state.log_post[rows])
     proxy_u = uncertainty_rows(proxy_lp)

@@ -154,7 +154,7 @@ class SamplerState:
     quantity is one (N,) array indexed by position."""
 
     tokens: np.ndarray  # (N,) token ids; masked positions carry mask_id
-    mask_flags: np.ndarray  # (N,) bool, True while masked
+    unmask_step: np.ndarray  # (N,) int, the step a row was committed at; 0 for the prompt, -1 while masked
     lock_step: np.ndarray  # (N,) int, the step a locked row locked at; -1 when not locked
     kv: KVStore  # every row's last computed K/V, written by each forward (step 1 writes all rows)
     log_post: np.ndarray  # (N, V) latest reported log-posteriors
@@ -180,11 +180,11 @@ class SamplerState:
 
         tokens = np.full(n, cfg.mask_id, dtype=np.int64)
         tokens[: run.n_prompt] = prompt
-        mask_flags = np.zeros(n, dtype=bool)
-        mask_flags[run.n_prompt :] = True
+        unmask_step = np.zeros(n, dtype=np.int64)
+        unmask_step[run.n_prompt :] = -1
         return cls(
             tokens=tokens,
-            mask_flags=mask_flags,
+            unmask_step=unmask_step,
             lock_step=np.full(n, -1, dtype=np.int64),
             kv=KVStore.empty(cfg, n),
             log_post=np.full((n, cfg.vocab_size), np.nan),
@@ -197,6 +197,13 @@ class SamplerState:
     @property
     def n(self) -> int:
         return len(self.tokens)
+
+    @property
+    def masked(self) -> np.ndarray:
+        """(N,) bool, True while masked: a read-only view of ``unmask_step``."""
+        masked = self.unmask_step < 0
+        masked.flags.writeable = False
+        return masked
 
     @property
     def lock(self) -> np.ndarray:
@@ -229,7 +236,6 @@ class StepRecord:
     """Everything observed during one diffusion step."""
 
     t: int
-    n_positions: int
     active_rows: int  # M_t: non-locked positions at step start
     computed_rows: int  # C_t: rows actually pushed through the model
     flops_base: int
@@ -238,7 +244,6 @@ class StepRecord:
     head_flops: int
     probe_flops: int
     newly_unmasked: list[int]
-    committed: list[int]  # the token committed at each of newly_unmasked
     newly_locked: list[int]
     newly_unlocked: list[int]
     step_kl: np.ndarray  # (N,) this step's KL per position; NaN on rows not computed
@@ -275,7 +280,7 @@ def step(
     # to reuse for any row; at fraction 1 the rule returns ``active`` itself
     computed = active if t == 1 else select_compute_rows(active, state.last_step_kl, fraction)
 
-    logits = forward_partial(w, state.tokens, state.mask_flags, computed, state.kv, counter=counter)
+    logits = forward_partial(w, state.tokens, state.masked, computed, state.kv, counter=counter)
     if not np.isfinite(logits).all():
         raise InvalidStateError(f"step {t}: the forward produced non-finite logits")
     lp = kernels.log_softmax_rows(logits)
@@ -293,15 +298,15 @@ def step(
     state.last_step_kl[computed] = kl_vals
 
     newly_unmasked, committed = update_mask(
-        state.log_post, state.mask_flags, k_t, block,
+        state.log_post, state.masked, k_t, block,
         run.temperature, state.rng, mask_id=cfg.mask_id,
     )
     state.tokens[newly_unmasked] = committed
-    state.mask_flags[newly_unmasked] = False
+    state.unmask_step[newly_unmasked] = t
 
     locked: list[LockEvent] = []
     if run.mode in LOCKING_MODES:
-        candidates = computed[~state.mask_flags[computed]]
+        candidates = computed[~state.masked[computed]]
         locked = evaluate_locks(
             candidates, step_kl, uncert, policy,
             t=t, cooldown_until=state.cooldown_until,
@@ -318,12 +323,11 @@ def step(
     f_actual = active_step_flops(cfg, n, int(computed.size))
 
     # summed in ascending position order, which the trace bytes depend on
-    finite_unmasked = kl_vals[~state.mask_flags[computed] & np.isfinite(kl_vals)]
+    finite_unmasked = kl_vals[~state.masked[computed] & np.isfinite(kl_vals)]
     mean_kl = float(np.mean(finite_unmasked)) if finite_unmasked.size else None
 
     return StepRecord(
         t=t,
-        n_positions=n,
         active_rows=m_t,
         computed_rows=int(computed.size),
         flops_base=f_base,
@@ -332,7 +336,6 @@ def step(
         head_flops=counter.head_flops,
         probe_flops=probe_counter.flops,
         newly_unmasked=newly_unmasked,
-        committed=committed,
         newly_locked=[e.position for e in locked],
         newly_unlocked=[e.position for e in unlocked],
         step_kl=step_kl,
@@ -348,6 +351,7 @@ class RunResult:
     the run's one per-step ledger."""
 
     tokens: np.ndarray
+    unmask_step: np.ndarray  # (N,) the step each position was committed at; 0 for the prompt
     trace: list[StepRecord]
     events: list[LockEvent]
     wall_seconds: float
@@ -380,12 +384,12 @@ class RunResult:
     @property
     def active_ratio(self) -> float:
         """Micro-average of M_t / N over steps."""
-        return sum(r.active_rows for r in self.trace) / sum(r.n_positions for r in self.trace)
+        return sum(r.active_rows for r in self.trace) / (len(self.trace) * len(self.tokens))
 
     @property
     def computed_ratio(self) -> float:
         """Micro-average of C_t / N over steps."""
-        return sum(r.computed_rows for r in self.trace) / sum(r.n_positions for r in self.trace)
+        return sum(r.computed_rows for r in self.trace) / (len(self.trace) * len(self.tokens))
 
     @property
     def counter_matches(self) -> bool:
@@ -439,11 +443,12 @@ def run_sampler(
                 history_valid[state.t - 1] = state.kv.valid
     wall = time.perf_counter() - t_start
 
-    if np.any(state.mask_flags):
+    if state.masked.any():
         raise InvalidStateError("schedule finished with masked positions remaining")
 
     return RunResult(
         tokens=state.tokens.copy(),
+        unmask_step=state.unmask_step.copy(),
         trace=records,
         events=list(state.events),
         wall_seconds=wall,

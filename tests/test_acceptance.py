@@ -184,14 +184,10 @@ def test_criterion_06_degenerate_lock_everything(toy_config, toy_weights):
     """Zero weights: posteriors constant, so everything locks immediately."""
     run = RunConfig(mode="surelock", seed=3, policy=LockPolicy(epsilon=1e-6), **TOY_RUN)
     res = run_sampler(run, toy_weights.scaled(0.0), random_prompt(toy_config, 16, 3))
-    unmask_step = {}
-    for rec in res.trace:
-        for p in rec.newly_unmasked:
-            unmask_step[p] = rec.t
     lock_step = {e.position: e.step for e in res.events if e.kind == "lock"}
     assert len(lock_step) == 32
     for pos in range(32):
-        assert lock_step[pos] == max(2, unmask_step.get(pos, 1)), pos
+        assert lock_step[pos] == max(2, res.unmask_step[pos]), pos
     # structural floor: from step 3 on, only still-masked rows remain active
     n = 32
     for rec in res.trace:
@@ -289,7 +285,7 @@ def test_criterion_09_unlock_protocol():
     snapshot = copy.deepcopy(state)
     step(state, run, w, 1, (4, 12))
     active = np.flatnonzero(~snapshot.lock)
-    ref = forward_partial(w, snapshot.tokens, snapshot.mask_flags, active, snapshot.kv)
+    ref = forward_partial(w, snapshot.tokens, snapshot.masked, active, snapshot.kv)
     from surelock.kernels import log_softmax_rows
 
     want = log_softmax_rows(ref)[list(active).index(pos)]

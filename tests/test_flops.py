@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler

@@ -71,14 +71,12 @@ def test_random_configuration_invariants(case):
     assert cfg.mask_id not in res.tokens.tolist()
     assert res.total_flops_actual <= res.total_flops_base
 
-    unmasked = set(range(run.n_prompt))
     locked = set()
     for rec in res.trace:
         assert 0 <= rec.computed_rows <= rec.active_rows <= run.n_positions
         assert rec.flops_actual <= rec.flops_base
-        unmasked |= set(rec.newly_unmasked)
         for p in rec.newly_locked:
-            assert p in unmasked and p not in locked
+            assert res.unmask_step[p] <= rec.t and p not in locked
             locked.add(p)
         for p in rec.newly_unlocked:
             assert p in locked

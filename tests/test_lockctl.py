@@ -210,7 +210,7 @@ class TestApplyLocks:
     def test_masked_lock_raises(self):
         policy = LockPolicy(epsilon=-1.0)
         state, records = drive(surelock_run(policy), n_steps=2)
-        masked_pos = int(np.flatnonzero(state.mask_flags)[0])
+        masked_pos = int(np.flatnonzero(state.masked)[0])
         with pytest.raises(InvalidStateError):
             apply_locks(state, passing_lock_events(state, [masked_pos]), np.array([masked_pos]))
 
@@ -317,7 +317,7 @@ class TestProbeUnlock:
         # every clause passes on every probed row, so each gets an event
         releases_all = LockPolicy(unlock_enabled=True, epsilon_unlock=-1.0, min_locked_duration=1)
         events = probe_unlock(state, w, releases_all, gate_threshold=-1.0, rows=rows[1:])
-        proxy = forward_partial(w, state.tokens, state.mask_flags, rows[1:], state.stale_view())
+        proxy = forward_partial(w, state.tokens, state.masked, rows[1:], state.stale_view())
         proxy_lp = log_softmax_rows(proxy)
         want = [float(1.0 - np.exp(np.max(row))) for row in proxy_lp]
         assert [e.position for e in events] == rows[1:].tolist()
@@ -381,7 +381,7 @@ class TestProbeUnlock:
 
         active = np.flatnonzero(~snapshot.lock)
         ref = forward_partial(
-            W, snapshot.tokens, snapshot.mask_flags, active, snapshot.kv
+            W, snapshot.tokens, snapshot.masked, active, snapshot.kv
         )
         want = log_softmax_rows(ref)[list(active).index(pos)]
         np.testing.assert_array_equal(state.log_post[pos], want)

@@ -257,7 +257,7 @@ class TestRunSampler:
         assert np.array_equal(base.history, locked.history)
         for rb, rl in zip(base.trace, locked.trace):
             assert rb.newly_unmasked == rl.newly_unmasked
-            assert rb.committed == rl.committed
+            assert np.array_equal(base.tokens[rb.newly_unmasked], locked.tokens[rl.newly_unmasked])
             np.testing.assert_array_equal(rb.step_kl, rl.step_kl)
             np.testing.assert_array_equal(rb.uncert, rl.uncert)
             assert rb.flops_actual == rl.flops_actual
@@ -269,12 +269,10 @@ class TestRunSampler:
         m = [r.active_rows for r in res.trace]
         assert all(b <= a for a, b in zip(m, m[1:]))
         locked = set()
-        unmasked = set(range(16))  # prompt
         for rec in res.trace:
-            unmasked |= set(rec.newly_unmasked)
             for p in rec.newly_locked:
                 assert p not in locked
-                assert p in unmasked  # locked positions are unmasked or prompt
+                assert res.unmask_step[p] <= rec.t  # locked positions are unmasked or prompt
             locked |= set(rec.newly_locked)
         assert len(locked) == len(set(e.position for e in res.events))
 
@@ -290,8 +288,9 @@ class TestRunSampler:
                 np.testing.assert_array_equal(res.history[t - 1, pos], frozen)
 
     def test_lock_is_a_read_only_view_of_lock_step(self, toy_weights, toy_prompt):
-        """``lock`` is derived from ``lock_step``, so a write into it raises
-        instead of being silently dropped."""
+        """``lock`` is derived from ``lock_step``, and ``masked`` from
+        ``unmask_step``, so a write into either raises instead of being
+        silently dropped."""
         w, prompt = toy_weights, toy_prompt
         run = toy_run("surelock")
         state = sampler.SamplerState.fresh(run, w, prompt)
@@ -303,6 +302,12 @@ class TestRunSampler:
             state.lock[0] = True
         with pytest.raises(ValueError):
             state.lock[:] = False
+        assert state.masked.any() and not state.masked.all()
+        np.testing.assert_array_equal(state.masked, state.unmask_step < 0)
+        with pytest.raises(ValueError):
+            state.masked[0] = True
+        with pytest.raises(ValueError):
+            state.masked[:] = False
 
     def test_non_finite_logits_raise_invariant_error(self, toy_weights, toy_prompt):
         """Overflowing weights stop the run at the first step, with an error
@@ -315,13 +320,15 @@ class TestRunSampler:
     def test_history_is_each_steps_reported_posterior(self, toy_weights, toy_prompt, monkeypatch, mode):
         """history[t, i] is the run's log_post after step t + 1, recorded here
         independently by wrapping ``step``; each position's trajectory is one
-        contiguous block of the history."""
+        contiguous block of the history. After every step, a position is
+        masked exactly when it carries the mask id."""
         w, prompt = toy_weights, toy_prompt
         seen = []
         original_step = sampler.step
 
         def recording_step(state, *args, **kwargs):
             rec = original_step(state, *args, **kwargs)
+            np.testing.assert_array_equal(state.masked, state.tokens == w.config.mask_id)
             seen.append((state.log_post.copy(), state.kv.valid.copy()))
             return rec
 
@@ -390,14 +397,10 @@ class TestRunSampler:
         res = run_sampler(
             toy_run("surelock", policy=LockPolicy(epsilon=1e-6)), w.scaled(0.0), prompt
         )
-        unmask_step = {}
-        for rec in res.trace:
-            for p in rec.newly_unmasked:
-                unmask_step[p] = rec.t
         lock_step = {e.position: e.step for e in res.events if e.kind == "lock"}
         assert len(lock_step) == 32
         for pos in range(32):
-            first_eligible = max(2, unmask_step.get(pos, 1))
+            first_eligible = max(2, res.unmask_step[pos])
             assert lock_step[pos] == first_eligible
 
     def test_hybrid_total_beats_both_components(self, toy_weights, toy_prompt):
@@ -458,7 +461,7 @@ class TestRunSampler:
             res = run_sampler(toy_run(seed=seed, temperature=1.3), w, prompt)
             assert cfg.mask_id not in res.tokens.tolist()
             for rec in res.trace:
-                assert cfg.mask_id not in rec.committed
+                assert cfg.mask_id not in res.tokens[rec.newly_unmasked].tolist()
 
     def test_prompt_free_run(self, toy_weights):
         w = toy_weights
@@ -496,11 +499,11 @@ class TestRunSampler:
 
 def _run_outputs(result):
     """The inputs of a run digest: tokens, lock events and, per step, the
-    computed row count, step KLs and committed tokens."""
+    computed row count, step KLs and committed positions."""
     return (
         result.tokens.tolist(),
         repr(result.events),
-        [(rec.computed_rows, rec.step_kl.tobytes(), rec.committed) for rec in result.trace],
+        [(rec.computed_rows, rec.step_kl.tobytes(), rec.newly_unmasked) for rec in result.trace],
     )
 
 
@@ -539,7 +542,9 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     """Step 1 computes all N rows in every mode, so from then on every row
     has a posterior and stored K/V: the recorded validity is all True. The
     GEMM counter equals the closed form on every step, and at fraction 1.0
-    selection is baseline and hybrid is surelock, run for run."""
+    selection is baseline and hybrid is surelock, run for run. Each
+    position's commit step is the step whose record unmasked it (0 for the
+    prompt), none is left masked, and no lock comes before its commit."""
     n_kv_heads = max(1, n_heads // group)
     cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv_heads,
                       d_ff=8, max_seq=32)
@@ -554,6 +559,12 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     assert res.trace[0].computed_rows == run.n_positions
     assert res.history_valid.all()
     assert res.counter_matches
+    want = np.zeros(run.n_positions, dtype=np.int64)
+    for rec in res.trace:
+        want[rec.newly_unmasked] = rec.t
+    np.testing.assert_array_equal(res.unmask_step, want)
+    assert (res.unmask_step >= 0).all()
+    assert all(e.step >= res.unmask_step[e.position] for e in res.events if e.kind != "unlock")
     if mode in ("selection", "hybrid") and fraction == 1.0:
         base = dataclasses.replace(run, mode="baseline" if mode == "selection" else "surelock")
         assert _run_outputs(res) == _run_outputs(run_sampler(base, w, prompt))
