@@ -16,7 +16,7 @@ from .analysis import (
     simulate_trajectory,
     tail_gain,
 )
-from .flops import GemmCounter, active_step_flops, baseline_step_flops
+from .flops import GemmCounter, baseline_step_flops
 from .kernels import percentile_nearest_rank, spectral_norm
 from .lockctl import (
     LockEvent,
@@ -52,7 +52,7 @@ __all__ = [
     "BoundReport", "ConstantsReport", "Trajectory", "check_lock_bound",
     "estimate_smoothness", "lipschitz_constants",
     "simulate_trajectory", "tail_gain",
-    "GemmCounter", "active_step_flops", "baseline_step_flops",
+    "GemmCounter", "baseline_step_flops",
     "LockEvent", "LockPolicy", "apply_locks", "evaluate_locks", "probe_unlock",
     "KVStore", "ModelConfig", "Weights",
     "forward_partial", "init_weights", "load_weights", "save_weights",

@@ -103,6 +103,14 @@ def _prompt_tokens(value, name: str = "prompt_tokens") -> np.ndarray:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def _require_path(name: str, value) -> str:
+    """``value``, refused unless it is a non-empty string: an empty path
+    would silently name the current directory, or no file at all."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty path, got {value!r}")
+    return value
+
+
 def _build(args, points=({},)):
     """Weights, the parsed config document, and one ``(run, prompt, echo)``
     per point. A point is a dict of ``RunConfig``/``LockPolicy`` field
@@ -112,9 +120,8 @@ def _build(args, points=({},)):
     doc = _load_config_file(args.config)
 
     weights_path = doc.get("weights_path")
-    if weights_path is not None and not isinstance(weights_path, str):
-        raise ConfigError(f"weights_path must be a string, got {weights_path!r}")
-    if weights_path:
+    if weights_path is not None:
+        _require_path("weights_path", weights_path)
         for key in ("model", "weights_seed"):  # a weight file carries its own model config and values
             if key in doc:
                 raise ConfigError(f"config keys {key!r} and 'weights_path' are alternatives; set one")
@@ -175,16 +182,17 @@ def _csv_text(rows) -> str:
 
 def emit_trace(result: RunResult, out_dir: Path) -> None:
     """Write trace.jsonl, one JSON object per step; byte-stable across reruns."""
+    n, row_flops = len(result.tokens), result.row_flops
     rows = ({
         "t": rec.t,
         "M_t": rec.active_rows,
         "C_t": rec.computed_rows,
-        "F_base": rec.flops_base,
-        "F_actual": rec.flops_actual,
+        "F_base": n * row_flops,
+        "F_actual": rec.computed_rows * row_flops,
         "F_counted": rec.flops_counted,
         "head_flops": rec.head_flops,
         "probe_flops": rec.probe_flops,
-        "ratio": rec.ratio,
+        "ratio": rec.computed_rows / n,
         "newly_unmasked": rec.newly_unmasked,
         "newly_locked": rec.newly_locked,
         "newly_unlocked": rec.newly_unlocked,
@@ -206,7 +214,7 @@ def write_summary(result: RunResult, echo: dict, out_dir: Path) -> None:
             "probe_flops": result.total_probe_flops,
         },
         "active_ratio": result.active_ratio,
-        "computed_ratio": result.computed_ratio,
+        "computed_ratio": result.ratio,
         "steps": len(result.trace),
         "lock_events": [
             {"position": e.position, "step": e.step, "kind": e.kind,
@@ -234,8 +242,8 @@ def check_run_invariants(result: RunResult, run: RunConfig) -> list[str]:
     if not result.counter_matches:
         problems.append("instrumented GEMM counter disagrees with the closed-form step cost")
     for rec in result.trace:
-        if rec.flops_actual > rec.flops_base:
-            problems.append(f"step {rec.t}: actual FLOPs exceed baseline")
+        if rec.computed_rows > rec.active_rows:
+            problems.append(f"step {rec.t}: computed more rows than were active")
     if run.mode in LOCKING_MODES and not run.policy.unlock_enabled:
         m = [rec.active_rows for rec in result.trace]
         if any(b > a for a, b in zip(m, m[1:])):
@@ -273,15 +281,15 @@ def _require_directory(target: Path, directory: Path) -> Path:
 
 def _resolve_out(args, doc: dict) -> Path:
     """The output directory, refused here, before any sampling, if it cannot be created."""
-    out = doc.get("output_dir", "out") if args.out is None else args.out
-    if not isinstance(out, str):
-        raise ConfigError(f"output_dir must be a string, got {out!r}")
+    name, out = ("output_dir", doc.get("output_dir", "out")) if args.out is None else ("--out", args.out)
+    out = _require_path(name, out)
     return _require_directory(Path(out), Path(out))
 
 
 def _check_out_file(out: str | None) -> None:
-    """Refuse, before any work, an ``--out`` file at a directory or in one that cannot be created."""
-    if out:
+    """Refuse, before any work, an empty ``--out``, or one at a directory or in one that cannot be created."""
+    if out is not None:
+        _require_path("--out", out)
         if os.path.isdir(out):
             raise ConfigError(f"cannot write {out}: it is a directory")
         _require_directory(Path(out), Path(out).parent)

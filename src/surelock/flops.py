@@ -54,13 +54,3 @@ def baseline_step_flops(cfg: ModelConfig, seq_len: int) -> int:
     if seq_len < 1:
         raise InvalidInputError("sequence length must be positive")
     return seq_len * per_row_step_flops(cfg, seq_len)
-
-
-def active_step_flops(cfg: ModelConfig, seq_len: int, computed_rows: int) -> int:
-    """Per-step GEMM cost when only ``computed_rows`` positions are computed.
-
-    Equals (computed_rows / seq_len) of the baseline cost, exactly.
-    """
-    if not 0 <= computed_rows <= seq_len:
-        raise InvalidInputError(f"computed_rows={computed_rows} outside [0, {seq_len}]")
-    return computed_rows * per_row_step_flops(cfg, seq_len)

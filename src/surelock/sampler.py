@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
-from .flops import GemmCounter, active_step_flops, baseline_step_flops
+from .flops import GemmCounter, per_row_step_flops
 from .kernels import kl_from_log_probs_rows, percentile_nearest_rank
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
 from .model import KVStore, Weights, forward_partial
@@ -238,8 +238,6 @@ class StepRecord:
     t: int
     active_rows: int  # M_t: non-locked positions at step start
     computed_rows: int  # C_t: rows actually pushed through the model
-    flops_base: int
-    flops_actual: int
     flops_counted: int
     head_flops: int
     probe_flops: int
@@ -250,10 +248,6 @@ class StepRecord:
     uncert: np.ndarray  # (N,) this step's uncertainty per position; NaN likewise
     mean_step_kl: float | None
     wall_seconds: float
-
-    @property
-    def ratio(self) -> float:
-        return self.flops_actual / self.flops_base
 
 
 def step(
@@ -319,9 +313,6 @@ def step(
         unlocked = probe_unlock(state, w, policy, gate_threshold, counter=probe_counter)
         state.release_locks(unlocked, policy)
 
-    f_base = baseline_step_flops(cfg, n)
-    f_actual = active_step_flops(cfg, n, int(computed.size))
-
     # summed in ascending position order, which the trace bytes depend on
     finite_unmasked = kl_vals[~state.masked[computed] & np.isfinite(kl_vals)]
     mean_kl = float(np.mean(finite_unmasked)) if finite_unmasked.size else None
@@ -330,8 +321,6 @@ def step(
         t=t,
         active_rows=m_t,
         computed_rows=int(computed.size),
-        flops_base=f_base,
-        flops_actual=f_actual,
         flops_counted=counter.flops,
         head_flops=counter.head_flops,
         probe_flops=probe_counter.flops,
@@ -347,12 +336,15 @@ def step(
 
 @dataclass
 class RunResult:
-    """A finished run. Its FLOPs and row totals are sums over ``trace``,
-    the run's one per-step ledger."""
+    """A finished run. Its row totals are sums over ``trace``, the run's one
+    per-step ledger. A step that computes C of N rows costs exactly
+    C * ``row_flops`` GEMM FLOPs, so every closed-form FLOPs figure is that
+    field times a row count."""
 
     tokens: np.ndarray
     unmask_step: np.ndarray  # (N,) the step each position was committed at; 0 for the prompt
     trace: list[StepRecord]
+    row_flops: int  # per_row_step_flops(config, N): the GEMM cost of one computed row
     events: list[LockEvent]
     wall_seconds: float
     # (S, N, V) reported log-posteriors: a transposed view of a position-major
@@ -362,15 +354,15 @@ class RunResult:
 
     @property
     def total_flops_base(self) -> int:
-        return sum(r.flops_base for r in self.trace)
+        return len(self.trace) * len(self.tokens) * self.row_flops
 
     @property
     def total_flops_actual(self) -> int:
-        return sum(r.flops_actual for r in self.trace)
+        return self.row_flops * sum(r.computed_rows for r in self.trace)
 
     @property
     def ratio(self) -> float:
-        """The run's F_actual / F_base."""
+        """The run's F_actual / F_base: exactly the micro-average of C_t / N over steps."""
         return self.total_flops_actual / self.total_flops_base
 
     @property
@@ -387,14 +379,9 @@ class RunResult:
         return sum(r.active_rows for r in self.trace) / (len(self.trace) * len(self.tokens))
 
     @property
-    def computed_ratio(self) -> float:
-        """Micro-average of C_t / N over steps."""
-        return sum(r.computed_rows for r in self.trace) / (len(self.trace) * len(self.tokens))
-
-    @property
     def counter_matches(self) -> bool:
         """The instrumented GEMM count equals the closed-form cost at every step."""
-        return all(r.flops_counted == r.flops_actual for r in self.trace)
+        return all(r.flops_counted == r.computed_rows * self.row_flops for r in self.trace)
 
     @property
     def e2e_tps(self) -> float:
@@ -450,6 +437,7 @@ def run_sampler(
         tokens=state.tokens.copy(),
         unmask_step=state.unmask_step.copy(),
         trace=records,
+        row_flops=per_row_step_flops(w.config, n),
         events=list(state.events),
         wall_seconds=wall,
         history=history,

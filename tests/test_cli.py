@@ -166,6 +166,7 @@ class TestRunCommand:
         (None, "prompt_tokens", [1.5, 2, 3, 4]),
         (None, "weights_path", 3),
         (None, "modle", {}),  # a misspelled top-level key
+        (None, "weights_path", ""),  # refused, not read as "no weight file"
     ])
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, section, key, value):
         """``value`` replaces ``section.key``; a None section means a top-level
@@ -194,13 +195,15 @@ class TestRunCommand:
         assert "config error:" in err and f"above the cap of {MAX_PARAMS}" in err
 
     def test_mistyped_output_dir_is_config_error(self, tmp_path, capsys, monkeypatch):
-        """``output_dir`` is read only when ``--out`` is absent."""
+        """``output_dir`` is read only when ``--out`` is absent. An empty one
+        is refused, not taken as the current directory."""
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({**TOY, "output_dir": 3}))
-        assert main(["run", "--config", str(path)]) == 2
-        assert "output_dir" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [path]
+        for value in (3, ""):
+            path.write_text(json.dumps({**TOY, "output_dir": value}))
+            assert main(["run", "--config", str(path)]) == 2
+            assert "output_dir" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [path]
 
     def test_overflowing_weight_scale_is_invariant_violation(self, tmp_path, config_file, capsys, recwarn):
         """The attention scores overflow silently; the logits check refuses them."""
@@ -784,6 +787,23 @@ UNWRITABLE_OUTPUTS = {
 }
 
 
+@pytest.fixture()
+def work_calls(monkeypatch):
+    """The names of the sampling, battery and report calls made, in order."""
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_sampler", spy(cli.run_sampler))
+    monkeypatch.setattr(analysis, "simulate_trajectories", spy(analysis.simulate_trajectories))
+    monkeypatch.setattr(analysis, "lipschitz_constants", spy(analysis.lipschitz_constants))
+    return calls
+
+
 class TestOutputPaths:
     """Every output is written by ``errors.write_text``: a path that cannot be
     written exits 2 with one ``cannot write`` line, and a missing parent
@@ -807,7 +827,7 @@ class TestOutputPaths:
         (["verify-bound"], "dir"),
     ], ids=["sweep-at-a-file", "run-under-a-file", "verify-bound-under-a-file", "simulate-under-a-file",
             "constants-under-a-file", "verify-bound-at-a-directory"])
-    def test_unwritable_output_directory_is_refused_before_sampling(self, tmp_path, config_file, monkeypatch,
+    def test_unwritable_output_directory_is_refused_before_sampling(self, tmp_path, config_file, work_calls,
                                                                      capsys, argv, target):
         """An output whose nearest existing ancestor is a regular file exits 2
         naming that file, and an output file at a directory exits 2 saying
@@ -815,24 +835,27 @@ class TestOutputPaths:
         stdout."""
         (tmp_path / "file").write_text("x")
         (tmp_path / "dir").mkdir()
-        calls = []
-
-        def spy(fn):
-            def wrapped(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(cli, "run_sampler", spy(cli.run_sampler))
-        monkeypatch.setattr(analysis, "simulate_trajectories", spy(analysis.simulate_trajectories))
-        monkeypatch.setattr(analysis, "lipschitz_constants", spy(analysis.lipschitz_constants))
         config = [] if argv[0] == "simulate" else ["--config", config_file]
         assert main([*argv, *config, "--out", str(tmp_path / target)]) == 2
-        assert calls == []
+        assert work_calls == []
         captured = capsys.readouterr()
         assert captured.out == ""
         reason = "it is a directory" if target == "dir" else f"{tmp_path / 'file'} is not a directory"
         assert captured.err == f"config error: cannot write {tmp_path / target}: {reason}\n"
+
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--seeds", "0,1"], ["verify-bound"],
+                                      ["simulate", "--count", "3"], ["constants"]],
+                             ids=["run", "sweep", "verify-bound", "simulate", "constants"])
+    def test_empty_output_path_is_refused_before_sampling(self, tmp_path, config_file, work_calls, monkeypatch,
+                                                          capsys, argv):
+        """An empty ``--out`` exits 2 naming it, before any run, battery or
+        report is computed; it is neither the current directory nor no file."""
+        monkeypatch.chdir(tmp_path)
+        config = [] if argv[0] == "simulate" else ["--config", config_file]
+        assert main([*argv, *config, "--out", ""]) == 2
+        assert work_calls == []
+        assert capsys.readouterr() == ("", "config error: --out must be a non-empty path, got ''\n")
+        assert list(tmp_path.iterdir()) == [Path(config_file)]
 
     def test_verify_bound_creates_the_output_directory(self, tmp_path, config_file):
         out = tmp_path / "missing" / "reports.json"

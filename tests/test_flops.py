@@ -3,7 +3,7 @@ import pytest
 from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler
 from surelock.cli import random_prompt
 from surelock.errors import InvalidInputError
-from surelock.flops import active_step_flops, baseline_step_flops
+from surelock.flops import baseline_step_flops, per_row_step_flops
 
 HAND_CFG = ModelConfig(vocab_size=8, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq=8)
 
@@ -27,13 +27,11 @@ class TestClosedForms:
         assert f2 == 4 * attn + 2 * linear
 
     def test_active_fraction(self):
-        assert active_step_flops(HAND_CFG, 4, 4) == baseline_step_flops(HAND_CFG, 4)
-        assert active_step_flops(HAND_CFG, 4, 0) == 0
-        assert active_step_flops(HAND_CFG, 4, 2) == 5632
+        row = per_row_step_flops(HAND_CFG, 4)
+        assert 4 * row == baseline_step_flops(HAND_CFG, 4) == 11264
+        assert 2 * row == 5632
 
     def test_active_fraction_bounds(self):
-        with pytest.raises(InvalidInputError):
-            active_step_flops(HAND_CFG, 4, 5)
         with pytest.raises(InvalidInputError):
             baseline_step_flops(HAND_CFG, 0)
 
@@ -62,19 +60,20 @@ def counted_runs():
 class TestCounterAgreement:
     def test_counter_equals_formula_exactly(self, counted_runs):
         for cfg, mode, result in counted_runs:
+            row_flops = per_row_step_flops(cfg, len(result.tokens))
             for rec in result.trace:
-                assert rec.flops_counted == rec.flops_actual, (cfg, mode, rec.t)
+                assert rec.flops_counted == rec.computed_rows * row_flops, (cfg, mode, rec.t)
 
     def test_actual_never_exceeds_base(self, counted_runs):
         for _, _, result in counted_runs:
             for rec in result.trace:
-                assert rec.flops_actual <= rec.flops_base
+                assert rec.computed_rows <= rec.active_rows <= len(result.tokens)
 
     def test_surelock_flops_non_increasing(self, counted_runs):
         for _, mode, result in counted_runs:
             if mode != "surelock":
                 continue
-            actual = [rec.flops_actual for rec in result.trace]
+            actual = [rec.computed_rows for rec in result.trace]
             assert all(b <= a for a, b in zip(actual, actual[1:]))
 
     def test_aggregate_ratio_equals_micro_average(self, counted_runs):
@@ -82,7 +81,7 @@ class TestCounterAgreement:
         for _, mode, result in counted_runs:
             if mode not in ("baseline", "surelock"):
                 continue
-            assert abs(result.total_flops_actual / result.total_flops_base - result.active_ratio) <= 1e-12
+            assert result.total_flops_actual / result.total_flops_base == result.active_ratio
 
     def test_head_flops_reported_separately(self, counted_runs):
         cfg, _, result = counted_runs[0]

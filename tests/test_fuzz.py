@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -74,7 +75,6 @@ def test_random_configuration_invariants(case):
     locked = set()
     for rec in res.trace:
         assert 0 <= rec.computed_rows <= rec.active_rows <= run.n_positions
-        assert rec.flops_actual <= rec.flops_base
         for p in rec.newly_locked:
             assert res.unmask_step[p] <= rec.t and p not in locked
             locked.add(p)
@@ -88,7 +88,7 @@ def test_random_configuration_invariants(case):
     # identical rerun, bit for bit
     res2 = run_sampler(run, w, random_prompt(cfg, run.n_prompt, case))
     assert np.array_equal(res.tokens, res2.tokens)
-    assert [r.flops_actual for r in res.trace] == [r.flops_actual for r in res2.trace]
+    assert [r.computed_rows for r in res.trace] == [r.computed_rows for r in res2.trace]
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +154,22 @@ def config_documents(draw):
     return draw(st.sampled_from([doc] * 9 + [[doc]]))  # now and then not an object
 
 
+@contextlib.contextmanager
+def working_directory(path):
+    """``path`` as the working directory for the block (``contextlib.chdir`` needs Python 3.11)."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def run_cli(argv, doc=None, weights=None, err=None) -> int:
     """``cli.main`` in a fresh directory; argparse's rejection counts as its
     exit code. ``doc`` is written as the config file and ``weights`` as
     ``weights.json``; stderr goes to ``err`` when given."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+    with tempfile.TemporaryDirectory() as tmp, working_directory(tmp), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err or io.StringIO()):
         if weights is not None:
             Path("weights.json").write_text(json.dumps(weights))

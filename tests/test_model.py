@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from surelock import kernels
 from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
-from surelock.flops import GemmCounter, active_step_flops
+from surelock.flops import GemmCounter, per_row_step_flops
 from surelock.model import (
     INIT_STD,
     MAX_PARAMS,
@@ -259,7 +259,7 @@ class TestForwardPartial:
 
         counter = GemmCounter()
         forward_partial(toy_weights, tokens, mask_flags, active, kv, counter=counter)
-        assert counter.flops == active_step_flops(cfg, n, len(active))
+        assert counter.flops == len(active) * per_row_step_flops(cfg, n)
 
     def test_missing_cache_raises(self, toy_weights):
         cfg = toy_weights.config
@@ -462,7 +462,7 @@ class TestGroupedKV:
         counter = GemmCounter()
         out = full_forward(w, tokens, mask_flags, counter=counter)
         assert out.shape == (10, 16)
-        assert counter.flops == active_step_flops(cfg, 10, 10)
+        assert counter.flops == 10 * per_row_step_flops(cfg, 10)
 
 
 class TestWeightFile:

@@ -19,6 +19,7 @@ from surelock import (
 from surelock import kernels, sampler
 from surelock.cli import random_prompt
 from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
+from surelock.flops import baseline_step_flops, per_row_step_flops
 from surelock.kernels import kl_from_log_probs_rows
 from surelock.prng import SplitMix64, uniforms
 
@@ -260,7 +261,7 @@ class TestRunSampler:
             assert np.array_equal(base.tokens[rb.newly_unmasked], locked.tokens[rl.newly_unmasked])
             np.testing.assert_array_equal(rb.step_kl, rl.step_kl)
             np.testing.assert_array_equal(rb.uncert, rl.uncert)
-            assert rb.flops_actual == rl.flops_actual
+            assert rb.computed_rows == rl.computed_rows
             assert rl.newly_locked == []
 
     def test_surelock_monotone_trace(self, toy_weights, toy_prompt):
@@ -450,8 +451,10 @@ class TestRunSampler:
     def test_total_flops_is_sum_of_steps(self, toy_weights, toy_prompt):
         w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run("surelock"), w, prompt)
-        assert res.total_flops_actual == sum(r.flops_actual for r in res.trace)
-        assert res.total_flops_base == sum(r.flops_base for r in res.trace)
+        n = len(res.tokens)
+        assert res.row_flops == per_row_step_flops(w.config, n)
+        assert res.total_flops_actual == sum(r.computed_rows for r in res.trace) * per_row_step_flops(w.config, n)
+        assert res.total_flops_base == len(res.trace) * baseline_step_flops(w.config, n)
 
     def test_mask_id_is_never_committed(self, toy_config, toy_weights, toy_prompt):
         """The mask id marks absorbing state; near-uniform posteriors must
@@ -489,7 +492,7 @@ class TestRunSampler:
         res = run_sampler(run, w, random_prompt(cfg, 8, 19))
         assert res.counter_matches
         assert sum(len(r.newly_unmasked) for r in res.trace) == 64
-        assert all(r.flops_actual <= r.flops_base for r in res.trace)
+        assert all(r.computed_rows <= r.active_rows <= len(res.tokens) for r in res.trace)
         # rerun reproduces the trace bit for bit
         res2 = run_sampler(run, w, random_prompt(cfg, 8, 19))
         assert np.array_equal(res.tokens, res2.tokens)
@@ -541,8 +544,9 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
                                        temperature, seed):
     """Step 1 computes all N rows in every mode, so from then on every row
     has a posterior and stored K/V: the recorded validity is all True. The
-    GEMM counter equals the closed form on every step, and at fraction 1.0
-    selection is baseline and hybrid is surelock, run for run. Each
+    GEMM counter equals the closed form on every step, the run's cost ratio
+    is exactly the micro-average of C_t / N, and at fraction 1.0 selection is
+    baseline and hybrid is surelock, run for run. Each
     position's commit step is the step whose record unmasked it (0 for the
     prompt), none is left masked, and no lock comes before its commit."""
     n_kv_heads = max(1, n_heads // group)
@@ -559,6 +563,8 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     assert res.trace[0].computed_rows == run.n_positions
     assert res.history_valid.all()
     assert res.counter_matches
+    assert res.row_flops == per_row_step_flops(cfg, run.n_positions)
+    assert res.ratio == sum(r.computed_rows for r in res.trace) / (len(res.trace) * run.n_positions)
     want = np.zeros(run.n_positions, dtype=np.int64)
     for rec in res.trace:
         want[rec.newly_unmasked] = rec.t
