@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidInputError, InvalidStateError
+from .errors import InvalidInputError, InvalidStateError, require_finite
 from .kernels import (LAYERNORM_EPS, LOG_SOFTMAX_LIPSCHITZ, SOFTMAX_JACOBIAN_SUP, kl_from_log_probs_rows,
                       row_norms, spectral_norm)
 from .model import LayerWeights, Weights
@@ -213,10 +213,11 @@ def check_lock_bound(traj: Trajectory, epsilon: float) -> BoundReport:
                        rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_SLACK), **common)
 
 
-def validate_synthetic(vocab_size: int, n_steps: int, contraction_target: float) -> None:
-    """Refuse a synthetic trajectory shape before anything is drawn."""
+def validate_synthetic(vocab_size: int, n_steps: int, contraction_target: float, magnitude: float) -> None:
+    """Refuse a synthetic trajectory shape, or a magnitude that is not finite, before anything is drawn."""
     if not 0.0 < contraction_target < 1.0:
         raise InvalidInputError("contraction_target must lie in (0, 1)")
+    require_finite("magnitude", magnitude)
     if n_steps < 4:
         raise InvalidInputError("need at least 4 steps")
     if vocab_size < 1:
@@ -236,7 +237,7 @@ def synthetic_logits(seeds, vocab_size: int, n_steps: int, contraction_target: f
     its anchor from stream ``s`` and its direction from ``s ^ 0xD1FF``, in
     one draw for the whole batch; each slab equals the batch of one's.
     """
-    validate_synthetic(vocab_size, n_steps, contraction_target)
+    validate_synthetic(vocab_size, n_steps, contraction_target, magnitude)
     seeds = list(seeds)
     draws = normals([*seeds, *(s ^ 0xD1FF for s in seeds)], vocab_size)
     anchor, direction = draws[: len(seeds)], draws[len(seeds) :]

@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import (ConfigError, InvalidInputError, InvalidStateError, read_json, require_finite,
-                     require_float_array, require_int, require_keys, write_text)
+from .errors import (ConfigError, InvalidInputError, InvalidStateError, read_json, require_fields,
+                     require_finite, require_float_array, require_int, require_keys, write_text)
 from .flops import baseline_step_flops
 from .kernels import SOFTMAX_JACOBIAN_SUP
 from .lockctl import LockPolicy
@@ -62,6 +62,7 @@ MAX_BATTERY = 100_000
 BATTERY_BATCH_BYTES = 2**20
 CONFIG_KEYS = ("model", "run", "policy", "weights_path", "weights_seed", "weight_scale",
                "prompt_tokens", "output_dir")
+CONFIG_SECTIONS = {"model": ModelConfig, "run": RunConfig, "policy": LockPolicy}
 
 
 def random_prompt(cfg: ModelConfig, n_prompt: int, seed: int) -> np.ndarray:
@@ -77,11 +78,19 @@ def random_prompt(cfg: ModelConfig, n_prompt: int, seed: int) -> np.ndarray:
 
 
 def _load_config_file(path: str | None) -> dict:
-    return {} if path is None else require_keys(f"config {path}", read_json(path, "config"), CONFIG_KEYS)
-
-
-def _section(doc: dict, name: str, cls, skip: str = "") -> dict:
-    return require_keys(f"config section {name!r}", doc.get(name, {}), [f.name for f in fields(cls) if f.name != skip])
+    """The config document at ``path`` ({} for none), refused unless every value it holds is well typed and
+    ``run.mode`` is a mode, whatever the flags override; range and cross-field rules wait for the merge."""
+    doc = {} if path is None else require_keys(f"config {path}", read_json(path, "config"), CONFIG_KEYS)
+    for name, cls in CONFIG_SECTIONS.items():  # a section's keys are its class's fields but the sections
+        keys = [f.name for f in fields(cls) if f.name not in CONFIG_SECTIONS]
+        require_fields(cls, require_keys(f"config section {name!r}", doc.get(name, {}), keys))
+    if (mode := doc.get("run", {}).get("mode", MODES[0])) not in MODES:  # as RunConfig refuses it
+        raise ConfigError(f"mode {mode!r} not one of {MODES}")
+    for key, rule in (("weights_path", _require_path), ("weights_seed", require_int),
+                      ("weight_scale", require_finite), ("output_dir", _require_path)):
+        if key in doc:
+            rule(key, doc[key])
+    return doc
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -119,17 +128,14 @@ def _build(args, points=({},)):
     validated before this returns."""
     doc = _load_config_file(args.config)
 
-    weights_path = doc.get("weights_path")
-    if weights_path is not None:
-        _require_path("weights_path", weights_path)
+    if "weights_path" in doc:
         for key in ("model", "weights_seed"):  # a weight file carries its own model config and values
             if key in doc:
                 raise ConfigError(f"config keys {key!r} and 'weights_path' are alternatives; set one")
-        w = load_weights(weights_path)
+        w = load_weights(doc["weights_path"])
     else:
-        cfg = ModelConfig.from_dict(_merge(DEFAULT_MODEL, _section(doc, "model", ModelConfig)))
-        require_int("weights_seed", seed := doc.get("weights_seed", 1234))
-        w = init_weights(cfg, seed)
+        cfg = ModelConfig.from_dict(_merge(DEFAULT_MODEL, doc.get("model", {})))
+        w = init_weights(cfg, doc.get("weights_seed", 1234))
     cfg = w.config
     scale = doc.get("weight_scale", 1.0) if args.weight_scale is None else args.weight_scale
     require_finite("weight_scale", scale)
@@ -139,8 +145,7 @@ def _build(args, points=({},)):
     # flags, like points, set RunConfig/LockPolicy fields; a flag's dest is its field name, and a
     # command without the flag leaves the field to the file
     flags = {f.name: getattr(args, f.name, None) for cls in (RunConfig, LockPolicy) for f in fields(cls)}
-    file_run = _merge(DEFAULT_RUN, _section(doc, "run", RunConfig, skip="policy"))
-    file_policy = _section(doc, "policy", LockPolicy)
+    file_run = _merge(DEFAULT_RUN, doc.get("run", {}))
 
     fixed_prompt = _prompt_tokens(doc["prompt_tokens"]) if "prompt_tokens" in doc else None
     if getattr(args, "prompt", None) is not None:
@@ -151,7 +156,7 @@ def _build(args, points=({},)):
     for point in points:
         values = _merge(flags, point)
         run_dict = _merge(file_run, {k: v for k, v in values.items() if k not in policy_fields})
-        policy_dict = _merge(file_policy, {k: v for k, v in values.items() if k in policy_fields})
+        policy_dict = _merge(doc.get("policy", {}), {k: v for k, v in values.items() if k in policy_fields})
         run = RunConfig(policy=LockPolicy(**policy_dict), **run_dict)
         if run.n_positions > cfg.max_seq:  # before a prompt of that length is drawn
             raise ConfigError(f"{run.n_positions} positions exceed max_seq={cfg.max_seq}")
@@ -281,8 +286,7 @@ def _require_directory(target: Path, directory: Path) -> Path:
 
 def _resolve_out(args, doc: dict) -> Path:
     """The output directory, refused here, before any sampling, if it cannot be created."""
-    name, out = ("output_dir", doc.get("output_dir", "out")) if args.out is None else ("--out", args.out)
-    out = _require_path(name, out)
+    out = doc.get("output_dir", "out") if args.out is None else _require_path("--out", args.out)
     return _require_directory(Path(out), Path(out))
 
 
@@ -444,7 +448,7 @@ def cmd_simulate(args) -> None:
     cells = [(rho, vocab, args.steps if args.steps is not None else analysis.battery_steps(rho))
              for rho, vocab in islice(product(rho_targets, vocab_sizes), args.count)]
     for rho, vocab, steps in cells:
-        analysis.validate_synthetic(vocab, steps, rho)
+        analysis.validate_synthetic(vocab, steps, rho, args.magnitude)
     reports = _battery(cells, args.count, args.seed, args.magnitude)
     applicable = [r for r in reports if r.status == "ok"]
     held = sum(1 for r in applicable if r.holds)

@@ -6,6 +6,7 @@
 import json
 import math
 import numbers
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
@@ -35,6 +36,22 @@ def require_finite(name: str, value) -> None:
     """Raise ConfigError unless ``value`` is a finite real number (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_bool(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is true or false (a Python or numpy bool)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+def require_fields(cls, values: dict) -> None:
+    """Raise ConfigError unless each of ``values`` naming a field of the dataclass ``cls`` has its annotation's
+    type: ``int``, a finite ``float`` or ``bool``, or None after ``| None``. Other annotations go unchecked."""
+    rules = {"int": require_int, "float": require_finite, "bool": require_bool}
+    for f in fields(cls):
+        rule = rules.get(f.type.removesuffix(" | None"))
+        if rule is not None and f.name in values and not (values[f.name] is None and f.type.endswith(" | None")):
+            rule(f.name, values[f.name])
 
 
 def require_float_array(what: str, value) -> np.ndarray:

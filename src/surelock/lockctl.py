@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidStateError, require_finite, require_int
+from .errors import ConfigError, InvalidStateError, require_fields
 from .kernels import kl_from_log_probs_rows, percentile_nearest_rank
 from .model import Weights, forward_partial
 
@@ -59,15 +59,7 @@ class LockPolicy:
     relock_cooldown: int = 4
 
     def __post_init__(self):
-        for name in ("epsilon", "percentile", "epsilon_unlock"):
-            require_finite(name, getattr(self, name))
-        if self.hybrid_fraction is not None:
-            require_finite("hybrid_fraction", self.hybrid_fraction)
-        for name in ("probe_period", "min_locked_duration", "relock_cooldown"):
-            require_int(name, getattr(self, name))
-        for name in ("gate_enabled", "unlock_enabled"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        require_fields(LockPolicy, vars(self))
         if not 0.0 <= self.percentile <= 100.0:
             raise ConfigError("percentile must lie in [0, 100]")
         if min(self.probe_period, self.min_locked_duration, self.relock_cooldown) < 1:

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import (ConfigError, InvalidInputError, InvalidStateError, read_json, require_float_array,
-                     require_int, require_keys, write_text)
+from .errors import (ConfigError, InvalidInputError, InvalidStateError, read_json, require_fields,
+                     require_float_array, require_int, require_keys, write_text)
 from .flops import GemmCounter
 from .prng import normals
 
@@ -49,15 +49,9 @@ class ModelConfig:
     mask_id: int | None = None
 
     def __post_init__(self):
-        # the defaults derive from vocab_size and n_heads, so those are checked first
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq"):
-            require_int(name, getattr(self, name))
-        if self.n_kv_heads is None:
-            object.__setattr__(self, "n_kv_heads", self.n_heads)
-        if self.mask_id is None:
-            object.__setattr__(self, "mask_id", self.vocab_size - 1)
-        for name in ("n_kv_heads", "mask_id"):
-            require_int(name, getattr(self, name))
+        require_fields(ModelConfig, vars(self))
+        object.__setattr__(self, "n_kv_heads", self.n_heads if self.n_kv_heads is None else self.n_kv_heads)
+        object.__setattr__(self, "mask_id", self.vocab_size - 1 if self.mask_id is None else self.mask_id)
         if self.vocab_size < 3:
             raise ConfigError("vocab_size must be at least 3 (two tokens plus mask)")
         if min(self.d_model, self.n_layers, self.n_heads, self.n_kv_heads, self.d_ff, self.max_seq) < 1:

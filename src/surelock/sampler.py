@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError, require_finite, require_int
+from .errors import ConfigError, InvalidInputError, InvalidStateError, require_fields
 from .flops import GemmCounter, per_row_step_flops
 from .kernels import kl_from_log_probs_rows, percentile_nearest_rank
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
@@ -52,11 +52,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_prompt", "n_gen", "steps", "seed"):
-            require_int(name, getattr(self, name))
-        if self.block_length is not None:
-            require_int("block_length", self.block_length)
-        require_finite("temperature", self.temperature)
+        require_fields(RunConfig, vars(self))
         if self.mode not in MODES:
             raise ConfigError(f"mode {self.mode!r} not one of {MODES}")
         if self.n_prompt < 0 or self.n_gen < 1:

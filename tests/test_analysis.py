@@ -38,7 +38,7 @@ from surelock.analysis import (
     validate_synthetic,
 )
 from surelock.cli import random_prompt
-from surelock.errors import InvalidInputError
+from surelock.errors import ConfigError, InvalidInputError
 from surelock.flops import GemmCounter
 from surelock.kernels import LAYERNORM_EPS, LOG_SOFTMAX_LIPSCHITZ
 from surelock.prng import normals
@@ -285,10 +285,13 @@ class TestSimulateTrajectory:
             np.testing.assert_array_equal(stacked.step_kl, one.step_kl)
 
     def test_trajectory_cap_is_checked_before_drawing(self):
-        validate_synthetic(MAX_TRAJECTORY_LOGITS // 4, 4, 0.5)
+        validate_synthetic(MAX_TRAJECTORY_LOGITS // 4, 4, 0.5, 0.1)
         for vocab, steps in ((MAX_TRAJECTORY_LOGITS // 4 + 1, 4), (0, 10), (-4, 10), (8, 10**23)):
             with pytest.raises(InvalidInputError):
                 simulate_trajectories([0], vocab, steps, 0.5, 0.1)
+        for magnitude in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^magnitude must be a finite number, got {magnitude}$"):
+                simulate_trajectories([0], 8, 10, 0.5, magnitude)
 
 
 class TestSamplerTraceBound:

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from surelock import analysis, cli, errors
 from surelock.cli import main
+from surelock.lockctl import LockPolicy
 from surelock.kernels import SOFTMAX_JACOBIAN_SUP, spectral_norm
 from surelock.model import MAX_PARAMS, ModelConfig, init_weights, save_weights
-from surelock.sampler import MODES
+from surelock.sampler import MODES, RunConfig
 
 TOY = {
     "model": {"vocab_size": 16, "d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 32, "max_seq": 32},
@@ -123,6 +124,22 @@ class TestRunCommand:
         doc = {"a": 1}
         assert errors.require_keys("thing", doc, ("a", "c"), required=("a",)) is doc
 
+    def test_require_fields_applies_the_annotation_rules(self):
+        """``int``, finite ``float`` and ``bool`` fields are checked, ``| None``
+        admits None, and other annotations and non-field keys are not read."""
+        ok = {"steps": 8, "block_length": None, "temperature": 0.5, "mode": 3, "policy": "x", "other": "y"}
+        errors.require_fields(RunConfig, ok)
+        errors.require_fields(LockPolicy, {"gate_enabled": np.True_, "hybrid_fraction": None})
+        for cls, values, message in (
+            (RunConfig, {"steps": None}, "steps must be an integer, got None"),
+            (RunConfig, {"block_length": 2.0}, "block_length must be an integer, got 2.0"),
+            (RunConfig, {"temperature": float("inf")}, "temperature must be a finite number, got inf"),
+            (LockPolicy, {"hybrid_fraction": "x"}, "hybrid_fraction must be a finite number, got 'x'"),
+            (LockPolicy, {"unlock_enabled": 1}, "unlock_enabled must be true or false, got 1"),
+        ):
+            with pytest.raises(errors.ConfigError, match=f"^{message}$"):
+                errors.require_fields(cls, values)
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"run": {"steps": 99, "n_gen": 8}}))
@@ -167,11 +184,17 @@ class TestRunCommand:
         (None, "weights_path", 3),
         (None, "modle", {}),  # a misspelled top-level key
         (None, "weights_path", ""),  # refused, not read as "no weight file"
+        ("policy", "epsilon", "x"),
+        ("run", "mode", "surelok"),  # the --mode below overrides it
+        ("policy", "unlock_enabled", "yes"),  # the --unlock below overrides it
+        ("run", "seed", None),  # not taken as "use the default"
     ])
     def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, section, key, value):
         """``value`` replaces ``section.key``; a None section means a top-level
         key, a None key the whole section, and both None the whole document.
-        The error names the key."""
+        The file is checked whole when it is read, so a key with a flag is
+        refused with that flag overriding it too. The error is one line
+        naming the key, and nothing is written."""
         if key is None:
             doc = value if section is None else {**TOY, section: value}
         elif section is None:
@@ -180,10 +203,16 @@ class TestRunCommand:
             doc = {**TOY, section: {**TOY.get(section, {}), key: value}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(path), "--mode", "surelock", "--unlock",
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and (key is None or key in err)
+        # --n-gen 16 lets --steps 16 complete a valid run
+        overriding = {"steps": ["--steps", "16", "--n-gen", "16"], "seed": ["--seed", "0"],
+                      "weight_scale": ["--weight-scale", "1"], "epsilon": ["--eps", "1e-3"]}
+        for flags in ([], overriding[key]) if key in overriding else ([],):
+            assert main(["run", "--config", str(path), "--mode", "surelock", "--unlock", *flags,
+                         "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "config error:" in err and (key is None or key in err)
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key,value", [("vocab_size", 2**70), ("n_layers", 10**8)])
     def test_model_above_the_parameter_cap_is_config_error(self, tmp_path, capsys, key, value):
@@ -195,15 +224,17 @@ class TestRunCommand:
         assert "config error:" in err and f"above the cap of {MAX_PARAMS}" in err
 
     def test_mistyped_output_dir_is_config_error(self, tmp_path, capsys, monkeypatch):
-        """``output_dir`` is read only when ``--out`` is absent. An empty one
-        is refused, not taken as the current directory."""
+        """``output_dir`` is checked when the file is read, so it is refused
+        with ``--out`` overriding it too. An empty one is refused, not taken
+        as the current directory."""
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
         for value in (3, ""):
             path.write_text(json.dumps({**TOY, "output_dir": value}))
-            assert main(["run", "--config", str(path)]) == 2
-            assert "output_dir" in capsys.readouterr().err
-            assert list(tmp_path.iterdir()) == [path]
+            for out in ([], ["--out", "o"]):
+                assert main(["run", "--config", str(path), *out]) == 2
+                assert "output_dir" in capsys.readouterr().err
+                assert list(tmp_path.iterdir()) == [path]
 
     def test_overflowing_weight_scale_is_invariant_violation(self, tmp_path, config_file, capsys, recwarn):
         """The attention scores overflow silently; the logits check refuses them."""
@@ -322,6 +353,17 @@ class TestSweepCommand:
                      "--eps-list", "5e-4,5e-2", "--seeds", "0,1", "--out", str(tmp_path / "s")]) == 0
         assert calls == {"init_weights": 1, "_load_config_file": 1}
 
+    def test_mistyped_config_value_is_refused_though_every_point_sets_it(self, tmp_path, capsys):
+        """Each point sets ``epsilon``, but the file's mistyped one is still
+        refused when the file is read: one line naming it, nothing written."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY, "policy": {"epsilon": "x"}}))
+        assert main(["sweep", "--config", str(path), "--mode", "surelock", "--eps-list", "1e-3,1e-2",
+                     "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and "epsilon" in err
+        assert not (tmp_path / "s").exists()
+
     def test_bad_last_point_fails_before_any_run(self, tmp_path, config_file, monkeypatch):
         """4 prompt + 40 generated positions exceed max_seq=32, and an
         explicit --steps 12 does not fit n_gen=8."""
@@ -424,10 +466,13 @@ class TestVerifyAndSimulate:
         ["--vocab-sizes", "99999999999999999999999", "--count", "1"],
         ["--steps", "99999999999999999999999", "--count", "1"],
         ["--steps", "100000000", "--count", "5"],
+        ["--magnitude", "nan"],
+        ["--magnitude", "inf"],
     ])
     def test_simulate_refuses_bad_sizes_before_drawing(self, monkeypatch, capsys, flags):
-        """A count below 1 or above the battery cap, a vocabulary below 1 and
-        a trajectory above the logit cap exit 2 before anything is drawn."""
+        """A count below 1 or above the battery cap, a vocabulary below 1, a
+        trajectory above the logit cap and a magnitude that is not finite
+        exit 2 before anything is drawn."""
         drawn = []
         monkeypatch.setattr(cli.analysis, "simulate_trajectories", lambda *args: drawn.append(args))
         assert main(["simulate", *flags]) == 2
