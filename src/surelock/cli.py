@@ -33,7 +33,8 @@ import numpy as np
 
 from . import analysis
 from .errors import (ConfigError, InvalidInputError, InvalidStateError, read_json, require_fields,
-                     require_finite, require_float_array, require_int, require_keys, write_text)
+                     require_finite, require_float_array, require_int, require_keys, require_seed,
+                     write_text)
 from .flops import baseline_step_flops
 from .kernels import SOFTMAX_JACOBIAN_SUP
 from .lockctl import LockPolicy
@@ -86,7 +87,7 @@ def _load_config_file(path: str | None) -> dict:
         require_fields(cls, require_keys(f"config section {name!r}", doc.get(name, {}), keys))
     if (mode := doc.get("run", {}).get("mode", MODES[0])) not in MODES:  # as RunConfig refuses it
         raise ConfigError(f"mode {mode!r} not one of {MODES}")
-    for key, rule in (("weights_path", _require_path), ("weights_seed", require_int),
+    for key, rule in (("weights_path", _require_path), ("weights_seed", require_seed),
                       ("weight_scale", require_finite), ("output_dir", _require_path)):
         if key in doc:
             rule(key, doc[key])
@@ -186,8 +187,12 @@ def _csv_text(rows) -> str:
 
 
 def emit_trace(result: RunResult, out_dir: Path) -> None:
-    """Write trace.jsonl, one JSON object per step; byte-stable across reruns."""
+    """Write trace.jsonl, one JSON object per step; byte-stable across reruns. A step's commits come from
+    ``unmask_step``, its locks (relocks too) and unlocks from the events, each in ascending position order."""
     n, row_flops = len(result.tokens), result.row_flops
+    changed = {}  # (step, is an unlock) -> positions
+    for e in result.events:
+        changed.setdefault((e.step, e.kind == "unlock"), []).append(e.position)
     rows = ({
         "t": rec.t,
         "M_t": rec.active_rows,
@@ -198,9 +203,9 @@ def emit_trace(result: RunResult, out_dir: Path) -> None:
         "head_flops": rec.head_flops,
         "probe_flops": rec.probe_flops,
         "ratio": rec.computed_rows / n,
-        "newly_unmasked": rec.newly_unmasked,
-        "newly_locked": rec.newly_locked,
-        "newly_unlocked": rec.newly_unlocked,
+        "newly_unmasked": np.flatnonzero(result.unmask_step == rec.t).tolist(),
+        "newly_locked": changed.get((rec.t, False), []),
+        "newly_unlocked": changed.get((rec.t, True), []),
         "mean_D": _float_or_none(rec.mean_step_kl),
     } for rec in result.trace)
     write_text(out_dir / "trace.jsonl", "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))

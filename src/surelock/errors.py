@@ -32,6 +32,13 @@ def require_int(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an integer in [0, 2**64), the seeds whose streams all differ."""
+    require_int(name, value)
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {value}")
+
+
 def require_finite(name: str, value) -> None:
     """Raise ConfigError unless ``value`` is a finite real number (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidInputError, InvalidStateError, require_fields
+from .errors import ConfigError, InvalidInputError, InvalidStateError, require_fields, require_seed
 from .flops import GemmCounter, per_row_step_flops
 from .kernels import kl_from_log_probs_rows, percentile_nearest_rank
 from .lockctl import LockEvent, LockPolicy, apply_locks, evaluate_locks, probe_unlock, uncertainty_rows
@@ -53,6 +53,7 @@ class RunConfig:
 
     def __post_init__(self):
         require_fields(RunConfig, vars(self))
+        require_seed("seed", self.seed)
         if self.mode not in MODES:
             raise ConfigError(f"mode {self.mode!r} not one of {MODES}")
         if self.n_prompt < 0 or self.n_gen < 1:
@@ -229,7 +230,8 @@ class SamplerState:
 
 @dataclass
 class StepRecord:
-    """Everything observed during one diffusion step."""
+    """The row counts, FLOPs and scores of one diffusion step. The positions it
+    commits, locks and unlocks are held once, by ``unmask_step`` and the events."""
 
     t: int
     active_rows: int  # M_t: non-locked positions at step start
@@ -237,9 +239,6 @@ class StepRecord:
     flops_counted: int
     head_flops: int
     probe_flops: int
-    newly_unmasked: list[int]
-    newly_locked: list[int]
-    newly_unlocked: list[int]
     step_kl: np.ndarray  # (N,) this step's KL per position; NaN on rows not computed
     uncert: np.ndarray  # (N,) this step's uncertainty per position; NaN likewise
     mean_step_kl: float | None
@@ -287,27 +286,19 @@ def step(
     uncert[computed] = u_vals
     state.last_step_kl[computed] = kl_vals
 
-    newly_unmasked, committed = update_mask(
-        state.log_post, state.masked, k_t, block,
-        run.temperature, state.rng, mask_id=cfg.mask_id,
-    )
-    state.tokens[newly_unmasked] = committed
-    state.unmask_step[newly_unmasked] = t
+    chosen, committed = update_mask(state.log_post, state.masked, k_t, block, run.temperature, state.rng,
+                                    mask_id=cfg.mask_id)
+    state.tokens[chosen] = committed
+    state.unmask_step[chosen] = t
 
-    locked: list[LockEvent] = []
     if run.mode in LOCKING_MODES:
         candidates = computed[~state.masked[computed]]
-        locked = evaluate_locks(
-            candidates, step_kl, uncert, policy,
-            t=t, cooldown_until=state.cooldown_until,
-        )
+        locked = evaluate_locks(candidates, step_kl, uncert, policy, t=t, cooldown_until=state.cooldown_until)
         apply_locks(state, locked, computed)
 
-    unlocked: list[LockEvent] = []
     if policy.unlock_enabled and t % policy.probe_period == 0 and state.lock.any():
         gate_threshold = percentile_nearest_rank(u_vals, policy.percentile)
-        unlocked = probe_unlock(state, w, policy, gate_threshold, counter=probe_counter)
-        state.release_locks(unlocked, policy)
+        state.release_locks(probe_unlock(state, w, policy, gate_threshold, counter=probe_counter), policy)
 
     # summed in ascending position order, which the trace bytes depend on
     finite_unmasked = kl_vals[~state.masked[computed] & np.isfinite(kl_vals)]
@@ -320,9 +311,6 @@ def step(
         flops_counted=counter.flops,
         head_flops=counter.head_flops,
         probe_flops=probe_counter.flops,
-        newly_unmasked=newly_unmasked,
-        newly_locked=[e.position for e in locked],
-        newly_unlocked=[e.position for e in unlocked],
         step_kl=step_kl,
         uncert=uncert,
         mean_step_kl=mean_kl,
@@ -333,9 +321,10 @@ def step(
 @dataclass
 class RunResult:
     """A finished run. Its row totals are sums over ``trace``, the run's one
-    per-step ledger. A step that computes C of N rows costs exactly
-    C * ``row_flops`` GEMM FLOPs, so every closed-form FLOPs figure is that
-    field times a row count."""
+    per-step ledger of row counts; the positions each step committed, locked
+    or unlocked are held only by ``unmask_step`` and ``events``. A step that
+    computes C of N rows costs exactly C * ``row_flops`` GEMM FLOPs, so every
+    closed-form FLOPs figure is that field times a row count."""
 
     tokens: np.ndarray
     unmask_step: np.ndarray  # (N,) the step each position was committed at; 0 for the prompt
@@ -381,14 +370,12 @@ class RunResult:
 
     @property
     def e2e_tps(self) -> float:
-        produced = sum(len(r.newly_unmasked) for r in self.trace)
+        produced = int(np.count_nonzero(self.unmask_step))  # every position but the prompt's
         return produced / self.wall_seconds if self.wall_seconds > 0 else float("inf")
 
     def step_tps(self) -> list[float]:
-        return [
-            len(r.newly_unmasked) / r.wall_seconds if r.wall_seconds > 0 else float("inf")
-            for r in self.trace
-        ]
+        commits = np.bincount(self.unmask_step, minlength=len(self.trace) + 1)[1:].tolist()
+        return [c / r.wall_seconds if r.wall_seconds > 0 else float("inf") for c, r in zip(commits, self.trace)]
 
 
 def run_sampler(

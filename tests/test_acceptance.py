@@ -128,11 +128,9 @@ def test_criterion_04_monotonicity(toy_config, toy_weights):
         assert all(b <= a for a, b in zip(m, m[1:])), "M_t increased"
         ratios = [rec.computed_rows / len(res.tokens) for rec in res.trace]
         assert all(b <= a + 1e-15 for a, b in zip(ratios, ratios[1:])), "ratio increased"
-        seen = set()
-        for rec in res.trace:
-            assert not (set(rec.newly_locked) & seen), "lock bit flipped twice"
-            assert not rec.newly_unlocked
-            seen |= set(rec.newly_locked)
+        positions = [e.position for e in res.events]
+        assert len(set(positions)) == len(positions), "lock bit flipped twice"
+        assert all(e.kind != "unlock" for e in res.events)
         assert res.total_flops_actual / res.total_flops_base == res.active_ratio
     report(4, "6 surelock runs: M_t and ratio non-increasing, locks permanent, "
               "aggregate ratio == micro-average exactly")

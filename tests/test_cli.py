@@ -214,6 +214,32 @@ class TestRunCommand:
             assert err.startswith("config error:") and err.count("\n") == 1
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("where", ["--seed", "run", "weights_seed"])
+    def test_seed_outside_the_stream_range_is_config_error(self, tmp_path, capsys, where, seed):
+        """The streams keep a seed's low 64 bits, so a seed outside [0, 2**64)
+        would draw another seed's stream: a ``--seed``, the file's run seed or
+        its ``weights_seed`` there exits 2 with one line, and nothing is written."""
+        doc = {**TOY, "run": {**TOY["run"], "seed": seed}} if where == "run" else dict(TOY)
+        if where == "weights_seed":
+            doc["weights_seed"] = seed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--seed", str(seed)] if where == "--seed" else []
+        assert main(["run", "--config", str(path), *flags, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and "2**64" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        """2**64 - 1, the last seed in range, is a run seed and a weights seed."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TOY, "weights_seed": 2**64 - 1}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--seed", str(2**64 - 1), "--temperature", "1",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 1
+
     @pytest.mark.parametrize("key,value", [("vocab_size", 2**70), ("n_layers", 10**8)])
     def test_model_above_the_parameter_cap_is_config_error(self, tmp_path, capsys, key, value):
         """Rejected from the closed-form count, before any tensor is built."""

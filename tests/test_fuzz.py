@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from surelock import LockPolicy, ModelConfig, RunConfig, init_weights, run_sampler, save_weights
 from surelock.cli import main, random_prompt
 from surelock.model import MAX_PARAMS
+from surelock.sampler import unmask_schedule
 
 CASES = list(range(18))
 
@@ -68,19 +69,30 @@ def test_random_configuration_invariants(case):
     res = run_sampler(run, w, prompt)
 
     assert res.counter_matches
-    assert sum(len(r.newly_unmasked) for r in res.trace) == run.n_gen
+    # every generated position is committed once, at the step the schedule gives it
+    commits = np.bincount(res.unmask_step, minlength=run.steps + 1)[1:]
+    assert commits.tolist() == unmask_schedule(run.n_gen, run.steps)
     assert cfg.mask_id not in res.tokens.tolist()
     assert res.total_flops_actual <= res.total_flops_base
 
-    locked = set()
     for rec in res.trace:
         assert 0 <= rec.computed_rows <= rec.active_rows <= run.n_positions
-        for p in rec.newly_locked:
-            assert res.unmask_step[p] <= rec.t and p not in locked
-            locked.add(p)
-        for p in rec.newly_unlocked:
-            assert p in locked
-            locked.discard(p)
+    locked = set()
+    net = np.zeros(run.steps + 1, dtype=np.int64)  # per step: unlocks minus locks and relocks
+    for e in res.events:
+        if e.kind == "unlock":
+            assert e.position in locked
+            locked.discard(e.position)
+            net[e.step] += 1
+        else:
+            assert res.unmask_step[e.position] <= e.step and e.position not in locked
+            locked.add(e.position)
+            net[e.step] -= 1
+    # the event ledger accounts for M_t: nothing is locked at the start, and
+    # M_{t+1} is M_t less step t's locks and relocks plus its unlocks
+    assert res.trace[0].active_rows == run.n_positions
+    for rec, nxt in zip(res.trace, res.trace[1:]):
+        assert nxt.active_rows == rec.active_rows + net[rec.t]
     if run.mode in ("surelock", "hybrid") and not run.policy.unlock_enabled:
         m = [rec.active_rows for rec in res.trace]
         assert all(b <= a for a, b in zip(m, m[1:]))

@@ -468,6 +468,6 @@ class TestUnlockIntegration:
         w = init_weights(ModelConfig(vocab_size=24, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=32), 8)
         res = run_sampler(run, w, random_prompt(w.config, 8, 1))
         m = [r.active_rows for r in res.trace]
-        total_unlocked = sum(len(r.newly_unlocked) for r in res.trace)
+        total_unlocked = sum(e.kind == "unlock" for e in res.events)
         assert total_unlocked > 0
         assert any(b > a for a, b in zip(m, m[1:]))

@@ -244,7 +244,7 @@ class TestRunSampler:
     def test_all_positions_unmasked_after_run(self, toy_weights, toy_prompt):
         w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run(), w, prompt)
-        assert sum(len(r.newly_unmasked) for r in res.trace) == 16
+        assert (res.unmask_step[16:] > 0).all()
         assert np.all(res.tokens < 32)
 
     def test_unsatisfiable_epsilon_equals_baseline(self, toy_weights, toy_prompt):
@@ -256,13 +256,12 @@ class TestRunSampler:
         )
         assert np.array_equal(base.tokens, locked.tokens)
         assert np.array_equal(base.history, locked.history)
+        assert np.array_equal(base.unmask_step, locked.unmask_step)
+        assert locked.events == []
         for rb, rl in zip(base.trace, locked.trace):
-            assert rb.newly_unmasked == rl.newly_unmasked
-            assert np.array_equal(base.tokens[rb.newly_unmasked], locked.tokens[rl.newly_unmasked])
             np.testing.assert_array_equal(rb.step_kl, rl.step_kl)
             np.testing.assert_array_equal(rb.uncert, rl.uncert)
             assert rb.computed_rows == rl.computed_rows
-            assert rl.newly_locked == []
 
     def test_surelock_monotone_trace(self, toy_weights, toy_prompt):
         w, prompt = toy_weights, toy_prompt
@@ -270,12 +269,11 @@ class TestRunSampler:
         m = [r.active_rows for r in res.trace]
         assert all(b <= a for a, b in zip(m, m[1:]))
         locked = set()
-        for rec in res.trace:
-            for p in rec.newly_locked:
-                assert p not in locked
-                assert res.unmask_step[p] <= rec.t  # locked positions are unmasked or prompt
-            locked |= set(rec.newly_locked)
-        assert len(locked) == len(set(e.position for e in res.events))
+        for e in res.events:
+            assert e.kind == "lock"
+            assert e.position not in locked
+            assert res.unmask_step[e.position] <= e.step  # locked positions are unmasked or prompt
+            locked.add(e.position)
 
     def test_locked_posterior_frozen(self, toy_weights, toy_prompt):
         """A locked position reports the same log-posterior ever after."""
@@ -422,14 +420,10 @@ class TestRunSampler:
     def test_blocks_fill_left_to_right(self, toy_weights, toy_prompt):
         w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run(block_length=8), w, prompt)
-        first_block_done = max(
-            rec.t for rec in res.trace if any(p < 24 for p in rec.newly_unmasked)
-        )
-        second_block_start = min(
-            rec.t for rec in res.trace if any(p >= 24 for p in rec.newly_unmasked)
-        )
+        first_block_done = res.unmask_step[16:24].max()
+        second_block_start = res.unmask_step[24:].min()
         assert first_block_done < second_block_start
-        assert sum(len(r.newly_unmasked) for r in res.trace) == 16
+        assert (res.unmask_step[16:] > 0).all()
 
     def test_block_config_validation(self):
         with pytest.raises(ConfigError):
@@ -463,8 +457,7 @@ class TestRunSampler:
         for seed in range(4):
             res = run_sampler(toy_run(seed=seed, temperature=1.3), w, prompt)
             assert cfg.mask_id not in res.tokens.tolist()
-            for rec in res.trace:
-                assert cfg.mask_id not in res.tokens[rec.newly_unmasked].tolist()
+            assert cfg.mask_id not in res.tokens[res.unmask_step > 0].tolist()
 
     def test_prompt_free_run(self, toy_weights):
         w = toy_weights
@@ -491,22 +484,23 @@ class TestRunSampler:
                         temperature=0.6, mode="hybrid", seed=19, policy=policy)
         res = run_sampler(run, w, random_prompt(cfg, 8, 19))
         assert res.counter_matches
-        assert sum(len(r.newly_unmasked) for r in res.trace) == 64
+        assert np.count_nonzero(res.unmask_step > 0) == 64
         assert all(r.computed_rows <= r.active_rows <= len(res.tokens) for r in res.trace)
         # rerun reproduces the trace bit for bit
         res2 = run_sampler(run, w, random_prompt(cfg, 8, 19))
         assert np.array_equal(res.tokens, res2.tokens)
-        assert [r.newly_locked for r in res.trace] == [r.newly_locked for r in res2.trace]
-        assert [r.newly_unlocked for r in res.trace] == [r.newly_unlocked for r in res2.trace]
+        assert np.array_equal(res.unmask_step, res2.unmask_step)
+        assert [(e.position, e.step, e.kind) for e in res.events] == [(e.position, e.step, e.kind) for e in res2.events]
 
 
 def _run_outputs(result):
-    """The inputs of a run digest: tokens, lock events and, per step, the
-    computed row count, step KLs and committed positions."""
+    """The inputs of a run digest: tokens, commit steps, lock events and, per
+    step, the computed row count and step KLs."""
     return (
         result.tokens.tolist(),
+        result.unmask_step.tolist(),
         repr(result.events),
-        [(rec.computed_rows, rec.step_kl.tobytes(), rec.newly_unmasked) for rec in result.trace],
+        [(rec.computed_rows, rec.step_kl.tobytes()) for rec in result.trace],
     )
 
 
@@ -546,9 +540,9 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     has a posterior and stored K/V: the recorded validity is all True. The
     GEMM counter equals the closed form on every step, the run's cost ratio
     is exactly the micro-average of C_t / N, and at fraction 1.0 selection is
-    baseline and hybrid is surelock, run for run. Each
-    position's commit step is the step whose record unmasked it (0 for the
-    prompt), none is left masked, and no lock comes before its commit."""
+    baseline and hybrid is surelock, run for run. The prompt's commit step
+    is 0, each block's positions are committed one per step within that
+    block's steps, none is left masked, and no lock comes before its commit."""
     n_kv_heads = max(1, n_heads // group)
     cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv_heads,
                       d_ff=8, max_seq=32)
@@ -565,10 +559,9 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     assert res.counter_matches
     assert res.row_flops == per_row_step_flops(cfg, run.n_positions)
     assert res.ratio == sum(r.computed_rows for r in res.trace) / (len(res.trace) * run.n_positions)
-    want = np.zeros(run.n_positions, dtype=np.int64)
-    for rec in res.trace:
-        want[rec.newly_unmasked] = rec.t
-    np.testing.assert_array_equal(res.unmask_step, want)
+    np.testing.assert_array_equal(res.unmask_step[:n_prompt], 0)
+    per_block = np.sort(res.unmask_step[n_prompt:].reshape(n_blocks, block_len), axis=1)
+    np.testing.assert_array_equal(per_block, np.arange(1, n_gen + 1).reshape(n_blocks, block_len))
     assert (res.unmask_step >= 0).all()
     assert all(e.step >= res.unmask_step[e.position] for e in res.events if e.kind != "unlock")
     if mode in ("selection", "hybrid") and fraction == 1.0:
