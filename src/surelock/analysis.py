@@ -51,7 +51,8 @@ class Trajectory:
 
     ``step_kl[0]`` and ``step_move[0]`` are infinity: step 0 has no step
     before it. A trajectory keeps no (T, V) logits: ``from_logit_batch``
-    reduces them to these arrays and holds no reference to them. Feeding
+    and ``trajectories_from_history`` reduce them to these arrays and hold
+    no reference to them. Feeding
     log-posteriors instead of raw logits leaves ``step_kl`` and
     ``terminal_gap`` unchanged (log-softmax is idempotent and both only
     see the normalized form); ``step_move`` measures the vectors fed.
@@ -273,21 +274,51 @@ def battery_steps(contraction_target: float) -> int:
     return 24
 
 
-def trajectories_from_history(history: np.ndarray, valid: np.ndarray) -> list[Trajectory]:
-    """Per-position trajectories from a recorded (steps, N, V) posterior history.
+def trajectories_from_history(history, valid: np.ndarray) -> list[Trajectory]:
+    """Per-position trajectories from a recorded run's posterior history.
 
-    Only positions whose posterior is present at every step are returned
-    (a baseline run computes every row every step, so that is all of them).
-    ``run_sampler`` records the history position-major, so each position
-    is read as one contiguous (steps, V) block. Positions are scored one at
-    a time, since one batch over the whole history would hold a second
-    history-sized array of log-probabilities, and no trajectory keeps a
-    view of the history.
+    ``history`` is a ``sampler.PosteriorHistory`` or a dense (steps, N, V)
+    array: either has a length, yields each step's (N, V) posterior in
+    order and gives the last one at ``[-1]``. Only positions whose
+    posterior is present at every step are returned (a baseline run
+    computes every row every step, so that is all of them). The build is one
+    pass over the steps: each takes the log-softmax of the kept rows, their
+    KL to the step before, the norm of their movement and their sup gap to
+    the final step's log-softmax, so only a few (N, V) arrays are held at a
+    time. Every quantity is a per-row operation, so each trajectory equals
+    ``Trajectory.from_logits`` of its own (steps, V) slice bit for bit, and
+    a non-finite log-probability is refused naming the first such position,
+    as ``Trajectory.from_logit_batch`` does. No trajectory keeps a view of
+    the history.
     """
-    return [
-        Trajectory.from_logits(history[:, i, :], position=i, source="sampled")
-        for i in np.flatnonzero(valid.all(axis=0)).tolist()
-    ]
+    keep = np.flatnonzero(valid.all(axis=0))
+    t = len(history)
+    shape = (keep.size, t)
+    step_kl, step_move, terminal_gap = np.full(shape, np.inf), np.full(shape, np.inf), np.zeros(shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row is refused below
+        final = kernels.log_softmax_rows(history[-1][keep])
+    bad = ~np.isfinite(final).all(axis=1)
+    prev_z = prev_lp = None
+    for s, z in enumerate(history):
+        z = z[keep]
+        with np.errstate(invalid="ignore", over="ignore"):
+            lp = kernels.log_softmax_rows(z)
+        bad |= ~np.isfinite(lp).all(axis=1)
+        if bad.any():  # only the refusal is left to find: its first position
+            continue
+        if s > 0:
+            step_kl[:, s] = kl_from_log_probs_rows(lp, prev_lp)
+            step_move[:, s] = row_norms(z - prev_z)
+        if s < t - 1:
+            gap = lp - final
+            np.abs(gap, out=gap)
+            terminal_gap[:, s] = gap.max(axis=1)
+        prev_z, prev_lp = z, lp
+    if bad.any():
+        raise InvalidInputError(f"trajectory at position {int(keep[np.flatnonzero(bad)[0]])}: logits are not "
+                                f"finite or log-softmax overflows")
+    return [Trajectory(kl, mv, gap, position=p, source="sampled")
+            for kl, mv, gap, p in zip(step_kl, step_move, terminal_gap, keep.tolist())]
 
 
 # ---------------------------------------------------------------------------

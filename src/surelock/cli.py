@@ -61,6 +61,9 @@ MAX_BATTERY = 100_000
 # a battery batch's logits stay under this many bytes (or one trajectory), so
 # the battery's memory does not grow with --count
 BATTERY_BATCH_BYTES = 2**20
+# trajectories.json gathers the log-probabilities of as many positions as stay
+# under this many bytes (or one position) per replay of the recorded history
+TRAJECTORY_SLAB_BYTES = 2**22
 CONFIG_KEYS = ("model", "run", "policy", "weights_path", "weights_seed", "weight_scale",
                "prompt_tokens", "output_dir")
 CONFIG_SECTIONS = {"model": ModelConfig, "run": RunConfig, "policy": LockPolicy}
@@ -308,10 +311,20 @@ def _trajectory_chunks(result: RunResult):
     """trajectories.json in chunks, one per position present at every step:
     together they are ``json.dumps`` of the list of ``{"position",
     "log_probs"}`` items, but only one position's values are ever Python
-    lists at once."""
+    lists at once. Positions are gathered in slabs of ``TRAJECTORY_SLAB_BYTES``,
+    one replay of the history each, so no dense (steps, N, V) array is built."""
+    history = result.history
+    keep = np.flatnonzero(result.history_valid.all(axis=0))
+    steps, vocab = len(history), history[-1].shape[1]
+    per_slab = max(1, TRAJECTORY_SLAB_BYTES // (8 * steps * vocab))
     yield "["
-    for k, i in enumerate(np.flatnonzero(result.history_valid.all(axis=0)).tolist()):
-        yield (", " if k else "") + json.dumps({"position": i, "log_probs": result.history[:, i].tolist()})
+    for lo in range(0, keep.size, per_slab):
+        rows = keep[lo : lo + per_slab]
+        slab = np.empty((rows.size, steps, vocab))
+        for t, log_post in enumerate(history):
+            slab[:, t] = log_post[rows]
+        for k, (i, log_probs) in enumerate(zip(rows.tolist(), slab), start=lo):
+            yield (", " if k else "") + json.dumps({"position": i, "log_probs": log_probs.tolist()})
     yield "]"
 
 
@@ -449,6 +462,9 @@ def cmd_simulate(args) -> None:
     vocab_sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
     if not 1 <= args.count <= MAX_BATTERY:
         raise ConfigError(f"--count must lie in [1, {MAX_BATTERY}], got {args.count}")
+    # trajectory i draws from seed + i, and the streams keep a seed's low 64 bits
+    if not 0 <= args.seed <= 2**64 - args.count:
+        raise ConfigError(f"--seed must lie in [0, 2**64 - {args.count}] for --count {args.count}, got {args.seed}")
     # only the first ``count`` cells are used; each is checked before any is drawn
     cells = [(rho, vocab, args.steps if args.steps is not None else analysis.battery_steps(rho))
              for rho, vocab in islice(product(rho_targets, vocab_sizes), args.count)]

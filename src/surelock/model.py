@@ -243,6 +243,8 @@ def forward_partial(
     active: np.ndarray,
     kv: KVStore,
     counter=None,
+    *,
+    head_input: list | None = None,
 ) -> np.ndarray:
     """Forward pass over the computed rows only; returns their (C, V)
     logits in ``active`` order.
@@ -253,7 +255,10 @@ def forward_partial(
     attention and is otherwise untouched, so changing a skipped position's
     token id cannot change any output. ``counter`` (a fresh ``GemmCounter``
     when none is given) receives one gemm(m, n, k) call per matrix multiply
-    and one gemm_head call for the output head.
+    and one gemm_head call for the output head. A ``head_input`` list
+    receives a copy of ``active`` and ``x``, the (C, d) array the head
+    multiplies, not copied and marked read-only, so ``x @ w.head`` gives
+    these logits again bit for bit.
 
     The residual stream is one (C, d) array that each layer adds into in
     place, and a layer's temporaries are freed before the next layer starts,
@@ -289,6 +294,9 @@ def forward_partial(
         _layer_partial(layer, x, kv.keys(li), kv.values(li), active, cfg, n, counter)
     kv.valid[active] = True
 
+    if head_input is not None:
+        x.flags.writeable = False
+        head_input.append((active.copy(), x))
     logits = x @ w.head
     counter.gemm_head(active.size, cfg.vocab_size, cfg.d_model)
     return logits

@@ -251,9 +251,13 @@ def step(
     w: Weights,
     k_t: int,
     block: tuple[int, int],
+    *,
+    head_input: list | None = None,
 ) -> StepRecord:
     """Advance the sampler by one diffusion step, mutating ``state``. The
-    step counts its own GEMMs: its record's FLOPs are its counters' totals."""
+    step counts its own GEMMs: its record's FLOPs are its counters' totals.
+    ``head_input`` is passed to the step's forward (not the probe's), which
+    appends its computed rows and their head input."""
     t0 = time.perf_counter()
     counter, probe_counter = GemmCounter(), GemmCounter()
     cfg = w.config
@@ -269,7 +273,8 @@ def step(
     # to reuse for any row; at fraction 1 the rule returns ``active`` itself
     computed = active if t == 1 else select_compute_rows(active, state.last_step_kl, fraction)
 
-    logits = forward_partial(w, state.tokens, state.masked, computed, state.kv, counter=counter)
+    logits = forward_partial(w, state.tokens, state.masked, computed, state.kv, counter=counter,
+                             head_input=head_input)
     if not np.isfinite(logits).all():
         raise InvalidStateError(f"step {t}: the forward produced non-finite logits")
     lp = kernels.log_softmax_rows(logits)
@@ -318,6 +323,53 @@ def step(
     )
 
 
+class PosteriorHistory:
+    """A recorded run's reported log-posteriors at every step, kept as the
+    head input of each step's forward and replayed on demand.
+
+    ``steps[t]`` is step t + 1's ``(active, x)``: its computed rows and the
+    (C_t, d) array the output head multiplied. A step changes the reported
+    posterior only on the rows it computes, to ``log_softmax_rows(x @
+    head)``, so replaying the steps in order rebuilds each step's (N, V)
+    ``log_post`` bit for bit. The history holds sum(C_t) rows of d floats,
+    their indices and one (N, V) final posterior: d/V of the S * N * V
+    floats of the dense history, plus that final posterior.
+
+    ``len`` is the step count, iterating yields each step's (N, V)
+    posterior (one read-only buffer, overwritten by the next step), ``[-1]``
+    is the stored final posterior and ``np.asarray`` builds the dense
+    (S, N, V) array.
+    """
+
+    def __init__(self, head: np.ndarray, steps: list[tuple[np.ndarray, np.ndarray]], final: np.ndarray):
+        self.head = head
+        self.steps = steps
+        self.final = final
+        self.final.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __iter__(self):
+        buf = np.full(self.final.shape, np.nan)
+        view = buf.view()
+        view.flags.writeable = False
+        for active, x in self.steps:
+            buf[active] = kernels.log_softmax_rows(x @ self.head)
+            yield view
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        if t not in (-1, len(self) - 1):
+            raise IndexError("only the final posterior is stored; iterate the history for the others")
+        return self.final
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.empty((len(self), *self.final.shape))
+        for t, log_post in enumerate(self):
+            dense[t] = log_post
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 @dataclass
 class RunResult:
     """A finished run. Its row totals are sums over ``trace``, the run's one
@@ -332,9 +384,7 @@ class RunResult:
     row_flops: int  # per_row_step_flops(config, N): the GEMM cost of one computed row
     events: list[LockEvent]
     wall_seconds: float
-    # (S, N, V) reported log-posteriors: a transposed view of a position-major
-    # (N, S, V) block, so each position's trajectory history[:, i] is contiguous
-    history: np.ndarray | None = None
+    history: PosteriorHistory | None = None  # every step's reported log-posteriors
     history_valid: np.ndarray | None = None  # (S, N)
 
     @property
@@ -399,17 +449,15 @@ def run_sampler(
     schedule = unmask_schedule(block_len, steps_per_block)
 
     records: list[StepRecord] = []
-    history = (np.full((n, run.steps, w.config.vocab_size), np.nan).transpose(1, 0, 2)
-               if record_trajectories else None)
+    head_input = [] if record_trajectories else None
     history_valid = np.zeros((run.steps, n), dtype=bool) if record_trajectories else None
 
     t_start = time.perf_counter()
     for b in range(n_blocks):
         block = (run.n_prompt + b * block_len, run.n_prompt + (b + 1) * block_len)
         for k_t in schedule:
-            records.append(step(state, run, w, k_t, block))
+            records.append(step(state, run, w, k_t, block, head_input=head_input))
             if record_trajectories:
-                history[state.t - 1] = state.log_post
                 history_valid[state.t - 1] = state.kv.valid
     wall = time.perf_counter() - t_start
 
@@ -423,6 +471,6 @@ def run_sampler(
         row_flops=per_row_step_flops(w.config, n),
         events=list(state.events),
         wall_seconds=wall,
-        history=history,
+        history=PosteriorHistory(w.head, head_input, state.log_post.copy()) if record_trajectories else None,
         history_valid=history_valid,
     )

@@ -55,7 +55,7 @@ def test_criterion_01_baseline_equivalence(toy_config, toy_weights):
             toy_weights, prompt, record_trajectories=True,
         )
         assert np.array_equal(base.tokens, locked.tokens), f"seed {seed}: tokens differ"
-        diff = np.abs(base.history - locked.history).max()
+        diff = np.abs(np.asarray(base.history) - np.asarray(locked.history)).max()
         assert diff <= 1e-10, f"seed {seed}: log-posteriors differ by {diff}"
         assert not any(e.kind == "lock" for e in locked.events)
     elapsed = time.perf_counter() - t0

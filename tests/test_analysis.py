@@ -316,17 +316,19 @@ class TestSamplerTraceBound:
         assert applicable >= 20
 
     def test_trajectories_are_contiguous_views_of_the_history(self, small_model):
-        """Each position's logits are one contiguous block of the history,
-        and no per-step array of its trajectory is a view of the history."""
+        """The trajectories of the replayed history are those of its dense
+        (steps, N, V) array, and no per-step array of a trajectory is a view
+        of the history's stored head inputs or final posterior."""
         cfg, w = small_model
         run = RunConfig(n_prompt=6, n_gen=10, steps=10, mode="baseline", seed=0)
         res = run_sampler(run, w, random_prompt(cfg, 6, 0), record_trajectories=True)
-        for traj in trajectories_from_history(res.history, res.history_valid):
-            z = res.history[:, traj.position]
-            assert z.flags.c_contiguous
-            assert np.shares_memory(z, res.history)
+        dense = np.asarray(res.history)
+        stored = [res.history.final, *(x for _, x in res.history.steps)]
+        trajs = trajectories_from_history(res.history, res.history_valid)
+        for traj, want in zip(trajs, trajectories_from_history(dense, res.history_valid), strict=True):
             for name in ("step_kl", "step_move", "terminal_gap"):
-                assert not np.shares_memory(getattr(traj, name), res.history), name
+                assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
+                assert not any(np.shares_memory(getattr(traj, name), a) for a in stored), name
 
     def test_trajectories_do_not_keep_their_source_alive(self, small_model, monkeypatch):
         """Once a run's result is dropped, its history is freed although its
@@ -335,11 +337,11 @@ class TestSamplerTraceBound:
         cfg, w = small_model
         run = RunConfig(n_prompt=6, n_gen=10, steps=10, mode="baseline", seed=0)
         res = run_sampler(run, w, random_prompt(cfg, 6, 0), record_trajectories=True)
-        history = weakref.ref(res.history.base)
+        history, head_input = weakref.ref(res.history), weakref.ref(res.history.steps[0][1])
         trajs = trajectories_from_history(res.history, res.history_valid)
         del res
         gc.collect()
-        assert history() is None and len(trajs) == 16
+        assert history() is None and head_input() is None and len(trajs) == 16
         stacks = []
 
         def recorded(*args):
@@ -825,10 +827,11 @@ def test_per_step_arrays_of_sampled_histories(heads, n_gen, steps, scale, seed):
     run = RunConfig(n_prompt=3, n_gen=n_gen, steps=min(steps, n_gen), mode="baseline", seed=seed % 1000)
     res = run_sampler(run, w, random_prompt(cfg, 3, seed % 1000), record_trajectories=True)
     trajs = trajectories_from_history(res.history, res.history_valid)
-    batch = Trajectory.from_logit_batch(res.history.transpose(1, 0, 2))
+    dense = np.asarray(res.history)
+    batch = Trajectory.from_logit_batch(dense.transpose(1, 0, 2))
     assert len(trajs) == len(batch) == 3 + n_gen
     for traj, whole in zip(trajs, batch):
-        assert_per_step_facts(traj, res.history[:, traj.position])
+        assert_per_step_facts(traj, dense[:, traj.position])
         for name in ("step_kl", "step_move", "terminal_gap"):
             assert getattr(traj, name).tobytes() == getattr(whole, name).tobytes(), name
 

@@ -505,6 +505,22 @@ class TestVerifyAndSimulate:
         assert drawn == []
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 4, 2**64])
+    def test_simulate_seed_outside_the_stream_range_is_config_error(self, tmp_path, monkeypatch, capsys, seed):
+        """Trajectory i draws from seed + i, and the streams keep a seed's
+        low 64 bits, so with ``--count 5`` a ``--seed`` outside [0, 2**64 - 5]
+        would draw another seed's trajectories: it exits 2 with one line,
+        before any draw, and writes nothing. 2**64 - 5 itself runs."""
+        drawn = []
+        monkeypatch.setattr(cli.analysis, "simulate_trajectories", lambda *args: drawn.append(args))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--count", "5", "--seed", str(seed), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed must lie in [0, 2**64 - 5]") and err.count("\n") == 1
+        assert drawn == [] and not out.exists()
+        monkeypatch.undo()
+        assert main(["simulate", "--count", "5", "--seed", str(2**64 - 5), "--out", str(out)]) == 0
+
     def test_simulate_full_battery(self, capsys):
         assert main(["simulate", "--count", "200"]) == 0
         out = capsys.readouterr().out
@@ -652,25 +668,31 @@ def recorded_run(tmp, doc):
 class TestRecordedTrajectories:
     @settings(max_examples=30, deadline=None)
     @given(mode=st.sampled_from(MODES), vocab=st.integers(3, 12), heads=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
-           n_prompt=st.integers(0, 4), n_gen=st.integers(1, 8), unlock=st.booleans(), seed=st.integers(0, 2**16))
-    def test_streamed_file_is_the_whole_document(self, mode, vocab, heads, n_prompt, n_gen, unlock, seed):
-        """trajectories.json is written one position at a time, and its bytes
-        are ``json.dumps`` of the whole list of items, built at once."""
+           n_prompt=st.integers(0, 4), n_gen=st.integers(1, 8), unlock=st.booleans(), seed=st.integers(0, 2**16),
+           slab_bytes=st.sampled_from([1, 1000, cli.TRAJECTORY_SLAB_BYTES]))
+    def test_streamed_file_is_the_whole_document(self, mode, vocab, heads, n_prompt, n_gen, unlock, seed,
+                                                 slab_bytes):
+        """trajectories.json is written one position at a time, gathered in
+        slabs of one, a few or all positions, and its bytes are ``json.dumps``
+        of the whole list of items, built at once."""
         doc = {"model": {"vocab_size": vocab, "d_model": 4 * heads[0], "n_layers": 1, "n_heads": heads[0],
                          "n_kv_heads": heads[1], "d_ff": 8, "max_seq": 16},
                "run": {"n_prompt": n_prompt, "n_gen": n_gen, "steps": n_gen, "mode": mode, "seed": seed},
                "policy": {"hybrid_fraction": 0.5, "epsilon": 5e-2, "unlock_enabled": unlock, "probe_period": 1,
                           "epsilon_unlock": 1e-12, "min_locked_duration": 1}}
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "TRAJECTORY_SLAB_BYTES", slab_bytes)
             result = recorded_run(tmp, doc)
             data = (Path(tmp) / "trajectories.json").read_bytes()
-        whole = [{"position": i, "log_probs": result.history[:, i].tolist()}
+        dense = np.asarray(result.history)
+        whole = [{"position": i, "log_probs": dense[:, i].tolist()}
                  for i in np.flatnonzero(result.history_valid.all(axis=0)).tolist()]
         assert data == json.dumps(whole).encode()
 
     def test_recording_holds_one_position_at_a_time(self, tmp_path):
-        """The run's traced peak stays under twice the recorded history's
-        bytes; building the whole document first peaked at about ten times."""
+        """The run's traced peak stays under twice the bytes of its dense
+        (steps, N, V) history; building the whole document first peaked at
+        about ten times."""
         doc = {"model": {"vocab_size": 256, "d_model": 16, "n_layers": 1, "n_heads": 2, "d_ff": 16, "max_seq": 64},
                "run": {"n_prompt": 16, "n_gen": 48, "steps": 48}}
         tracemalloc.start()
@@ -679,8 +701,9 @@ class TestRecordedTrajectories:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.history.nbytes == 48 * 64 * 256 * 8
-        assert peak < 2 * result.history.nbytes
+        dense_bytes = np.asarray(result.history).nbytes
+        assert dense_bytes == 48 * 64 * 256 * 8
+        assert peak < 2 * dense_bytes
 
 
 class TestPolicyFlags:

@@ -400,7 +400,8 @@ def forward_identity_cases(draw):
 @given(forward_identity_cases())
 def test_forward_equals_untiled_reference_bit_for_bit(case):
     """Tiled attention and in-place layer temporaries move no byte: logits,
-    the whole store and the GEMM call sequence equal the untiled forward's."""
+    the whole store and the GEMM call sequence equal the untiled forward's.
+    The recorded head input is read-only and gives the logits again."""
     cfg, n, active, scale, seed = case
     w = init_weights(cfg, seed).scaled(scale)
     stale_tokens, stale_mask = make_tokens(cfg, n, seed=seed + 1)
@@ -409,10 +410,14 @@ def test_forward_equals_untiled_reference_bit_for_bit(case):
     tokens, mask_flags = make_tokens(cfg, n, seed=seed)
     got_kv, want_kv = store.copy(), store.copy()
     got_counter, want_counter = RecordingCounter(), RecordingCounter()
-    got = forward_partial(w, tokens, mask_flags, active, got_kv, counter=got_counter)
+    head_input = []
+    got = forward_partial(w, tokens, mask_flags, active, got_kv, counter=got_counter, head_input=head_input)
     with np.errstate(over="ignore"):
         want = reference_forward_partial(w, tokens, mask_flags, active, want_kv, want_counter)
     assert got.tobytes() == want.tobytes()
+    [(rows, x)] = head_input
+    np.testing.assert_array_equal(rows, active)
+    assert not x.flags.writeable and (x @ w.head).tobytes() == got.tobytes()
     for name in ("k_t", "v", "valid"):
         assert getattr(got_kv, name).tobytes() == getattr(want_kv, name).tobytes(), name
     assert got_counter.calls == want_counter.calls

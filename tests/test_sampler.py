@@ -10,6 +10,7 @@ from surelock import (
     LockPolicy,
     ModelConfig,
     RunConfig,
+    Trajectory,
     init_weights,
     run_sampler,
     select_compute_rows,
@@ -17,6 +18,7 @@ from surelock import (
     update_mask,
 )
 from surelock import kernels, sampler
+from surelock.analysis import trajectories_from_history
 from surelock.cli import random_prompt
 from surelock.errors import ConfigError, InvalidInputError, InvalidStateError
 from surelock.flops import baseline_step_flops, per_row_step_flops
@@ -255,7 +257,7 @@ class TestRunSampler:
             toy_run("surelock", policy=LockPolicy(epsilon=-1.0)), w, prompt, record_trajectories=True
         )
         assert np.array_equal(base.tokens, locked.tokens)
-        assert np.array_equal(base.history, locked.history)
+        assert np.array_equal(np.asarray(base.history), np.asarray(locked.history))
         assert np.array_equal(base.unmask_step, locked.unmask_step)
         assert locked.events == []
         for rb, rl in zip(base.trace, locked.trace):
@@ -281,10 +283,11 @@ class TestRunSampler:
         res = run_sampler(toy_run("surelock"), w, prompt, record_trajectories=True)
         lock_step = {e.position: e.step for e in res.events if e.kind == "lock"}
         assert lock_step, "expected at least one lock in this configuration"
+        history = np.asarray(res.history)
         for pos, t_star in lock_step.items():
-            frozen = res.history[t_star - 1, pos]
+            frozen = history[t_star - 1, pos]
             for t in range(t_star, len(res.trace) + 1):
-                np.testing.assert_array_equal(res.history[t - 1, pos], frozen)
+                np.testing.assert_array_equal(history[t - 1, pos], frozen)
 
     def test_lock_is_a_read_only_view_of_lock_step(self, toy_weights, toy_prompt):
         """``lock`` is derived from ``lock_step``, and ``masked`` from
@@ -315,12 +318,12 @@ class TestRunSampler:
         with pytest.raises(InvalidStateError, match="step 1: the forward produced non-finite logits"):
             run_sampler(toy_run("surelock"), w.scaled(1e80), prompt)
 
-    @pytest.mark.parametrize("mode", ["baseline", "hybrid"])
+    @pytest.mark.parametrize("mode", sampler.MODES)
     def test_history_is_each_steps_reported_posterior(self, toy_weights, toy_prompt, monkeypatch, mode):
-        """history[t, i] is the run's log_post after step t + 1, recorded here
-        independently by wrapping ``step``; each position's trajectory is one
-        contiguous block of the history. After every step, a position is
-        masked exactly when it carries the mask id."""
+        """The replayed history's step t is the run's log_post after step
+        t + 1, bit for bit, recorded here independently by wrapping ``step``,
+        and its stored final posterior is the last one. After every step, a
+        position is masked exactly when it carries the mask id."""
         w, prompt = toy_weights, toy_prompt
         seen = []
         original_step = sampler.step
@@ -333,22 +336,44 @@ class TestRunSampler:
 
         monkeypatch.setattr(sampler, "step", recording_step)
         res = run_sampler(toy_run(mode, block_length=8), w, prompt, record_trajectories=True)
-        assert res.history.shape == (16, 32, 32)
+        history = np.asarray(res.history)
+        assert history.shape == (16, 32, 32) and len(res.history) == 16
         assert len(seen) == 16
         for t, (log_post, valid) in enumerate(seen):
-            np.testing.assert_array_equal(res.history[t], log_post)
+            assert history[t].tobytes() == log_post.tobytes(), t
             np.testing.assert_array_equal(res.history_valid[t], valid)
-        for i in range(32):
-            assert res.history[:, i].flags.c_contiguous
+        assert res.history[-1].tobytes() == seen[-1][0].tobytes()
+
+    def test_history_holds_the_head_inputs_and_one_final_posterior(self):
+        """A recorded run keeps, per step, the indices of its C_t computed
+        rows and the read-only (C_t, d) array its head multiplied, and one
+        (N, V) final posterior: sum(C_t) * (d + 1) + N * V values, fewer
+        bytes than the dense S * N * V floats since d < V here."""
+        cfg = ModelConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2, d_ff=16, max_seq=32)
+        w = init_weights(cfg, 5)
+        run = RunConfig(n_prompt=8, n_gen=16, steps=16, mode="hybrid", seed=2,
+                        policy=LockPolicy(epsilon=5e-2, hybrid_fraction=0.5))
+        res = run_sampler(run, w, random_prompt(cfg, 8, 2), record_trajectories=True)
+        history = res.history
+        computed = [rec.computed_rows for rec in res.trace]
+        assert len(history) == len(history.steps) == 16 and len(set(computed)) > 1
+        for (active, x), c in zip(history.steps, computed):
+            assert active.shape == (c,) and x.shape == (c, 16) and x.dtype == np.float64
+            assert not x.flags.writeable
+        assert history.final.shape == (24, 64) and history.head is w.head
+        held = sum(active.nbytes + x.nbytes for active, x in history.steps) + history.final.nbytes
+        assert held == 8 * (sum(computed) * (16 + 1) + 24 * 64)
+        assert held < np.asarray(history).nbytes == 8 * 16 * 24 * 64
 
     def test_step_kl_matches_raw_history(self, toy_weights, toy_prompt):
         """Recorded step KLs are KLs of the raw reported posteriors."""
         w, prompt = toy_weights, toy_prompt
         res = run_sampler(toy_run("baseline", temperature=0.9), w, prompt, record_trajectories=True)
+        history = np.asarray(res.history)
         for t in range(2, len(res.trace) + 1):
             rec = res.trace[t - 1]
             pos = np.flatnonzero(~np.isnan(rec.step_kl))
-            want = kl_from_log_probs_rows(res.history[t - 1, pos], res.history[t - 2, pos])
+            want = kl_from_log_probs_rows(history[t - 1, pos], history[t - 2, pos])
             np.testing.assert_allclose(rec.step_kl[pos], want, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["selection", "hybrid"])
@@ -527,13 +552,30 @@ def test_full_fraction_selection_matches_its_base_mode(n_kv_heads, temperature, 
     assert _run_outputs(out["hybrid"]) == _run_outputs(out["surelock"])
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+#: small runs of every mode, MHA and GQA, one to four blocks, with and without unlocking, greedy and sampled
+RUN_SPACE = dict(
     mode=st.sampled_from(sampler.MODES), n_heads=st.sampled_from([1, 2, 4]), group=st.sampled_from([1, 2, 4]),
     n_prompt=st.integers(0, 6), n_blocks=st.sampled_from([1, 2, 4]), block_len=st.integers(1, 4),
     fraction=st.sampled_from([0.1, 0.5, 1.0]), unlock=st.booleans(), temperature=st.sampled_from([0.0, 1.0]),
     seed=st.integers(0, 2**16),
 )
+
+
+def space_run(mode, n_heads, group, n_prompt, n_blocks, block_len, fraction, unlock, temperature, seed):
+    """The model config, weights, run config and prompt of one point of ``RUN_SPACE``."""
+    n_kv_heads = max(1, n_heads // group)
+    cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv_heads,
+                      d_ff=8, max_seq=32)
+    n_gen = n_blocks * block_len
+    policy = LockPolicy(epsilon=5e-2, hybrid_fraction=fraction, unlock_enabled=unlock, probe_period=1,
+                        epsilon_unlock=0.0, min_locked_duration=1, relock_cooldown=1)
+    run = RunConfig(n_prompt=n_prompt, n_gen=n_gen, steps=n_gen, block_length=block_len, mode=mode,
+                    temperature=temperature, seed=seed, policy=policy)
+    return cfg, init_weights(cfg, seed), run, random_prompt(cfg, n_prompt, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RUN_SPACE)
 def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks, block_len, fraction, unlock,
                                        temperature, seed):
     """Step 1 computes all N rows in every mode, so from then on every row
@@ -543,16 +585,8 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     baseline and hybrid is surelock, run for run. The prompt's commit step
     is 0, each block's positions are committed one per step within that
     block's steps, none is left masked, and no lock comes before its commit."""
-    n_kv_heads = max(1, n_heads // group)
-    cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv_heads,
-                      d_ff=8, max_seq=32)
-    w = init_weights(cfg, seed)
-    n_gen = n_blocks * block_len
-    policy = LockPolicy(epsilon=5e-2, hybrid_fraction=fraction, unlock_enabled=unlock, probe_period=1,
-                        epsilon_unlock=0.0, min_locked_duration=1, relock_cooldown=1)
-    run = RunConfig(n_prompt=n_prompt, n_gen=n_gen, steps=n_gen, block_length=block_len, mode=mode,
-                    temperature=temperature, seed=seed, policy=policy)
-    prompt = random_prompt(cfg, n_prompt, seed)
+    cfg, w, run, prompt = space_run(mode, n_heads, group, n_prompt, n_blocks, block_len, fraction, unlock,
+                                    temperature, seed)
     res = run_sampler(run, w, prompt, record_trajectories=True)
     assert res.trace[0].computed_rows == run.n_positions
     assert res.history_valid.all()
@@ -561,12 +595,30 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
     assert res.ratio == sum(r.computed_rows for r in res.trace) / (len(res.trace) * run.n_positions)
     np.testing.assert_array_equal(res.unmask_step[:n_prompt], 0)
     per_block = np.sort(res.unmask_step[n_prompt:].reshape(n_blocks, block_len), axis=1)
-    np.testing.assert_array_equal(per_block, np.arange(1, n_gen + 1).reshape(n_blocks, block_len))
+    np.testing.assert_array_equal(per_block, np.arange(1, run.n_gen + 1).reshape(n_blocks, block_len))
     assert (res.unmask_step >= 0).all()
     assert all(e.step >= res.unmask_step[e.position] for e in res.events if e.kind != "unlock")
     if mode in ("selection", "hybrid") and fraction == 1.0:
         base = dataclasses.replace(run, mode="baseline" if mode == "selection" else "surelock")
         assert _run_outputs(res) == _run_outputs(run_sampler(base, w, prompt))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RUN_SPACE)
+def test_trajectories_of_the_replayed_history(**point):
+    """The one-pass build over the replayed history gives, position by
+    position, the trajectory ``Trajectory.from_logits`` builds from that
+    position's (steps, V) slice of the dense history, bit for bit."""
+    _, w, run, prompt = space_run(**point)
+    res = run_sampler(run, w, prompt, record_trajectories=True)
+    dense = np.asarray(res.history)
+    trajs = trajectories_from_history(res.history, res.history_valid)
+    assert [t.position for t in trajs] == list(range(run.n_positions))
+    for traj in trajs:
+        want = Trajectory.from_logits(dense[:, traj.position], position=traj.position, source="sampled")
+        for name in ("step_kl", "step_move", "terminal_gap"):
+            assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (traj.position, traj.source) == (want.position, want.source)
 
 
 def mean_step_kl_curve(trace):
