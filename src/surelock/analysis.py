@@ -12,7 +12,10 @@ constant. When rho and L are taken as the measured maxima over the same
 tail, the bound holds unconditionally, so the verifier must report it
 satisfied on every trajectory with rho < 1 - any violation is a bug.
 A trajectory is reduced to three (T,) per-step arrays when it is built,
-and the check reads nothing else. Each tail maximum is one IEEE division
+and the check reads nothing else. One step-major pass,
+``Trajectory.from_steps``, builds them for every source: logit batches
+(the synthetic battery and a trajectories file) and a recorded run's
+replayed posterior history. Each tail maximum is one IEEE division
 and one ``fmax`` reduction: a 0/0 pair is NaN and skipped, x/0 is infinite.
 """
 
@@ -33,8 +36,8 @@ from .prng import normals
 BOUND_SLACK = 1e-9
 
 #: the most logits (steps x vocabulary) one synthetic trajectory may have:
-#: a trajectory is built whole, and its logits, log-probabilities and KL
-#: temporaries are each 32 MiB at the cap
+#: a trajectory's logits are drawn whole, 32 MiB at the cap, and its build
+#: holds a few rows of V values at a time
 MAX_TRAJECTORY_LOGITS = 2**22
 
 
@@ -50,12 +53,13 @@ class Trajectory:
       of the log-posteriors to the terminal step's (0 at s = T-1).
 
     ``step_kl[0]`` and ``step_move[0]`` are infinity: step 0 has no step
-    before it. A trajectory keeps no (T, V) logits: ``from_logit_batch``
-    and ``trajectories_from_history`` reduce them to these arrays and hold
-    no reference to them. Feeding
+    before it. A trajectory keeps no (T, V) logits: ``from_steps``, which
+    ``from_logit_batch`` and ``trajectories_from_history`` call, reduces
+    them to these arrays and holds no reference to them. Feeding
     log-posteriors instead of raw logits leaves ``step_kl`` and
-    ``terminal_gap`` unchanged (log-softmax is idempotent and both only
-    see the normalized form); ``step_move`` measures the vectors fed.
+    ``terminal_gap`` unchanged up to rounding (both only see the
+    log-softmax of what is fed, and log-softmax is idempotent up to
+    rounding); ``step_move`` measures the vectors fed.
     """
 
     step_kl: np.ndarray  # (T,)
@@ -80,40 +84,60 @@ class Trajectory:
 
     @classmethod
     def from_logit_batch(cls, logits: np.ndarray, positions=None, source: str = "synthetic") -> list["Trajectory"]:
-        """One trajectory per (T, V) slab of a (B, T, V) stack.
-
-        The whole batch takes one log-softmax over the stacked B*T rows, one
-        row-wise KL, one logit difference with its ``row_norms`` and one
-        in-place terminal gap on the log-probabilities. Each is a per-row
-        operation, so every trajectory's per-step arrays are bit for bit its
-        own batch of one, and equal to what a check would compute from the
-        two rows it compares. An empty vocabulary is refused, and so is any
-        non-finite log-probability, from a non-finite logit or an
-        overflowing log-softmax.
-        """
+        """One trajectory per (T, V) slab of a (B, T, V) stack: ``from_steps``
+        over its (B, V) steps. An empty vocabulary is refused."""
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 3:
             raise InvalidInputError("trajectory arrays are inconsistent")
-        b, t, v = logits.shape
-        if v == 0:
+        if logits.shape[2] == 0:
             raise InvalidInputError("trajectory logits have an empty vocabulary")
-        positions = [-1] * b if positions is None else positions
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row is refused just below
-            lp = kernels.log_softmax_rows(logits.reshape(b * t, v)).reshape(b, t, v)
-        finite = np.isfinite(lp).all(axis=(1, 2))
-        if not finite.all():
-            bad = positions[int(np.flatnonzero(~finite)[0])]
-            raise InvalidInputError(f"trajectory at position {bad}: logits are not finite or log-softmax overflows")
+        positions = [-1] * len(logits) if positions is None else positions
+        return cls.from_steps(logits.transpose(1, 0, 2), slice(None), positions, source)
+
+    @classmethod
+    def from_steps(cls, steps, rows, positions, source: str) -> list["Trajectory"]:
+        """The trajectories of ``positions``, in one step-major pass.
+
+        ``steps`` has a length, yields each step's (N, V) array in order and
+        gives the last one at ``[-1]``; ``rows`` indexes the B rows taken
+        from each, and ``positions`` labels them. After the final step's
+        log-softmax, each step takes the log-softmax of its rows, their KL
+        to the step before, the norm of their movement and their sup gap to
+        the final log-softmax, holding a few (B, V) arrays at a time. Each
+        is a per-row operation, so a trajectory's arrays do not depend on
+        the rest of its batch and equal, bit for bit, what a check taking
+        its own norms and two-row log-softmaxes gets. A non-finite
+        log-probability, from a non-finite input or an overflowing
+        log-softmax, is refused naming the first position in batch order
+        that is bad at any step: the scan covers every step first.
+        """
+        t, b = len(steps), len(positions)
         step_kl, step_move, terminal_gap = np.full((b, t), np.inf), np.full((b, t), np.inf), np.zeros((b, t))
-        if t > 1:
-            step_kl[:, 1:] = kl_from_log_probs_rows(
-                lp[:, 1:].reshape(-1, v), lp[:, :-1].reshape(-1, v)).reshape(b, t - 1)
-            step_move[:, 1:] = row_norms((logits[:, 1:] - logits[:, :-1]).reshape(-1, v)).reshape(b, t - 1)
-            # lp_s - lp_{T-1} has the magnitude of lp_{T-1} - lp_s exactly; the terminal row's gap stays 0
-            gap = lp[:, :-1]
-            gap -= lp[:, -1:]
-            np.abs(gap, out=gap)
-            terminal_gap[:, :-1] = gap.max(axis=2)
+        bad = np.zeros(b, dtype=bool)
+        final = prev_z = prev_lp = None
+        if t > 0:
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row is refused below
+                final = kernels.log_softmax_rows(steps[-1][rows])
+            bad |= ~np.isfinite(final).all(axis=1)
+        for s, z in enumerate(steps):
+            z = z[rows]
+            with np.errstate(invalid="ignore", over="ignore"):
+                lp = kernels.log_softmax_rows(z)
+            bad |= ~np.isfinite(lp).all(axis=1)
+            if bad.any():  # only the refusal is left to find: its first position
+                continue
+            if s > 0:
+                step_kl[:, s] = kl_from_log_probs_rows(lp, prev_lp)
+                step_move[:, s] = row_norms(z - prev_z)
+            if s < t - 1:
+                # lp_s - lp_{T-1} has the magnitude of lp_{T-1} - lp_s exactly; the terminal row's gap stays 0
+                gap = lp - final
+                np.abs(gap, out=gap)
+                terminal_gap[:, s] = gap.max(axis=1)
+            prev_z, prev_lp = z, lp
+        if bad.any():
+            raise InvalidInputError(f"trajectory at position {positions[int(np.flatnonzero(bad)[0])]}: logits are "
+                                    f"not finite or log-softmax overflows")
         return [cls(kl, mv, gap, position=p, source=source)
                 for kl, mv, gap, p in zip(step_kl, step_move, terminal_gap, positions)]
 
@@ -279,46 +303,15 @@ def trajectories_from_history(history, valid: np.ndarray) -> list[Trajectory]:
 
     ``history`` is a ``sampler.PosteriorHistory`` or a dense (steps, N, V)
     array: either has a length, yields each step's (N, V) posterior in
-    order and gives the last one at ``[-1]``. Only positions whose
-    posterior is present at every step are returned (a baseline run
-    computes every row every step, so that is all of them). The build is one
-    pass over the steps: each takes the log-softmax of the kept rows, their
-    KL to the step before, the norm of their movement and their sup gap to
-    the final step's log-softmax, so only a few (N, V) arrays are held at a
-    time. Every quantity is a per-row operation, so each trajectory equals
-    ``Trajectory.from_logits`` of its own (steps, V) slice bit for bit, and
-    a non-finite log-probability is refused naming the first such position,
-    as ``Trajectory.from_logit_batch`` does. No trajectory keeps a view of
-    the history.
+    order and gives the last one at ``[-1]``, which is what
+    ``Trajectory.from_steps`` reads. Only positions whose posterior is
+    present at every step are returned (a baseline run computes every row
+    every step, so that is all of them), in ascending order, so a refusal
+    names the lowest bad position. No dense (steps, N, V) array is built and
+    no trajectory keeps a view of the history.
     """
     keep = np.flatnonzero(valid.all(axis=0))
-    t = len(history)
-    shape = (keep.size, t)
-    step_kl, step_move, terminal_gap = np.full(shape, np.inf), np.full(shape, np.inf), np.zeros(shape)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row is refused below
-        final = kernels.log_softmax_rows(history[-1][keep])
-    bad = ~np.isfinite(final).all(axis=1)
-    prev_z = prev_lp = None
-    for s, z in enumerate(history):
-        z = z[keep]
-        with np.errstate(invalid="ignore", over="ignore"):
-            lp = kernels.log_softmax_rows(z)
-        bad |= ~np.isfinite(lp).all(axis=1)
-        if bad.any():  # only the refusal is left to find: its first position
-            continue
-        if s > 0:
-            step_kl[:, s] = kl_from_log_probs_rows(lp, prev_lp)
-            step_move[:, s] = row_norms(z - prev_z)
-        if s < t - 1:
-            gap = lp - final
-            np.abs(gap, out=gap)
-            terminal_gap[:, s] = gap.max(axis=1)
-        prev_z, prev_lp = z, lp
-    if bad.any():
-        raise InvalidInputError(f"trajectory at position {int(keep[np.flatnonzero(bad)[0]])}: logits are not "
-                                f"finite or log-softmax overflows")
-    return [Trajectory(kl, mv, gap, position=p, source="sampled")
-            for kl, mv, gap, p in zip(step_kl, step_move, terminal_gap, keep.tolist())]
+    return Trajectory.from_steps(history, keep, keep.tolist(), "sampled")
 
 
 # ---------------------------------------------------------------------------

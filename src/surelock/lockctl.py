@@ -96,8 +96,9 @@ def evaluate_locks(
 ) -> list[LockEvent]:
     """Events for the positions among ``candidates`` that pass the lock test
     at step ``t``, in ascending position order, each carrying its entries of
-    ``step_kl`` and ``uncert``. The three arrays are (N,) and indexed by
-    position.
+    ``step_kl`` and ``uncert``. ``candidates`` must be sorted and unique, as
+    the subset of its computed rows that ``sampler.step`` passes is. The
+    three arrays are (N,) and indexed by position.
 
     The gate threshold is the nearest-rank percentile of candidate
     uncertainties. Positions still inside a re-lock cooldown are excluded
@@ -105,7 +106,7 @@ def evaluate_locks(
     meet the tightened KL threshold, and its event is a relock; this is the
     one place that rule is read.
     """
-    candidates = np.unique(np.asarray(candidates, dtype=np.intp))
+    candidates = np.asarray(candidates, dtype=np.intp)
     if candidates.size == 0:
         return []
     u = uncert[candidates]
@@ -129,10 +130,12 @@ def apply_locks(state: "SamplerState", events: list[LockEvent], computed: np.nda
     store already holds its lock-time K/V and ``log_post`` its posterior.
     """
     to_lock = np.asarray([e.position for e in events], dtype=np.intp)
+    computed_now = np.zeros(state.n, dtype=bool)
+    computed_now[computed] = True
     for refused, why in (
         (state.lock[to_lock], "already locked"),
         (state.masked[to_lock], "still masked"),
-        (~np.isin(to_lock, computed), "not computed this step"),
+        (~computed_now[to_lock], "not computed this step"),
     ):
         if refused.any():
             raise InvalidStateError(f"cannot lock positions {to_lock[refused].tolist()}: {why}")

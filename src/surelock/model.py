@@ -274,14 +274,15 @@ def forward_partial(
     active = np.asarray(active, dtype=np.intp)
     if active.size == 0:
         raise InvalidStateError("forward requested with no computed rows")
-    if active.size != np.unique(active).size or active.min() < 0 or active.max() >= n:
+    skipped = np.ones(n, dtype=bool)
+    if active.min() >= 0 and active.max() < n:
+        skipped[active] = False
+    if n - np.count_nonzero(skipped) != active.size:  # a row out of range clears none, a repeated one fewer
         raise InvalidInputError("computed row indices must be unique and in range")
     if np.any(tokens[mask_flags] != cfg.mask_id):
         raise InvalidInputError("masked positions must carry the mask token id")
     if kv.v.shape != (cfg.n_layers, cfg.n_kv_heads, n, cfg.head_dim):
         raise InvalidStateError(f"K/V store of shape {kv.v.shape} does not fit {n} rows of this model")
-    skipped = np.ones(n, dtype=bool)
-    skipped[active] = False
     if not np.all(kv.valid[skipped]):
         bad = np.flatnonzero(skipped & ~kv.valid)
         raise InvalidStateError(f"no stored K/V for skipped rows {bad.tolist()}")

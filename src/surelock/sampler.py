@@ -124,7 +124,7 @@ def update_mask(
     ids = np.arange(log_post.shape[1])
     if mask_id is not None:
         ids = ids[ids != mask_id]
-    restricted = log_post[np.ix_(in_block, ids)]
+    restricted = log_post[in_block][:, ids]
     confidence = np.exp(restricted.max(axis=1))
     picked = np.sort(np.lexsort((in_block, -confidence))[:k_t])
     chosen = in_block[picked].tolist()

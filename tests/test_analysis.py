@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -42,6 +43,7 @@ from surelock.errors import ConfigError, InvalidInputError
 from surelock.flops import GemmCounter
 from surelock.kernels import LAYERNORM_EPS, LOG_SOFTMAX_LIPSCHITZ
 from surelock.prng import normals
+from test_sampler import RUN_SPACE, space_run
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,11 +215,19 @@ class TestCheckLockBound:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_logits_rejected_in_short_batches(self, bad, t):
         """A batch refuses a non-finite logit at every length, one step
-        included, and names the position it belongs to."""
+        included, and names the position it belongs to. With two bad
+        positions it names the first in batch order, also when that one goes
+        bad at a later step, before the last, than the other; so does a
+        recorded history, whose positions ascend."""
         z = np.zeros((3, t, 4))
         z[1, t - 1, 2] = bad
-        with pytest.raises(InvalidInputError, match="position 7"):
-            Trajectory.from_logit_batch(z, positions=[5, 7, 9])
+        later = np.zeros((3, t + 1, 4))
+        later[1, t - 1, 2] = later[2, 0, 1] = bad
+        for logits in (z, later):
+            with pytest.raises(InvalidInputError, match="position 7"):
+                Trajectory.from_logit_batch(logits, positions=[5, 7, 9])
+            with pytest.raises(InvalidInputError, match="position 1"):
+                trajectories_from_history(logits.transpose(1, 0, 2), np.ones(logits.shape[:2][::-1], dtype=bool))
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(InvalidInputError, match="empty vocabulary"):
@@ -271,7 +281,8 @@ class TestSimulateTrajectory:
            steps=st.integers(4, 20), rho=st.floats(0.05, 0.95), magnitude=st.sampled_from([0.01, 0.25, 1e4]))
     def test_batch_equals_batches_of_one(self, seeds, vocab, steps, rho, magnitude):
         """A batch draws, normalises and scores each seed's trajectory bit for
-        bit as a batch of one does, from the masked seed's two streams."""
+        bit as a batch of one does, from the masked seed's two streams, and
+        each carries the per-step facts of its own logits."""
         draws = normals(seeds, vocab)
         for row, seed in zip(draws, seeds):
             np.testing.assert_array_equal(row, normals(seed % 2**64, vocab))
@@ -283,6 +294,7 @@ class TestSimulateTrajectory:
             np.testing.assert_array_equal(traj.step_kl, one.step_kl)
             stacked = Trajectory.from_logit_batch(np.stack([one_z, z]))[1]
             np.testing.assert_array_equal(stacked.step_kl, one.step_kl)
+            assert_per_step_facts(traj, z)
 
     def test_trajectory_cap_is_checked_before_drawing(self):
         validate_synthetic(MAX_TRAJECTORY_LOGITS // 4, 4, 0.5, 0.1)
@@ -769,13 +781,19 @@ def test_check_lock_bound_matches_reference(t, v, seed, head, tail, n_positions,
 
 
 def assert_per_step_facts(traj, z):
-    """For ``traj`` built from the (T, V) logits ``z``: ``step_move`` is
-    np.linalg.norm of each step's logit difference and ``terminal_gap`` the
-    two-row log-softmax gap a check would compute, both bit for bit; the
-    trajectory equals its own batch of one; and its checks are
-    repr-identical to the loop reference at epsilon -1, infinity and every
-    finite step KL."""
+    """The oracle of every trajectory source, a loop over one position's
+    steps. For ``traj`` built from the (T, V) rows ``z``, bit for bit:
+    ``step_kl`` is the KL a check would compute from the two-row
+    log-softmax of each step and the one before, ``step_move`` is
+    np.linalg.norm of each step's difference and ``terminal_gap`` the
+    two-row log-softmax gap to the last step. Its checks are repr-identical
+    to the loop reference at epsilon -1, infinity and every finite step KL."""
     t = traj.n_steps
+    kl = [np.inf]
+    for s in range(1, t):
+        lp = kernels.log_softmax_rows(z[[s - 1, s]])
+        kl.append(kernels.kl_from_log_probs_rows(lp[1:], lp[:1])[0])
+    assert traj.step_kl.tobytes() == np.array(kl).tobytes()
     move = np.array([np.inf] + [np.linalg.norm(z[s] - z[s - 1]) for s in range(1, t)])
     assert traj.step_move.tobytes() == move.tobytes()
     gap = []
@@ -783,9 +801,6 @@ def assert_per_step_facts(traj, z):
         lp = kernels.log_softmax_rows(z[[s, t - 1]])
         gap.append(np.max(np.abs(lp[1] - lp[0])))
     assert traj.terminal_gap.tobytes() == np.array(gap).tobytes()
-    one = Trajectory.from_logits(np.array(z), position=traj.position, source=traj.source)
-    for name in ("step_kl", "step_move", "terminal_gap"):
-        assert getattr(traj, name).tobytes() == getattr(one, name).tobytes(), name
     if t < 3:
         return
     for eps in (-1.0, math.inf, *traj.step_kl[np.isfinite(traj.step_kl)].tolist()):
@@ -813,27 +828,22 @@ def test_per_step_arrays_of_a_batch(b, t, v, seed, kinds, magnitude):
         assert_per_step_facts(traj, z)
 
 
-@settings(max_examples=20, deadline=None)
-@given(heads=st.sampled_from([(2, 2), (4, 4), (2, 1), (4, 2)]), n_gen=st.integers(2, 8),
-       steps=st.integers(3, 8), scale=st.sampled_from([1.0, 4.0]), seed=st.integers(0, 2**32 - 1))
-def test_per_step_arrays_of_sampled_histories(heads, n_gen, steps, scale, seed):
-    """Trajectories of recorded MHA and GQA baseline runs, one position at a
-    time as ``trajectories_from_history`` builds them and all positions as
-    one batch, carry the same per-step arrays."""
-    n_heads, n_kv = heads
-    cfg = ModelConfig(vocab_size=12, d_model=4 * n_heads, n_layers=2, n_heads=n_heads, n_kv_heads=n_kv,
-                      d_ff=16, max_seq=16)
-    w = init_weights(cfg, seed).scaled(scale)
-    run = RunConfig(n_prompt=3, n_gen=n_gen, steps=min(steps, n_gen), mode="baseline", seed=seed % 1000)
-    res = run_sampler(run, w, random_prompt(cfg, 3, seed % 1000), record_trajectories=True)
-    trajs = trajectories_from_history(res.history, res.history_valid)
+@settings(max_examples=40, deadline=None)
+@given(**RUN_SPACE, scale=st.sampled_from([1.0, 4.0]), per_block=st.integers(1, 4))
+def test_per_step_arrays_of_sampled_histories(scale, per_block, **point):
+    """Recorded runs of every mode, MHA and GQA, one to four blocks, with and
+    without unlocking, greedy and sampled, at two weight scales, committing
+    one or more tokens a step: the pass over the replayed history returns
+    every position in order, each with the per-step facts of its (steps, V)
+    slice of the dense history."""
+    _, w, run, prompt = space_run(**point)
+    run = dataclasses.replace(run, steps=point["n_blocks"] * min(per_block, point["block_len"]))
+    res = run_sampler(run, w.scaled(scale), prompt, record_trajectories=True)
     dense = np.asarray(res.history)
-    batch = Trajectory.from_logit_batch(dense.transpose(1, 0, 2))
-    assert len(trajs) == len(batch) == 3 + n_gen
-    for traj, whole in zip(trajs, batch):
+    trajs = trajectories_from_history(res.history, res.history_valid)
+    assert [(t.position, t.source) for t in trajs] == [(i, "sampled") for i in range(run.n_positions)]
+    for traj in trajs:
         assert_per_step_facts(traj, dense[:, traj.position])
-        for name in ("step_kl", "step_move", "terminal_gap"):
-            assert getattr(traj, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_per_step_arrays_must_cover_every_step():

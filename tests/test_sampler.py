@@ -606,9 +606,9 @@ def test_first_step_computes_every_row(mode, n_heads, group, n_prompt, n_blocks,
 @settings(max_examples=40, deadline=None)
 @given(**RUN_SPACE)
 def test_trajectories_of_the_replayed_history(**point):
-    """The one-pass build over the replayed history gives, position by
-    position, the trajectory ``Trajectory.from_logits`` builds from that
-    position's (steps, V) slice of the dense history, bit for bit."""
+    """The pass over the replayed history, which takes each step's kept rows,
+    gives, position by position, the trajectory ``Trajectory.from_logits``
+    builds from that position's dense (steps, V) slice, bit for bit."""
     _, w, run, prompt = space_run(**point)
     res = run_sampler(run, w, prompt, record_trajectories=True)
     dense = np.asarray(res.history)
